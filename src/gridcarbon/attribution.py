@@ -17,6 +17,11 @@ counted again by location-based consumers reading an unadjusted public
 grid signal.
 
 Consumer demand is in kWh; grid quantities are in MWh.
+
+A report allocates contracts once per region: :func:`build_report` makes
+one :func:`~gridcarbon.contracts.allocate_contracts` call and derives
+every claim, residual carbon intensity, region summary and the double
+counting from it, so a report costs O(regions + consumers + contracts).
 """
 
 from __future__ import annotations
@@ -24,8 +29,8 @@ from __future__ import annotations
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 
-from .contracts import Contract, compute_residual_mix, contracted_cfe_for_buyer
-from .errors import ClaimExceedsDemand, EmptyResidual, UnknownRegion, ZeroDemand
+from .contracts import Allocation, Contract, allocate_contracts, compute_residual_mix
+from .errors import ClaimExceedsDemand, UnknownRegion, ZeroDemand
 from .grid import KWH_PER_MWH, CarbonIntensity, GridMix, SourceRegistry, compute_average_ci
 
 LOCATION_BASED = "location_based"
@@ -182,6 +187,7 @@ def attribute_market_based(
     consumers: Sequence[Consumer],
     sources: SourceRegistry | None = None,
     step: int = 0,
+    allocation: Allocation | None = None,
 ) -> dict[str, MethodResult]:
     """Market-based attribution across one or more regions.
 
@@ -191,22 +197,26 @@ def attribute_market_based(
     Claims above a consumer's demand are clamped to the demand (the
     over-claim is visible via :func:`build_report`).
 
+    All claims come from one :func:`~gridcarbon.contracts.allocate_contracts`
+    call, which allocates each region once, so the cost is
+    O(regions + consumers + contracts). A caller that already holds that
+    allocation for the same mixes, contracts, sources and step, made
+    with ``require_residual=True``, passes it as ``allocation``.
+
     Raises:
         EmptyResidual: if a region's generation is fully contracted.
-        UnknownRegion: if a consumer's region has no mix.
+        UnknownRegion: if a consumer's region has no mix, or one of its
+            contracts sources from a region with no mix.
     """
     sources = sources or SourceRegistry.default()
     if isinstance(mixes, GridMix):
         mixes = {mixes.region: mixes}
+    if allocation is None:
+        allocation = allocate_contracts(mixes, contracts, sources, step, require_residual=True)
 
     residual_ci: dict[str, float] = {}
     residual_fraction: dict[str, float] = {}
-    for region, mix in mixes.items():
-        residual = compute_residual_mix(mix, contracts, sources, step)
-        if residual.total_energy <= 0:
-            raise EmptyResidual(
-                f"all generation in region {region!r} is under contract; residual mix is empty"
-            )
+    for region, residual in allocation.residuals.items():
         residual_ci[region] = float(compute_average_ci(residual.mix, sources))
         residual_fraction[region] = _cfe_fraction(residual.mix, sources)
 
@@ -214,9 +224,7 @@ def attribute_market_based(
     for consumer in consumers:
         if consumer.region not in mixes:
             raise UnknownRegion(f"no mix provided for region {consumer.region!r}")
-        claim_kwh = KWH_PER_MWH * contracted_cfe_for_buyer(
-            contracts, consumer.id, mixes, sources, step
-        )
+        claim_kwh = KWH_PER_MWH * allocation.claim_mwh(consumer.id)
         claim_kwh = min(claim_kwh, consumer.demand_kwh)
         residual_demand = consumer.demand_kwh - claim_kwh
         ci_res = residual_ci[consumer.region]
@@ -254,15 +262,15 @@ def detect_double_counting(
     adjusted signal (or the absence of location-based consumers reading
     it) eliminates the overlap.
     """
-    if public_signal_adjusted:
-        return 0.0
-    anyone_reads_signal = any(
-        c.method == LOCATION_BASED and c.region == mix.region for c in consumers
-    )
-    if not anyone_reads_signal:
+    if public_signal_adjusted or mix.region not in _signal_readers(consumers):
         return 0.0
     residual = compute_residual_mix(mix, contracts, sources or SourceRegistry.default(), step)
     return residual.total_removed
+
+
+def _signal_readers(consumers: Sequence[Consumer]) -> set[str]:
+    """Regions whose public grid signal a location-based consumer reads."""
+    return {c.region for c in consumers if c.method == LOCATION_BASED}
 
 
 def build_report(
@@ -285,19 +293,24 @@ def build_report(
         mixes = {mixes.region: mixes}
     grid_demand_mwh = dict(grid_demand_mwh or {})
 
+    by_region: dict[str, list[Consumer]] = {}
+    for consumer in consumers:
+        by_region.setdefault(consumer.region, []).append(consumer)
     location: dict[str, MethodResult] = {}
     for region, mix in mixes.items():
-        in_region = [c for c in consumers if c.region == region]
         location.update(
-            attribute_location_based(mix, in_region, sources, grid_demand_mwh.get(region))
+            attribute_location_based(
+                mix, by_region.get(region, []), sources, grid_demand_mwh.get(region)
+            )
         )
-    market = attribute_market_based(mixes, contracts, consumers, sources, step)
+    allocation = allocate_contracts(mixes, contracts, sources, step, require_residual=True)
+    market = attribute_market_based(
+        mixes, contracts, consumers, sources, step, allocation=allocation
+    )
 
     entries = []
     for consumer in consumers:
-        claim_kwh = KWH_PER_MWH * contracted_cfe_for_buyer(
-            contracts, consumer.id, mixes, sources, step
-        )
+        claim_kwh = KWH_PER_MWH * allocation.claim_mwh(consumer.id)
         entries.append(
             ConsumerAttribution(
                 consumer_id=consumer.id,
@@ -311,26 +324,25 @@ def build_report(
             )
         )
 
+    # As detect_double_counting, from the residuals already allocated.
+    readers = _signal_readers(consumers)
     regions = []
     double_counted = 0.0
     for region, mix in sorted(mixes.items()):
-        residual = compute_residual_mix(mix, contracts, sources, step)
+        residual = allocation.residuals[region]
         regions.append(
             RegionSummary(
                 region=region,
                 ci_loc_g_per_kwh=float(compute_average_ci(mix, sources)),
-                ci_res_g_per_kwh=float(compute_average_ci(residual.mix, sources))
-                if residual.total_energy > 0
-                else 0.0,
+                ci_res_g_per_kwh=float(compute_average_ci(residual.mix, sources)),
                 total_energy_mwh=mix.total_energy,
                 carbon_free_energy_mwh=mix.carbon_free_energy(sources),
                 contracted_cfe_mwh=residual.total_removed,
                 over_contracted=residual.over_contracted,
             )
         )
-        double_counted += detect_double_counting(
-            mix, contracts, consumers, public_signal_adjusted, sources, step
-        )
+        if not public_signal_adjusted and mix.region in readers:
+            double_counted += residual.total_removed
 
     return AttributionReport(
         consumers=tuple(entries),

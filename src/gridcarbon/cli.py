@@ -21,8 +21,8 @@ from pathlib import Path
 import yaml
 
 from .contracts import Contract, compute_residual_mix, contracts_for_fraction
-from .errors import GridCarbonError, ScenarioInvalid
-from .factors import load_cef_table
+from .errors import EmptyMix, GridCarbonError, ScenarioInvalid
+from .factors import _load_yaml, load_cef_table
 from .fixtures import fixture_datasets, write_fixture_csvs
 from .grid import SourceRegistry, compute_average_ci, total_emissions
 from .ingest import (
@@ -106,13 +106,17 @@ def _parse_contracts_arg(spec: str, region: str):
         return 1.0
     if spec.startswith("solar-wind:"):
         return float(spec.split(":", 1)[1])
-    data = yaml.safe_load(Path(spec).read_text(encoding="utf-8"))
+    with open(spec, encoding="utf-8") as handle:
+        data = _load_yaml(handle)
     if not isinstance(data, list):
         raise GridCarbonError(f"{spec}: expected a YAML list of contracts")
     contracts = []
     for i, body in enumerate(data):
         if not isinstance(body, dict):
             raise GridCarbonError(f"{spec}: contract {i} must be a mapping")
+        for key in ("source", "energy_mwh"):
+            if body.get(key) is None:
+                raise GridCarbonError(f"{spec}: contracts[{i}].{key}: missing")
         contracts.append(
             Contract(
                 id=str(body.get("id", f"contract-{i}")),
@@ -167,13 +171,15 @@ def cmd_ci(args) -> list[dict]:
             res_energy += residual.total_energy
             res_emissions += total_emissions(residual.mix, sources) / 1000.0
         records.append(record)
+    if energy <= 0:
+        raise EmptyMix(f"dataset for region {dataset.region!r} has no generation")
     aggregate = {
         "timestamp": "aggregate",
         "region": dataset.region,
         "ci_g_per_kwh": emissions / energy,
     }
     if contract_spec is not None:
-        aggregate["residual_ci_g_per_kwh"] = res_emissions / res_energy
+        aggregate["residual_ci_g_per_kwh"] = res_emissions / res_energy if res_energy > 0 else ""
     records.append(aggregate)
     return records
 
@@ -521,16 +527,17 @@ def main(argv=None) -> int:
     try:
         records = args.handler(args)
         _emit(records, args.format, args.out)
-    except GridCarbonError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, yaml.YAMLError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    except (GridCarbonError, ValueError, yaml.YAMLError) as exc:
+        return _fail(exc, 1)
     except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _fail(exc, 2)
     return 0
+
+
+def _fail(exc: Exception, code: int) -> int:
+    """Report an error as one ``error:`` line; YAML errors span several lines."""
+    print("error: " + " ".join(line.strip() for line in str(exc).splitlines()), file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

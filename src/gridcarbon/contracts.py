@@ -10,12 +10,18 @@ Over-contracting (claims exceeding a source's generation in a step) is
 clamped at the available generation and pro-rated among the competing
 contracts, and the affected source ids are flagged rather than raised:
 the anomaly is surfaced but the accounting invariants stay intact.
+
+:func:`allocate_contracts` is the one allocation of a step: it indexes
+the contracts by source region once and allocates each region's
+contracts once, so the residual mixes and every buyer's claim cost
+O(regions + contracts) together. The other functions here that allocate
+are views of it.
 """
 
 from __future__ import annotations
 
 from collections.abc import Mapping, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import ContractNotCarbonFree, EmptyMix, EmptyResidual, UnknownRegion
 from .grid import CarbonIntensity, GridMix, SourceRegistry, compute_average_ci
@@ -74,15 +80,19 @@ class ResidualMix:
         mix: the residual mix itself (original minus removals).
         removed: MWh actually removed per source id, after clamping.
         over_contracted: source ids whose claims exceeded generation.
+        allocated: MWh granted per contract id, after clamping and
+            proration (contracts sharing an id share one entry).
     """
 
     mix: GridMix
     removed: Mapping[str, float]
     over_contracted: frozenset[str]
+    allocated: Mapping[str, float] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "removed", dict(self.removed))
         object.__setattr__(self, "over_contracted", frozenset(self.over_contracted))
+        object.__setattr__(self, "allocated", dict(self.allocated))
 
     @property
     def region(self) -> str:
@@ -162,13 +172,102 @@ def compute_residual_mix(
             source with a nonzero emission factor.
     """
     sources = sources or SourceRegistry.default()
-    _, removed, over_contracted = _allocate(mix, contracts, sources, step)
+    allocated, removed, over_contracted = _allocate(mix, contracts, sources, step)
     generation = dict(mix.generation)
     for source_id, amount in removed.items():
         # max() only guards float dust; the allocation is already clamped.
         generation[source_id] = max(generation.get(source_id, 0.0) - amount, 0.0)
     residual = GridMix(region=mix.region, generation=generation, timestamp=mix.timestamp)
-    return ResidualMix(mix=residual, removed=removed, over_contracted=frozenset(over_contracted))
+    return ResidualMix(
+        mix=residual,
+        removed=removed,
+        over_contracted=frozenset(over_contracted),
+        allocated=allocated,
+    )
+
+
+@dataclass(frozen=True)
+class Allocation:
+    """Every contract allocated against the mixes of one step.
+
+    Attributes:
+        residuals: residual mix per region, keyed like the input mixes.
+        claims_mwh: carbon-free MWh granted to each buyer, summed over
+            regions; buyers without contracts are absent.
+        unsourced: per buyer, its first contract (in input order) whose
+            source region has no mix.
+    """
+
+    residuals: Mapping[str, ResidualMix]
+    claims_mwh: Mapping[str, float]
+    unsourced: Mapping[str, Contract]
+
+    def claim_mwh(self, buyer: str) -> float:
+        """The buyer's carbon-free MWh.
+
+        Raises:
+            UnknownRegion: if one of the buyer's contracts sources
+                energy from a region with no mix.
+        """
+        contract = self.unsourced.get(buyer)
+        if contract is not None:
+            raise UnknownRegion(
+                f"contract {contract.id!r} sources from region {contract.source_region!r}, "
+                f"for which no mix was provided"
+            )
+        return self.claims_mwh.get(buyer, 0.0)
+
+
+def allocate_contracts(
+    mixes: GridMix | Mapping[str, GridMix],
+    contracts: Sequence[Contract],
+    sources: SourceRegistry | None = None,
+    step: int = 0,
+    require_residual: bool = False,
+) -> Allocation:
+    """Allocate every contract against the mix of its source region.
+
+    Contracts are indexed by ``source_region`` once, keeping input
+    order, and each region's residual mix is computed once, so the cost
+    is O(regions + contracts). A buyer's claim sums its allocations over
+    the regions in ``mixes`` order and its contracts in input order.
+    Contracts whose source region has no mix allocate nothing; they are
+    listed in :attr:`Allocation.unsourced`.
+
+    With ``require_residual``, a region whose generation is fully
+    contracted stops the allocation there, before later regions are
+    allocated, as market-based pricing needs a residual mix everywhere.
+
+    Raises:
+        ContractNotCarbonFree: if a contract targets a source with a
+            nonzero emission factor in a region that has a mix.
+        EmptyResidual: with ``require_residual``, if a region's
+            generation is fully contracted.
+    """
+    sources = sources or SourceRegistry.default()
+    if isinstance(mixes, GridMix):
+        mixes = {mixes.region: mixes}
+    by_region: dict[str, list[Contract]] = {}
+    unsourced: dict[str, Contract] = {}
+    for contract in contracts:
+        by_region.setdefault(contract.source_region, []).append(contract)
+        if contract.source_region not in mixes:
+            unsourced.setdefault(contract.buyer, contract)
+
+    residuals: dict[str, ResidualMix] = {}
+    claims: dict[str, float] = {}
+    for region, mix in mixes.items():
+        region_contracts = by_region.get(mix.region, ())
+        residual = compute_residual_mix(mix, region_contracts, sources, step)
+        if require_residual and residual.total_energy <= 0:
+            raise EmptyResidual(
+                f"all generation in region {region!r} is under contract; residual mix is empty"
+            )
+        residuals[region] = residual
+        allocated = residual.allocated
+        for contract in region_contracts:
+            claims[contract.buyer] = claims.get(contract.buyer, 0.0) + allocated[contract.id]
+    return Allocation(residuals=residuals, claims_mwh=claims, unsourced=unsourced)
 
 
 def compute_residual_ci(
@@ -250,24 +349,14 @@ def contracted_cfe_for_buyer(
     Sums the buyer's contracted energy across regions after the same
     per-source clamping and proration used for the residual mix, so a
     buyer competing for scarce generation only gets its pro-rata share.
+    This is the buyer's entry of :func:`allocate_contracts`, which
+    allocates each region once for all buyers; callers needing several
+    buyers' claims should call that once instead.
 
     Raises:
+        ContractNotCarbonFree: if a contract targets a source that is
+            not carbon-free.
         UnknownRegion: if one of the buyer's contracts sources energy
             from a region with no mix provided.
     """
-    sources = sources or SourceRegistry.default()
-    if isinstance(mixes, GridMix):
-        mixes = {mixes.region: mixes}
-    for contract in contracts:
-        if contract.buyer == buyer and contract.source_region not in mixes:
-            raise UnknownRegion(
-                f"contract {contract.id!r} sources from region {contract.source_region!r}, "
-                f"for which no mix was provided"
-            )
-    total = 0.0
-    for mix in mixes.values():
-        allocations, _, _ = _allocate(mix, contracts, sources, step)
-        for contract in contracts:
-            if contract.buyer == buyer and contract.source_region == mix.region:
-                total += allocations.get(contract.id, 0.0)
-    return total
+    return allocate_contracts(mixes, contracts, sources, step).claim_mwh(buyer)

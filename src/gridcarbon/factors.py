@@ -64,6 +64,16 @@ DEFAULT_CEF: dict[str, float] = {
 }
 
 
+# libyaml's parser with PyYAML's SafeConstructor and resolver: the same
+# objects as yaml.SafeLoader, decoded several times faster.
+_YAML_LOADER = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
+
+
+def _load_yaml(stream):
+    """Decode one YAML document from a stream or string with the safe loader."""
+    return yaml.load(stream, Loader=_YAML_LOADER)
+
+
 def is_carbon_free_category(category: str) -> bool:
     return category in CARBON_FREE_CATEGORIES
 
@@ -75,7 +85,7 @@ def load_cef_table(path: str | Path) -> dict[str, float]:
     override file cannot silently leave the default in place.
     """
     with open(path, encoding="utf-8") as fh:
-        raw = yaml.safe_load(fh)
+        raw = _load_yaml(fh)
     if not isinstance(raw, Mapping):
         raise SchemaError(f"CEF table {path} must be a mapping of category -> g/kWh")
     table: dict[str, float] = {}

@@ -34,11 +34,10 @@ from importlib import resources
 from pathlib import Path
 from typing import Any, IO
 
-import yaml
-
 from .attribution import METHODS, AttributionReport, Consumer, build_report
 from .contracts import CONTRACT_KINDS, PHYSICAL_KINDS, Contract
 from .errors import ScenarioInvalid
+from .factors import _load_yaml
 from .grid import GridMix, SourceRegistry
 
 _SCENARIO_DIR = "data/scenarios"
@@ -252,9 +251,9 @@ def load_scenario(source: str | Path | IO[str]) -> Scenario:
     if isinstance(source, (str, Path)):
         path = Path(source)
         with path.open("r", encoding="utf-8") as handle:
-            data = yaml.safe_load(handle)
+            data = _load_yaml(handle)
         return parse_scenario(data, name_hint=path.stem)
-    return parse_scenario(yaml.safe_load(source))
+    return parse_scenario(_load_yaml(source))
 
 
 def run_scenario(scenario: Scenario) -> AttributionReport:
@@ -284,4 +283,4 @@ def load_builtin_scenario(name: str) -> Scenario:
             "name", f"no builtin scenario {name!r}; available: {', '.join(builtin_scenario_names())}"
         )
     with candidate.open("r", encoding="utf-8") as handle:
-        return parse_scenario(yaml.safe_load(handle), name_hint=name)
+        return parse_scenario(_load_yaml(handle), name_hint=name)

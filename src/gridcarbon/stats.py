@@ -12,7 +12,7 @@ from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 
 from .contracts import compute_residual_mix, contracts_for_fraction
-from .errors import EmptyFleet, EmptyMix, EmptyResidual
+from .errors import EmptyFleet, EmptyMix, EmptyResidual, ZeroBaseline
 from .grid import CarbonIntensity, SourceRegistry, total_emissions
 from .ingest import RegionDataset
 
@@ -187,9 +187,12 @@ def residual_inflation(
     """Percentage increase of period CI when generation is contracted out.
 
     Returns 100 · (CI_res − CI_loc) / CI_loc over the whole series.
+
+    Raises:
+        ZeroBaseline: if the period CI is zero (an all carbon-free series).
     """
     ci_loc = float(period_ci(dataset, sources, basis))
     ci_res = float(period_residual_ci(dataset, contract_fraction, categories, sources, basis))
     if ci_loc <= 0:
-        raise ZeroDivisionError("period CI is zero; inflation undefined")
+        raise ZeroBaseline("period CI is zero; inflation undefined")
     return 100.0 * (ci_res - ci_loc) / ci_loc

@@ -1,25 +1,38 @@
 from __future__ import annotations
 
+from collections.abc import Mapping, Sequence
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from gridcarbon import (
+    AttributionReport,
     ClaimExceedsDemand,
     Consumer,
+    ConsumerAttribution,
     Contract,
     EmptyResidual,
+    GridCarbonError,
     GridMix,
+    MethodResult,
+    RegionSummary,
+    SourceRegistry,
     UnknownRegion,
     ZeroDemand,
     attribute_location_based,
     attribute_market_based,
     build_report,
+    compute_average_ci,
     compute_market_ci,
     compute_residual_ci,
+    compute_residual_mix,
     detect_double_counting,
     total_emissions,
 )
+from gridcarbon import contracts as contracts_module
+from gridcarbon.attribution import _cfe_fraction
+from gridcarbon.grid import KWH_PER_MWH
 
 
 def _home(consumer_id: str, demand: float = 20.0, method: str = "location_based",
@@ -305,3 +318,287 @@ def test_ci_ordering_for_claimants() -> None:
     results = attribute_market_based(mix, [_case2_contract()], consumers)
     assert results["C1"].ci_g_per_kwh < ci_res  # has a claim
     assert results["H1"].ci_g_per_kwh == pytest.approx(ci_res)  # no claim
+
+
+# --- differential: build_report against the quadratic reference ------------
+#
+# The three functions below are verbatim copies of build_report and the two
+# functions it called before allocation was shared, with their calls renamed
+# to each other. They re-allocate every region for every consumer, twice, so
+# they are the reference the linear build_report must match exactly: equal
+# reports (bit-exact floats), or the same exception with the same message.
+
+
+def _reference_contracted_cfe_for_buyer(
+    contracts: Sequence[Contract],
+    buyer: str,
+    mixes: GridMix | Mapping[str, GridMix],
+    sources: SourceRegistry | None = None,
+    step: int = 0,
+) -> float:
+    """Carbon-free energy (MWh) deliverable to a buyer at one step.
+
+    Sums the buyer's contracted energy across regions after the same
+    per-source clamping and proration used for the residual mix, so a
+    buyer competing for scarce generation only gets its pro-rata share.
+
+    Raises:
+        UnknownRegion: if one of the buyer's contracts sources energy
+            from a region with no mix provided.
+    """
+    sources = sources or SourceRegistry.default()
+    if isinstance(mixes, GridMix):
+        mixes = {mixes.region: mixes}
+    for contract in contracts:
+        if contract.buyer == buyer and contract.source_region not in mixes:
+            raise UnknownRegion(
+                f"contract {contract.id!r} sources from region {contract.source_region!r}, "
+                f"for which no mix was provided"
+            )
+    total = 0.0
+    for mix in mixes.values():
+        allocations, _, _ = contracts_module._allocate(mix, contracts, sources, step)
+        for contract in contracts:
+            if contract.buyer == buyer and contract.source_region == mix.region:
+                total += allocations.get(contract.id, 0.0)
+    return total
+
+
+def _reference_attribute_market_based(
+    mixes: GridMix | Mapping[str, GridMix],
+    contracts: Sequence[Contract],
+    consumers: Sequence[Consumer],
+    sources: SourceRegistry | None = None,
+    step: int = 0,
+) -> dict[str, MethodResult]:
+    """Market-based attribution across one or more regions.
+
+    Every region's residual mix removes *all* contracts sourced there,
+    including claims by buyers in other regions; each consumer's
+    residual demand is then priced at their own region's residual CI.
+    Claims above a consumer's demand are clamped to the demand (the
+    over-claim is visible via :func:`build_report`).
+
+    Raises:
+        EmptyResidual: if a region's generation is fully contracted.
+        UnknownRegion: if a consumer's region has no mix.
+    """
+    sources = sources or SourceRegistry.default()
+    if isinstance(mixes, GridMix):
+        mixes = {mixes.region: mixes}
+
+    residual_ci: dict[str, float] = {}
+    residual_fraction: dict[str, float] = {}
+    for region, mix in mixes.items():
+        residual = compute_residual_mix(mix, contracts, sources, step)
+        if residual.total_energy <= 0:
+            raise EmptyResidual(
+                f"all generation in region {region!r} is under contract; residual mix is empty"
+            )
+        residual_ci[region] = float(compute_average_ci(residual.mix, sources))
+        residual_fraction[region] = _cfe_fraction(residual.mix, sources)
+
+    results: dict[str, MethodResult] = {}
+    for consumer in consumers:
+        if consumer.region not in mixes:
+            raise UnknownRegion(f"no mix provided for region {consumer.region!r}")
+        claim_kwh = KWH_PER_MWH * _reference_contracted_cfe_for_buyer(
+            contracts, consumer.id, mixes, sources, step
+        )
+        claim_kwh = min(claim_kwh, consumer.demand_kwh)
+        residual_demand = consumer.demand_kwh - claim_kwh
+        ci_res = residual_ci[consumer.region]
+        # With no claim the formula collapses to ci_res exactly; taking the
+        # shortcut keeps that identity float-exact for any demand (and covers
+        # zero demand, where the ratio form is undefined).
+        if residual_demand == consumer.demand_kwh:
+            ci = ci_res
+        else:
+            ci = residual_demand * ci_res / consumer.demand_kwh
+        cfe = claim_kwh + residual_demand * residual_fraction[consumer.region]
+        results[consumer.id] = MethodResult(
+            attributed_cfe_kwh=cfe,
+            attributed_fossil_kwh=consumer.demand_kwh - cfe,
+            ci_g_per_kwh=ci,
+            emissions_g=consumer.demand_kwh * ci,
+        )
+    return results
+
+
+def _reference_build_report(
+    mixes: GridMix | Mapping[str, GridMix],
+    contracts: Sequence[Contract],
+    consumers: Sequence[Consumer],
+    sources: SourceRegistry | None = None,
+    grid_demand_mwh: Mapping[str, float] | None = None,
+    public_signal_adjusted: bool = False,
+    step: int = 0,
+) -> AttributionReport:
+    """Run both accounting methods and assemble the full report.
+
+    ``grid_demand_mwh`` optionally declares total grid demand per region
+    for quoting the location-based carbon-free share (see
+    :func:`attribute_location_based`).
+    """
+    sources = sources or SourceRegistry.default()
+    if isinstance(mixes, GridMix):
+        mixes = {mixes.region: mixes}
+    grid_demand_mwh = dict(grid_demand_mwh or {})
+
+    location: dict[str, MethodResult] = {}
+    for region, mix in mixes.items():
+        in_region = [c for c in consumers if c.region == region]
+        location.update(
+            attribute_location_based(mix, in_region, sources, grid_demand_mwh.get(region))
+        )
+    market = _reference_attribute_market_based(mixes, contracts, consumers, sources, step)
+
+    entries = []
+    for consumer in consumers:
+        claim_kwh = KWH_PER_MWH * _reference_contracted_cfe_for_buyer(
+            contracts, consumer.id, mixes, sources, step
+        )
+        entries.append(
+            ConsumerAttribution(
+                consumer_id=consumer.id,
+                region=consumer.region,
+                demand_kwh=consumer.demand_kwh,
+                method=consumer.method,
+                location_based=location[consumer.id],
+                market_based=market[consumer.id],
+                cfe_claim_kwh=min(claim_kwh, consumer.demand_kwh),
+                over_claimed=claim_kwh > consumer.demand_kwh,
+            )
+        )
+
+    regions = []
+    double_counted = 0.0
+    for region, mix in sorted(mixes.items()):
+        residual = compute_residual_mix(mix, contracts, sources, step)
+        regions.append(
+            RegionSummary(
+                region=region,
+                ci_loc_g_per_kwh=float(compute_average_ci(mix, sources)),
+                ci_res_g_per_kwh=float(compute_average_ci(residual.mix, sources))
+                if residual.total_energy > 0
+                else 0.0,
+                total_energy_mwh=mix.total_energy,
+                carbon_free_energy_mwh=mix.carbon_free_energy(sources),
+                contracted_cfe_mwh=residual.total_removed,
+                over_contracted=residual.over_contracted,
+            )
+        )
+        double_counted += detect_double_counting(
+            mix, contracts, consumers, public_signal_adjusted, sources, step
+        )
+
+    return AttributionReport(
+        consumers=tuple(entries),
+        regions=tuple(regions),
+        double_counted_cfe_mwh=double_counted,
+    )
+
+
+REGIONS = ("a", "b", "c")
+GENERATION_SOURCES = ("solar", "wind", "hydro", "gas", "coal")
+CONSUMER_IDS = ("c0", "c1", "c2", "c3", "c4")
+# Rare cases stay rare: an unknown region or a coal contract fails the
+# whole report, which would leave few successful ones to compare.
+_RARELY = 8
+
+
+@st.composite
+def _attribution_inputs(draw):
+    regions = draw(st.lists(st.sampled_from(REGIONS), min_size=1, max_size=3, unique=True))
+    mixes = {
+        region: GridMix(
+            region=region,
+            generation=draw(
+                st.dictionaries(
+                    st.sampled_from(GENERATION_SOURCES),
+                    st.floats(min_value=0.0, max_value=100.0),
+                    min_size=1,
+                    max_size=5,
+                )
+            ),
+        )
+        for region in regions
+    }
+    # "z" has no mix: consumers there and contracts sourced there are errors.
+    known_or_z = st.sampled_from((*regions * _RARELY, "z"))
+    consumers = draw(
+        st.lists(
+            st.builds(
+                Consumer,
+                id=st.sampled_from(CONSUMER_IDS),
+                region=known_or_z,
+                demand_kwh=st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=5e4)),
+                method=st.sampled_from(("location_based", "market_based")),
+            ),
+            max_size=6,
+        )
+    )
+    contracts = draw(
+        st.lists(
+            st.builds(
+                Contract,
+                id=st.sampled_from(("k0", "k1", "k2", "k3", "k4", "k5", "k6", "k7")),
+                buyer=st.sampled_from((*CONSUMER_IDS, "outsider")),
+                kind=st.just("financial"),
+                source_id=st.sampled_from(("solar", "wind", "hydro") * _RARELY + ("coal",)),
+                source_region=known_or_z,
+                energy_mwh=st.floats(min_value=0.0, max_value=150.0),
+            ),
+            max_size=8,
+        )
+    )
+    grid_demand = draw(
+        st.dictionaries(st.sampled_from(regions), st.floats(min_value=1.0, max_value=500.0))
+    )
+    return mixes, contracts, consumers, grid_demand, draw(st.booleans())
+
+
+def _outcome(func, *args):
+    try:
+        return func(*args)
+    except (GridCarbonError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+@given(_attribution_inputs())
+def test_build_report_matches_quadratic_reference(inputs) -> None:
+    mixes, contracts, consumers, grid_demand, adjusted = inputs
+    sources = SourceRegistry.default()
+    args = (mixes, contracts, consumers, sources, grid_demand, adjusted)
+    assert _outcome(build_report, *args) == _outcome(_reference_build_report, *args)
+
+
+def test_build_report_allocates_each_region_once(monkeypatch) -> None:
+    regions = [f"r{i}" for i in range(10)]
+    size = 10_000
+    mixes = {
+        region: GridMix(region=region, generation={"solar": 5e3, "wind": 5e3, "coal": 1e4})
+        for region in regions
+    }
+    consumers = [
+        Consumer(id=f"c{i}", region=regions[i % 10], demand_kwh=1000.0 + i,
+                 method="market_based" if i % 2 else "location_based")
+        for i in range(size)
+    ]
+    contracts = [
+        Contract(id=f"k{i}", buyer=f"c{(7 * i) % size}", kind="financial",
+                 source_id="solar" if i % 3 else "wind", source_region=regions[(3 * i) % 10],
+                 energy_mwh=1.5)
+        for i in range(size)
+    ]
+    calls = []
+    allocate = contracts_module._allocate
+
+    def counting(*args, **kwargs):
+        calls.append(args[0].region)
+        return allocate(*args, **kwargs)
+
+    monkeypatch.setattr(contracts_module, "_allocate", counting)
+    report = build_report(mixes, contracts, consumers)
+    assert sorted(calls) == regions
+    assert len(report.consumers) == size

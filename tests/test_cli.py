@@ -6,7 +6,9 @@ import json
 from pathlib import Path
 
 import pytest
+import yaml
 
+from gridcarbon import factors
 from gridcarbon.cli import CEF_TABLE_ENV, main
 
 TOY_CSV = "timestamp,wind,coal\n2022-06-01T00:00:00Z,500,500\n"
@@ -357,3 +359,74 @@ def test_unknown_builtin_exits_1(capsys) -> None:
     code = main(["scenario", "does-not-exist"])
     assert code == 1
     assert "error:" in capsys.readouterr().err
+
+
+def _single_error_line(capsys, *argv: str) -> str:
+    code = main(list(argv))
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: ")
+    assert err.count("\n") == 1
+    return err
+
+
+@pytest.mark.parametrize("loader", [yaml.SafeLoader, factors._YAML_LOADER])
+@pytest.mark.parametrize("command", ["scenario", "ci"])
+def test_malformed_yaml_is_one_error_line(
+    capsys, tmp_path: Path, toy_csv: Path, monkeypatch, command, loader
+) -> None:
+    monkeypatch.setattr(factors, "_YAML_LOADER", loader)
+    bad = tmp_path / "bad.yaml"
+    bad.write_text("bad: [unclosed\n", encoding="utf-8")
+    if command == "scenario":
+        argv = ("scenario", "--file", str(bad))
+    else:
+        argv = ("ci", "--mix", str(toy_csv), "--contracts", str(bad))
+    err = _single_error_line(capsys, *argv)
+    assert "line 1, column 6" in err
+
+
+@pytest.mark.parametrize("field", ["source", "energy_mwh"])
+def test_contracts_yaml_missing_field(capsys, tmp_path: Path, toy_csv: Path, field) -> None:
+    body = {"id": "w", "buyer": "c", "source": "wind", "energy_mwh": 250}
+    del body[field]
+    contracts = tmp_path / "contracts.yaml"
+    contracts.write_text(
+        "- {" + ", ".join(f"{k}: {v}" for k, v in body.items()) + "}\n", encoding="utf-8"
+    )
+    err = _single_error_line(capsys, "ci", "--mix", str(toy_csv), "--contracts", str(contracts))
+    assert f"contracts[0].{field}: missing" in err
+
+
+def test_ci_fully_contracted_aggregate_is_empty(capsys, tmp_path: Path) -> None:
+    renewable = tmp_path / "renewable.csv"
+    renewable.write_text(
+        "timestamp,wind,solar\n2022-06-01T00:00:00Z,500,100\n2022-06-01T01:00:00Z,400,50\n",
+        encoding="utf-8",
+    )
+    code, out = _run(capsys, "ci", "--mix", str(renewable), "--contracts", "all-solar-wind")
+    assert code == 0
+    records = _records(out)
+    assert [r["residual_ci_g_per_kwh"] for r in records] == ["", "", ""]
+    assert records[-1]["timestamp"] == "aggregate"
+
+
+def test_ci_all_rows_dropped(capsys, tmp_path: Path) -> None:
+    holes = tmp_path / "holes.csv"
+    holes.write_text(
+        "timestamp,wind,coal\n2022-06-01T00:00:00Z,,100\n2022-06-01T01:00:00Z,400,\n",
+        encoding="utf-8",
+    )
+    err = _single_error_line(capsys, "ci", "--mix", str(holes))
+    assert "no generation" in err
+
+
+def test_inflation_zero_period_ci(capsys, tmp_path: Path) -> None:
+    carbon_free = tmp_path / "carbon-free.csv"
+    carbon_free.write_text(
+        "timestamp,wind,hydro\n2022-06-01T00:00:00Z,500,100\n", encoding="utf-8"
+    )
+    err = _single_error_line(
+        capsys, "inflation", "--mix", str(carbon_free), "--fraction", "0.5"
+    )
+    assert "period CI is zero" in err

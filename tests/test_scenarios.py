@@ -3,7 +3,9 @@ from __future__ import annotations
 import io
 
 import pytest
+import yaml
 
+from gridcarbon import factors
 from gridcarbon import (
     ScenarioInvalid,
     builtin_scenario_names,
@@ -38,12 +40,15 @@ def test_builtin_names() -> None:
 
 
 @pytest.mark.parametrize("name", BUILTINS)
-def test_builtins_load_and_run(name: str) -> None:
+def test_builtins_load_and_run(name: str, monkeypatch) -> None:
     scenario = load_builtin_scenario(name)
     assert scenario.name == name
     report = run_scenario(scenario)
     assert len(report.consumers) == len(scenario.consumers)
     assert report.double_counted_cfe_mwh >= 0.0
+    # The pure-Python loader, used without libyaml, decodes the same objects.
+    monkeypatch.setattr(factors, "_YAML_LOADER", yaml.SafeLoader)
+    assert run_scenario(load_builtin_scenario(name)) == report
 
 
 def test_unknown_builtin() -> None:
