@@ -20,31 +20,33 @@ from pathlib import Path
 
 import yaml
 
-from .contracts import Contract, compute_residual_mix, contracts_for_fraction
-from .errors import EmptyMix, GridCarbonError, ScenarioInvalid
+from .contracts import compute_residual_mix, contracts_for_fraction
+from .errors import GridCarbonError, ScenarioInvalid
 from .factors import _load_yaml, load_cef_table
 from .fixtures import fixture_datasets, write_fixture_csvs
-from .grid import SourceRegistry, compute_average_ci, total_emissions
+from .grid import SourceRegistry, compute_average_ci
 from .ingest import (
+    BASES,
+    FILL_POLICIES,
     PUBLISHED_CI_COLUMN,
     TIMESTAMP_COLUMN,
     TIMESTAMP_FORMAT,
     load_region_csv,
 )
-from .scenarios import builtin_scenario_names, load_builtin_scenario, load_scenario, run_scenario
-from .scheduler import (
-    FlexibleLoad,
-    best_window,
-    evaluate_schedule,
-    residual_signal,
-    total_signal,
-    worst_window,
+from .scenarios import (
+    builtin_scenario_names,
+    load_builtin_scenario,
+    load_scenario,
+    parse_contract,
+    run_scenario,
 )
+from .scheduler import FlexibleLoad, _policy_hours, evaluate_schedule, residual_signal, total_signal
 from .stats import (
+    energy_weighted_ci,
+    inflation_pct,
     penetration_fleet,
     period_ci,
     period_residual_ci,
-    residual_inflation,
 )
 
 CEF_TABLE_ENV = "GRIDCARBON_CEF_TABLE"
@@ -98,47 +100,31 @@ def _load_dataset(args, path=None):
     )
 
 
-def _parse_contracts_arg(spec: str, region: str):
-    """Parse --contracts: none | all-solar-wind | solar-wind:<f> | YAML path."""
+def _parse_contracts_arg(spec: str, region: str, sources: SourceRegistry):
+    """Parse --contracts (none | all-solar-wind | solar-wind:<f> | YAML path)
+    into None or a function giving a mix's contracts. YAML entries default to
+    ``id: contract-<i>``, ``buyer: unnamed``, ``kind: financial`` and the mix's
+    region, and are validated like scenario contracts."""
     if spec == "none":
         return None
-    if spec == "all-solar-wind":
-        return 1.0
-    if spec.startswith("solar-wind:"):
-        return float(spec.split(":", 1)[1])
+    if spec == "all-solar-wind" or spec.startswith("solar-wind:"):
+        fraction = 1.0 if spec == "all-solar-wind" else float(spec.split(":", 1)[1])
+        return lambda mix: contracts_for_fraction(mix, fraction, sources=sources)
     with open(spec, encoding="utf-8") as handle:
         data = _load_yaml(handle)
     if not isinstance(data, list):
         raise GridCarbonError(f"{spec}: expected a YAML list of contracts")
-    contracts = []
-    for i, body in enumerate(data):
-        if not isinstance(body, dict):
-            raise GridCarbonError(f"{spec}: contract {i} must be a mapping")
-        for key in ("source", "energy_mwh"):
-            if body.get(key) is None:
-                raise GridCarbonError(f"{spec}: contracts[{i}].{key}: missing")
-        contracts.append(
-            Contract(
-                id=str(body.get("id", f"contract-{i}")),
-                buyer=str(body.get("buyer", "unnamed")),
-                kind=body.get("kind", "financial"),
-                source_id=str(body["source"]),
-                source_region=str(body.get("region", region)),
-                energy_mwh=body["energy_mwh"]
-                if not isinstance(body["energy_mwh"], list)
-                else tuple(body["energy_mwh"]),
-            )
+    defaults = {"buyer": "unnamed", "kind": "financial", "region": region}
+    contracts = tuple(
+        parse_contract(
+            {"id": f"contract-{i}", **defaults, **body} if isinstance(body, dict) else body,
+            f"{spec}: contracts[{i}]",
+            sources,
+            (region,),
         )
-    return tuple(contracts)
-
-
-def _step_contracts(contract_spec, mix, sources):
-    """Materialize the --contracts argument for one series step."""
-    if contract_spec is None:
-        return ()
-    if isinstance(contract_spec, float):
-        return contracts_for_fraction(mix, contract_spec, sources=sources)
-    return contract_spec
+        for i, body in enumerate(data)
+    )
+    return lambda mix: contracts
 
 
 def _timestamp_label(mix) -> str:
@@ -148,38 +134,27 @@ def _timestamp_label(mix) -> str:
 def cmd_ci(args) -> list[dict]:
     sources = _registry(args)
     dataset = _load_dataset(args)
-    contract_spec = _parse_contracts_arg(args.contracts, dataset.region)
-    records = []
-    energy = emissions = 0.0
-    res_energy = res_emissions = 0.0
-    for step, mix in enumerate(dataset.mixes):
-        record = {
-            "timestamp": _timestamp_label(mix),
-            "region": dataset.region,
-            "ci_g_per_kwh": float(compute_average_ci(mix, sources)),
-        }
-        energy += mix.total_energy
-        emissions += total_emissions(mix, sources) / 1000.0
-        if contract_spec is not None:
-            contracts = _step_contracts(contract_spec, mix, sources)
-            residual = compute_residual_mix(mix, contracts, sources, step)
-            record["residual_ci_g_per_kwh"] = (
-                float(compute_average_ci(residual.mix, sources))
-                if residual.total_energy > 0
-                else ""
-            )
-            res_energy += residual.total_energy
-            res_emissions += total_emissions(residual.mix, sources) / 1000.0
-        records.append(record)
-    if energy <= 0:
-        raise EmptyMix(f"dataset for region {dataset.region!r} has no generation")
+    step_contracts = _parse_contracts_arg(args.contracts, dataset.region, sources)
+    records = [
+        {"timestamp": _timestamp_label(mix), "region": dataset.region, "ci_g_per_kwh": ci}
+        for mix, ci in zip(dataset.mixes, total_signal(dataset, sources))
+    ]
     aggregate = {
         "timestamp": "aggregate",
         "region": dataset.region,
-        "ci_g_per_kwh": emissions / energy,
+        "ci_g_per_kwh": float(period_ci(dataset, sources)),
     }
-    if contract_spec is not None:
-        aggregate["residual_ci_g_per_kwh"] = res_emissions / res_energy if res_energy > 0 else ""
+    if step_contracts is not None:
+        residuals = [
+            compute_residual_mix(mix, step_contracts(mix), sources, step).mix
+            for step, mix in enumerate(dataset.mixes)
+        ]
+        for record, residual in zip(records, residuals):
+            record["residual_ci_g_per_kwh"] = (
+                float(compute_average_ci(residual, sources)) if residual.total_energy > 0 else ""
+            )
+        ci_res = energy_weighted_ci(residuals, sources)
+        aggregate["residual_ci_g_per_kwh"] = "" if ci_res is None else ci_res
     records.append(aggregate)
     return records
 
@@ -296,10 +271,7 @@ def _data_paths(raw_paths: list[str]) -> list[Path]:
 def cmd_penetration(args) -> list[dict]:
     sources = _registry(args)
     categories = args.categories.split(",")
-    datasets = [
-        load_region_csv(path, fill_policy=args.fill_policy, strict=args.strict)
-        for path in _data_paths(args.data)
-    ]
+    datasets = [_load_dataset(args, path) for path in _data_paths(args.data)]
     fleet = penetration_fleet(datasets, categories, sources, args.per_hour_mean)
     records = [
         {
@@ -330,35 +302,37 @@ def cmd_inflation(args) -> list[dict]:
             "contract_fraction": args.fraction,
             "ci_g_per_kwh": ci_loc,
             "residual_ci_g_per_kwh": ci_res,
-            "inflation_pct": residual_inflation(
-                dataset, args.fraction, categories, sources, args.basis
-            ),
+            "inflation_pct": inflation_pct(ci_loc, ci_res),
         }
     ]
 
 
-def _load_signal(path: str, sources: SourceRegistry, basis: str) -> tuple[float, ...]:
-    """A CI signal from either a bare (timestamp, ci) CSV or a full mix CSV."""
+def _load_signal(path: str, sources: SourceRegistry, basis: str):
+    """A CI signal and its dataset from a mix CSV, or the signal and
+    ``None`` from a bare (timestamp, ci) CSV."""
     with open(path, "r", encoding="utf-8", newline="") as handle:
-        header = next(csv.reader(handle))
-    names = {name.strip() for name in header}
-    if names <= {TIMESTAMP_COLUMN, PUBLISHED_CI_COLUMN}:
-        values = []
-        with open(path, "r", encoding="utf-8", newline="") as handle:
-            for row in csv.DictReader(handle):
-                values.append(float(row[PUBLISHED_CI_COLUMN]))
-        return tuple(values)
+        rows = csv.reader(handle)
+        header = [name.strip() for name in next(rows, [])]
+        if PUBLISHED_CI_COLUMN in header and set(header) <= {TIMESTAMP_COLUMN, PUBLISHED_CI_COLUMN}:
+            column = header.index(PUBLISHED_CI_COLUMN)
+            return tuple(float(cells[column]) for cells in rows if cells), None
     dataset = load_region_csv(path)
-    return total_signal(dataset, sources, basis)
+    return total_signal(dataset, sources, basis), dataset
 
 
 def cmd_schedule(args) -> list[dict]:
+    if args.actual and args.residual_fraction is not None:
+        raise GridCarbonError("give either --actual or --residual-fraction, not both")
     sources = _registry(args)
-    reported = _load_signal(args.signal, sources, args.basis)
+    reported, dataset = _load_signal(args.signal, sources, args.basis)
     if args.actual:
-        actual = _load_signal(args.actual, sources, args.basis)
+        actual, _ = _load_signal(args.actual, sources, args.basis)
     elif args.residual_fraction is not None:
-        actual = residual_signal(load_region_csv(args.signal), args.residual_fraction)
+        if dataset is None:
+            raise GridCarbonError(
+                f"{args.signal}: --residual-fraction needs a mix CSV with source columns"
+            )
+        actual = residual_signal(dataset, args.residual_fraction, sources=sources)
     else:
         actual = reported
     window = None
@@ -371,14 +345,8 @@ def cmd_schedule(args) -> list[dict]:
         window=window,
         contiguous=not args.non_contiguous,
     )
-    if args.policy == "best_window":
-        hours = best_window(reported, load)
-    elif args.policy == "worst_window":
-        hours = worst_window(reported, load)
-    else:
-        start = int(args.policy)
-        hours = tuple(range(start, start + load.duration_hours))
-    result = evaluate_schedule(hours, load, reported, actual)
+    policy = int(args.policy) if args.policy.lstrip("-").isdecimal() else args.policy
+    result = evaluate_schedule(_policy_hours(reported, load, policy), load, reported, actual)
     return [
         {
             "hours": ",".join(str(h) for h in result.hours),
@@ -420,13 +388,15 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     )
 
 
+def _add_ingest_options(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--fill-policy", choices=FILL_POLICIES, default="drop-row")
+    parser.add_argument("--strict", action="store_true", help="reject uneven timestamps")
+
+
 def _add_dataset_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--mix", required=True, help="region generation CSV")
     parser.add_argument("--region", default=None, help="region name (default: file stem)")
-    parser.add_argument(
-        "--fill-policy", choices=("drop-row", "zero-fill"), default="drop-row"
-    )
-    parser.add_argument("--strict", action="store_true", help="reject uneven timestamps")
+    _add_ingest_options(parser)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -475,10 +445,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", nargs="+", required=True, help="CSV files or directories")
     p.add_argument("--categories", default="solar,wind")
     p.add_argument("--per-hour-mean", action="store_true")
-    p.add_argument(
-        "--fill-policy", choices=("drop-row", "zero-fill"), default="drop-row"
-    )
-    p.add_argument("--strict", action="store_true")
+    _add_ingest_options(p)
     _add_common(p)
     p.set_defaults(handler=cmd_penetration)
 
@@ -486,7 +453,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_dataset_options(p)
     p.add_argument("--fraction", type=float, required=True)
     p.add_argument("--categories", default="solar,wind")
-    p.add_argument("--basis", choices=("cef", "published"), default="cef")
+    p.add_argument("--basis", choices=BASES, default="cef")
     _add_common(p)
     p.set_defaults(handler=cmd_inflation)
 
@@ -508,7 +475,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="best_window",
         help="best_window | worst_window | fixed start index",
     )
-    p.add_argument("--basis", choices=("cef", "published"), default="cef")
+    p.add_argument("--basis", choices=BASES, default="cef")
     _add_common(p)
     p.set_defaults(handler=cmd_schedule)
 

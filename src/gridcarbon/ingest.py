@@ -30,6 +30,7 @@ TIMESTAMP_COLUMN = "timestamp"
 PUBLISHED_CI_COLUMN = "ci_g_per_kwh"
 
 FILL_POLICIES = ("drop-row", "zero-fill")
+BASES = ("cef", "published")
 
 
 @dataclass(frozen=True)
@@ -75,6 +76,14 @@ class RegionDataset:
     @property
     def mixes(self) -> tuple[GridMix, ...]:
         return self.series.steps
+
+
+def check_basis(dataset: RegionDataset, basis: str) -> None:
+    """Raise ValueError for an unknown basis, or "published" without that series."""
+    if basis not in BASES:
+        raise ValueError(f"basis must be 'cef' or 'published', got {basis!r}")
+    if basis == "published" and dataset.published_ci is None:
+        raise ValueError(f"dataset for region {dataset.region!r} has no published CI series")
 
 
 def _parse_timestamp(raw: str, row: int) -> datetime:

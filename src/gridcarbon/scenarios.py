@@ -28,7 +28,7 @@ field path.
 
 from __future__ import annotations
 
-from collections.abc import Mapping, Sequence
+from collections.abc import Collection, Mapping, Sequence
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
@@ -82,6 +82,51 @@ def _string(value: Any, field_path: str) -> str:
     if not isinstance(value, str) or not value:
         _fail(field_path, f"expected a non-empty string, got {value!r}")
     return value
+
+
+def parse_contract(
+    body: Any, prefix: str, sources: SourceRegistry, regions: Collection[str]
+) -> Contract:
+    """Validate one contract entry, wherever declared, and build its :class:`Contract`.
+
+    ``energy_mwh`` is a number >= 0 or a per-step list of them; the
+    source must be carbon-free and ``region`` one of ``regions``.
+    Raises :class:`ScenarioInvalid` naming the field under ``prefix``.
+    """
+    if not isinstance(body, Mapping):
+        _fail(prefix, "expected a mapping")
+    for key in ("id", "buyer", "kind", "source", "region", "energy_mwh"):
+        if body.get(key) is None:
+            _fail(f"{prefix}.{key}", "missing")
+    contract_id = _string(body["id"], f"{prefix}.id")
+    buyer = _string(body["buyer"], f"{prefix}.buyer")
+    kind = body["kind"]
+    if kind not in CONTRACT_KINDS:
+        _fail(f"{prefix}.kind", f"expected one of {sorted(CONTRACT_KINDS)}, got {kind!r}")
+    source_id = _string(body["source"], f"{prefix}.source")
+    if source_id not in sources:
+        _fail(f"{prefix}.source", f"unknown source id {source_id!r}")
+    if not sources.get(source_id).carbon_free:
+        _fail(f"{prefix}.source", f"source {source_id!r} is not carbon-free")
+    region = _string(body["region"], f"{prefix}.region")
+    if region not in regions:
+        _fail(f"{prefix}.region", f"region {region!r} has no grid mix")
+    energy_raw = body["energy_mwh"]
+    if isinstance(energy_raw, Sequence) and not isinstance(energy_raw, str):
+        energy: float | tuple[float, ...] = tuple(
+            _number(e, f"{prefix}.energy_mwh[{j}]", minimum=0.0)
+            for j, e in enumerate(energy_raw)
+        )
+    else:
+        energy = _number(energy_raw, f"{prefix}.energy_mwh", minimum=0.0)
+    return Contract(
+        id=contract_id,
+        buyer=buyer,
+        kind=kind,
+        source_id=source_id,
+        source_region=region,
+        energy_mwh=energy,
+    )
 
 
 def parse_scenario(data: Any, name_hint: str = "<scenario>") -> Scenario:
@@ -185,50 +230,20 @@ def parse_scenario(data: Any, name_hint: str = "<scenario>") -> Scenario:
     consumer_regions = {c.id: c.region for c in consumers}
     for i, body in enumerate(contracts_raw):
         prefix = f"contracts[{i}]"
-        if not isinstance(body, Mapping):
-            _fail(prefix, "expected a mapping")
-        contract_id = _string(body.get("id"), f"{prefix}.id")
-        if contract_id in seen_contracts:
-            _fail(f"{prefix}.id", f"duplicate contract id {contract_id!r}")
-        seen_contracts.add(contract_id)
-        buyer = _string(body.get("buyer"), f"{prefix}.buyer")
-        if buyer not in consumer_regions:
-            _fail(f"{prefix}.buyer", f"buyer {buyer!r} is not a declared consumer")
-        kind = body.get("kind")
-        if kind not in CONTRACT_KINDS:
-            _fail(f"{prefix}.kind", f"expected one of {sorted(CONTRACT_KINDS)}, got {kind!r}")
-        source_id = _string(body.get("source"), f"{prefix}.source")
-        if source_id not in sources:
-            _fail(f"{prefix}.source", f"unknown source id {source_id!r}")
-        if not sources.get(source_id).carbon_free:
-            _fail(f"{prefix}.source", f"source {source_id!r} is not carbon-free")
-        region = _string(body.get("region"), f"{prefix}.region")
-        if region not in mixes:
-            _fail(f"{prefix}.region", f"region {region!r} is not defined under 'regions'")
-        if kind in PHYSICAL_KINDS and region != consumer_regions[buyer]:
+        contract = parse_contract(body, prefix, sources, mixes)
+        if contract.id in seen_contracts:
+            _fail(f"{prefix}.id", f"duplicate contract id {contract.id!r}")
+        seen_contracts.add(contract.id)
+        if contract.buyer not in consumer_regions:
+            _fail(f"{prefix}.buyer", f"buyer {contract.buyer!r} is not a declared consumer")
+        buyer_region = consumer_regions[contract.buyer]
+        if contract.kind in PHYSICAL_KINDS and contract.source_region != buyer_region:
             _fail(
                 f"{prefix}.region",
                 f"physical contracts must source from the buyer's region "
-                f"({consumer_regions[buyer]!r}), got {region!r}",
+                f"({buyer_region!r}), got {contract.source_region!r}",
             )
-        energy_raw = body.get("energy_mwh")
-        if isinstance(energy_raw, Sequence) and not isinstance(energy_raw, str):
-            energy: float | tuple[float, ...] = tuple(
-                _number(e, f"{prefix}.energy_mwh[{j}]", minimum=0.0)
-                for j, e in enumerate(energy_raw)
-            )
-        else:
-            energy = _number(energy_raw, f"{prefix}.energy_mwh", minimum=0.0)
-        contracts.append(
-            Contract(
-                id=contract_id,
-                buyer=buyer,
-                kind=kind,
-                source_id=source_id,
-                source_region=region,
-                energy_mwh=energy,
-            )
-        )
+        contracts.append(contract)
 
     adjusted = data.get("public_signal_adjusted", False)
     if not isinstance(adjusted, bool):

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from .contracts import compute_residual_ci, contracts_for_fraction
 from .errors import SignalMismatch, WindowTooShort, ZeroBaseline
 from .grid import SourceRegistry, compute_average_ci
-from .ingest import RegionDataset
+from .ingest import RegionDataset, check_basis
 
 Signal = Sequence[float]
 
@@ -197,12 +197,9 @@ def total_signal(
     basis: str = "cef",
 ) -> tuple[float, ...]:
     """Per-step total-mix CI series (the public, unadjusted signal)."""
+    check_basis(dataset, basis)
     if basis == "published":
-        if dataset.published_ci is None:
-            raise ValueError(f"dataset for region {dataset.region!r} has no published CI series")
-        return tuple(dataset.published_ci)
-    if basis != "cef":
-        raise ValueError(f"basis must be 'cef' or 'published', got {basis!r}")
+        return dataset.published_ci
     sources = sources or SourceRegistry.default()
     return tuple(float(compute_average_ci(mix, sources)) for mix in dataset.mixes)
 

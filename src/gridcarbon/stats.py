@@ -8,13 +8,13 @@ is available behind a flag for comparison.
 
 from __future__ import annotations
 
-from collections.abc import Mapping, Sequence
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 
 from .contracts import compute_residual_mix, contracts_for_fraction
 from .errors import EmptyFleet, EmptyMix, EmptyResidual, ZeroBaseline
-from .grid import CarbonIntensity, SourceRegistry, total_emissions
-from .ingest import RegionDataset
+from .grid import CarbonIntensity, GridMix, SourceRegistry, total_emissions
+from .ingest import RegionDataset, check_basis
 
 SOLAR_WIND = ("solar", "wind")
 
@@ -107,6 +107,32 @@ def penetration_fleet(
     return FleetPenetration(stats=stats, cdf=tuple(cdf))
 
 
+def _weighted_ci(steps: Iterable[tuple[float, float]]) -> float | None:
+    """The one period reduction: total emissions over total energy of
+    (MWh · g/kWh, MWh) steps, or ``None`` when they hold no energy."""
+    emissions = 0.0
+    energy = 0.0
+    for step_emissions, step_energy in steps:
+        emissions += step_emissions
+        energy += step_energy
+    return emissions / energy if energy > 0 else None
+
+
+def energy_weighted_ci(
+    mixes: Iterable[GridMix], sources: SourceRegistry | None = None
+) -> float | None:
+    """Energy-weighted CI of a run of mixes from per-source factors, or
+    ``None`` when they hold no energy (a fully contracted residual)."""
+    sources = sources or SourceRegistry.default()
+    return _weighted_ci((total_emissions(mix, sources) / 1000.0, mix.total_energy) for mix in mixes)
+
+
+def _period(dataset: RegionDataset, ci: float | None) -> CarbonIntensity:
+    if ci is None:
+        raise EmptyMix(f"dataset for region {dataset.region!r} has no generation")
+    return CarbonIntensity(ci)
+
+
 def period_ci(
     dataset: RegionDataset,
     sources: SourceRegistry | None = None,
@@ -117,24 +143,11 @@ def period_ci(
     ``basis="cef"`` computes emissions from per-source factors;
     ``basis="published"`` trusts the dataset's published CI signal.
     """
-    sources = sources or SourceRegistry.default()
-    emissions = 0.0  # MWh · g/kWh
-    energy = 0.0
+    check_basis(dataset, basis)
     if basis == "cef":
-        for mix in dataset.mixes:
-            emissions += total_emissions(mix, sources) / 1000.0
-            energy += mix.total_energy
-    elif basis == "published":
-        if dataset.published_ci is None:
-            raise ValueError(f"dataset for region {dataset.region!r} has no published CI series")
-        for mix, ci in zip(dataset.mixes, dataset.published_ci):
-            emissions += mix.total_energy * ci
-            energy += mix.total_energy
-    else:
-        raise ValueError(f"basis must be 'cef' or 'published', got {basis!r}")
-    if energy <= 0:
-        raise EmptyMix(f"dataset for region {dataset.region!r} has no generation")
-    return CarbonIntensity(emissions / energy)
+        return _period(dataset, energy_weighted_ci(dataset.mixes, sources))
+    published = zip(dataset.mixes, dataset.published_ci)
+    return _period(dataset, _weighted_ci((m.total_energy * ci, m.total_energy) for m, ci in published))
 
 
 def period_residual_ci(
@@ -154,12 +167,8 @@ def period_residual_ci(
         EmptyResidual: if any step's generation is fully contracted.
     """
     sources = sources or SourceRegistry.default()
-    if basis == "published" and dataset.published_ci is None:
-        raise ValueError(f"dataset for region {dataset.region!r} has no published CI series")
-    if basis not in ("cef", "published"):
-        raise ValueError(f"basis must be 'cef' or 'published', got {basis!r}")
-    emissions = 0.0  # MWh · g/kWh
-    energy = 0.0
+    check_basis(dataset, basis)
+    steps = []
     for step, mix in enumerate(dataset.mixes):
         contracts = contracts_for_fraction(mix, contract_fraction, categories, sources)
         residual = compute_residual_mix(mix, contracts, sources)
@@ -168,13 +177,18 @@ def period_residual_ci(
                 f"step {step} of region {dataset.region!r} is fully contracted"
             )
         if basis == "cef":
-            emissions += total_emissions(residual.mix, sources) / 1000.0
+            emissions = total_emissions(residual.mix, sources) / 1000.0
         else:
-            emissions += mix.total_energy * dataset.published_ci[step]
-        energy += residual.total_energy
-    if energy <= 0:
-        raise EmptyMix(f"dataset for region {dataset.region!r} has no generation")
-    return CarbonIntensity(emissions / energy)
+            emissions = mix.total_energy * dataset.published_ci[step]
+        steps.append((emissions, residual.total_energy))
+    return _period(dataset, _weighted_ci(steps))
+
+
+def inflation_pct(ci_loc: float, ci_res: float) -> float:
+    """100 · (ci_res − ci_loc) / ci_loc; raises ZeroBaseline if ``ci_loc`` is zero."""
+    if ci_loc <= 0:
+        raise ZeroBaseline("period CI is zero; inflation undefined")
+    return 100.0 * (ci_res - ci_loc) / ci_loc
 
 
 def residual_inflation(
@@ -193,6 +207,4 @@ def residual_inflation(
     """
     ci_loc = float(period_ci(dataset, sources, basis))
     ci_res = float(period_residual_ci(dataset, contract_fraction, categories, sources, basis))
-    if ci_loc <= 0:
-        raise ZeroBaseline("period CI is zero; inflation undefined")
-    return 100.0 * (ci_res - ci_loc) / ci_loc
+    return inflation_pct(ci_loc, ci_res)

@@ -310,6 +310,63 @@ def test_schedule_two_signals(capsys, tmp_path: Path) -> None:
     assert record["difference_g_per_kwh"] == 80.0
 
 
+def test_schedule_actual_and_residual_fraction_conflict(capsys, tmp_path: Path) -> None:
+    signal = tmp_path / "signal.csv"
+    signal.write_text(SIGNAL_CSV, encoding="utf-8")
+    err = _single_error_line(
+        capsys,
+        "schedule", "--signal", str(signal), "--actual", str(signal),
+        "--residual-fraction", "0.5", "--duration", "1",
+    )
+    assert "--actual" in err and "--residual-fraction" in err
+
+
+def test_schedule_residual_fraction_needs_mix_csv(capsys, tmp_path: Path) -> None:
+    signal = tmp_path / "signal.csv"
+    signal.write_text(SIGNAL_CSV, encoding="utf-8")
+    err = _single_error_line(
+        capsys, "schedule", "--signal", str(signal), "--residual-fraction", "0.5", "--duration", "1"
+    )
+    assert "--residual-fraction needs a mix CSV" in err
+
+
+def test_schedule_residual_fraction_uses_cef_table(capsys, tmp_path: Path, fixture_dir: Path) -> None:
+    table = tmp_path / "cef.yaml"
+    table.write_text("gas: 900\n", encoding="utf-8")
+    code, out = _run(
+        capsys,
+        "schedule",
+        "--signal", str(fixture_dir / "duck-curve.csv"),
+        "--residual-fraction", "1.0",
+        "--duration", "1",
+        "--cef", str(table),
+    )
+    assert code == 0
+    record = _records(out)[0]
+    assert record["hours"] == "12"
+    assert record["reported_ci_avg_g_per_kwh"] == 190.864
+    assert record["actual_ci_avg_g_per_kwh"] == 918.039
+
+
+@pytest.mark.parametrize("start", ["2", "-1"])
+def test_schedule_fixed_start_outside_signal(capsys, tmp_path: Path, start: str) -> None:
+    signal = tmp_path / "signal.csv"
+    signal.write_text(SIGNAL_CSV, encoding="utf-8")
+    err = _single_error_line(
+        capsys, "schedule", "--signal", str(signal), "--duration", "2", "--policy", start
+    )
+    assert f"fixed start {start} with duration 2 exceeds signal length 3" in err
+
+
+def test_schedule_unknown_policy(capsys, tmp_path: Path) -> None:
+    signal = tmp_path / "signal.csv"
+    signal.write_text(SIGNAL_CSV, encoding="utf-8")
+    err = _single_error_line(
+        capsys, "schedule", "--signal", str(signal), "--duration", "1", "--policy", "cheapest"
+    )
+    assert "policy must be 'best_window', 'worst_window' or a start index" in err
+
+
 # --- CEF overrides ------------------------------------------------------------------------
 
 def test_cef_flag(capsys, tmp_path: Path, toy_csv: Path) -> None:
@@ -430,3 +487,54 @@ def test_inflation_zero_period_ci(capsys, tmp_path: Path) -> None:
         capsys, "inflation", "--mix", str(carbon_free), "--fraction", "0.5"
     )
     assert "period CI is zero" in err
+
+
+@pytest.mark.parametrize(
+    ("entry", "field", "reason"),
+    [
+        ("energy_mwh: 2022-01-01", "energy_mwh", "expected a number"),
+        ('energy_mwh: "5"', "energy_mwh", "expected a number"),
+        ("energy_mwh: .nan", "energy_mwh", "must not be NaN"),
+        ("energy_mwh: true", "energy_mwh", "expected a number"),
+        ("energy_mwh: [100, -1]", "energy_mwh[1]", "must be >= 0"),
+        ("energy_mwh: 100, region: elsewhere", "region", "'elsewhere' has no grid mix"),
+        ("energy_mwh: 100, kind: barter", "kind", "expected one of"),
+        ("energy_mwh: 100, id: 7", "id", "expected a non-empty string"),
+    ],
+)
+def test_contracts_yaml_invalid_field(
+    capsys, tmp_path: Path, toy_csv: Path, entry: str, field: str, reason: str
+) -> None:
+    contracts = tmp_path / "contracts.yaml"
+    contracts.write_text("- {source: wind, " + entry + "}\n", encoding="utf-8")
+    err = _single_error_line(capsys, "ci", "--mix", str(toy_csv), "--contracts", str(contracts))
+    assert f"{contracts}: contracts[0].{field}: " in err
+    assert reason in err
+
+
+def test_contracts_yaml_source_must_be_carbon_free(capsys, tmp_path: Path, toy_csv: Path) -> None:
+    contracts = tmp_path / "contracts.yaml"
+    contracts.write_text("- {source: coal, energy_mwh: 100}\n", encoding="utf-8")
+    err = _single_error_line(capsys, "ci", "--mix", str(toy_csv), "--contracts", str(contracts))
+    assert "contracts[0].source: source 'coal' is not carbon-free" in err
+
+
+def test_contracts_yaml_entry_must_be_mapping(capsys, tmp_path: Path, toy_csv: Path) -> None:
+    contracts = tmp_path / "contracts.yaml"
+    contracts.write_text("- 5\n", encoding="utf-8")
+    err = _single_error_line(capsys, "ci", "--mix", str(toy_csv), "--contracts", str(contracts))
+    assert "contracts[0]: expected a mapping" in err
+
+
+def test_contracts_yaml_list_energy_is_per_step(capsys, tmp_path: Path) -> None:
+    mix = tmp_path / "two.csv"
+    mix.write_text(
+        "timestamp,wind,coal\n2022-06-01T00:00:00Z,500,500\n2022-06-01T01:00:00Z,500,500\n",
+        encoding="utf-8",
+    )
+    contracts = tmp_path / "contracts.yaml"
+    contracts.write_text("- {source: wind, energy_mwh: [0, 250]}\n", encoding="utf-8")
+    code, out = _run(capsys, "ci", "--mix", str(mix), "--contracts", str(contracts))
+    assert code == 0
+    residual = [r["residual_ci_g_per_kwh"] for r in _records(out)]
+    assert residual == [500.0, float(format(500_000.0 / 750.0, ".6g")), 571.429]

@@ -289,6 +289,16 @@ def test_duplicate_contract_ids() -> None:
     assert exc.value.field == "contracts[1].id"
 
 
+@pytest.mark.parametrize("key", ["id", "buyer", "kind", "source", "region", "energy_mwh"])
+def test_absent_contract_field_reads_missing(key: str) -> None:
+    contract = {"id": "c", "buyer": "H1", "kind": "rec", "source": "wind",
+                "region": "r", "energy_mwh": 1}
+    del contract[key]
+    with pytest.raises(ScenarioInvalid, match=rf"^contracts\[0\]\.{key}: missing$") as exc:
+        parse_scenario(_minimal(contracts=[contract]))
+    assert exc.value.field == f"contracts[0].{key}"
+
+
 def test_physical_contract_must_stay_in_buyer_region() -> None:
     data = {
         "name": "t",

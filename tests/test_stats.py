@@ -20,6 +20,7 @@ from gridcarbon import (
     period_residual_ci,
     residual_inflation,
     south_australia_fixture,
+    total_signal,
 )
 
 
@@ -149,6 +150,23 @@ def test_period_ci_published_requires_signal() -> None:
 def test_period_ci_bad_basis() -> None:
     with pytest.raises(ValueError):
         period_ci(_dataset([{"wind": 1.0}]), basis="vibes")
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda dataset, basis: period_ci(dataset, basis=basis),
+        lambda dataset, basis: period_residual_ci(dataset, 0.5, basis=basis),
+        lambda dataset, basis: total_signal(dataset, basis=basis),
+    ],
+    ids=["period_ci", "period_residual_ci", "total_signal"],
+)
+def test_basis_errors_are_shared(call) -> None:
+    dataset = _dataset([{"wind": 1.0, "coal": 1.0}])
+    with pytest.raises(ValueError, match="^basis must be 'cef' or 'published', got 'vibes'$"):
+        call(dataset, "vibes")
+    with pytest.raises(ValueError, match="^dataset for region 'r' has no published CI series$"):
+        call(dataset, "published")
 
 
 def test_period_ci_empty() -> None:
