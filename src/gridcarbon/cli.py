@@ -20,19 +20,12 @@ from pathlib import Path
 
 import yaml
 
-from .contracts import compute_residual_mix, contracts_for_fraction
+from .contracts import contracts_for_fraction, residual_mixes
 from .errors import GridCarbonError, ScenarioInvalid
 from .factors import _load_yaml, load_cef_table
 from .fixtures import fixture_datasets, write_fixture_csvs
 from .grid import SourceRegistry, compute_average_ci
-from .ingest import (
-    BASES,
-    FILL_POLICIES,
-    PUBLISHED_CI_COLUMN,
-    TIMESTAMP_COLUMN,
-    TIMESTAMP_FORMAT,
-    load_region_csv,
-)
+from .ingest import BASES, FILL_POLICIES, TIMESTAMP_FORMAT, load_region_csv, load_signal_csv
 from .scenarios import (
     builtin_scenario_names,
     load_builtin_scenario,
@@ -100,31 +93,30 @@ def _load_dataset(args, path=None):
     )
 
 
-def _parse_contracts_arg(spec: str, region: str, sources: SourceRegistry):
+def _parse_contracts_arg(spec: str, dataset, sources: SourceRegistry):
     """Parse --contracts (none | all-solar-wind | solar-wind:<f> | YAML path)
-    into None or a function giving a mix's contracts. YAML entries default to
-    ``id: contract-<i>``, ``buyer: unnamed``, ``kind: financial`` and the mix's
-    region, and are validated like scenario contracts."""
+    into None or the dataset's contracts. YAML entries default to
+    ``id: contract-<i>``, ``buyer: unnamed``, ``kind: financial`` and the
+    dataset's region, and are validated like scenario contracts."""
     if spec == "none":
         return None
     if spec == "all-solar-wind" or spec.startswith("solar-wind:"):
         fraction = 1.0 if spec == "all-solar-wind" else float(spec.split(":", 1)[1])
-        return lambda mix: contracts_for_fraction(mix, fraction, sources=sources)
+        return contracts_for_fraction(dataset.mixes, fraction, sources=sources)
     with open(spec, encoding="utf-8") as handle:
         data = _load_yaml(handle)
     if not isinstance(data, list):
         raise GridCarbonError(f"{spec}: expected a YAML list of contracts")
-    defaults = {"buyer": "unnamed", "kind": "financial", "region": region}
-    contracts = tuple(
+    defaults = {"buyer": "unnamed", "kind": "financial", "region": dataset.region}
+    return tuple(
         parse_contract(
             {"id": f"contract-{i}", **defaults, **body} if isinstance(body, dict) else body,
             f"{spec}: contracts[{i}]",
             sources,
-            (region,),
+            (dataset.region,),
         )
         for i, body in enumerate(data)
     )
-    return lambda mix: contracts
 
 
 def _timestamp_label(mix) -> str:
@@ -134,7 +126,7 @@ def _timestamp_label(mix) -> str:
 def cmd_ci(args) -> list[dict]:
     sources = _registry(args)
     dataset = _load_dataset(args)
-    step_contracts = _parse_contracts_arg(args.contracts, dataset.region, sources)
+    contracts = _parse_contracts_arg(args.contracts, dataset, sources)
     records = [
         {"timestamp": _timestamp_label(mix), "region": dataset.region, "ci_g_per_kwh": ci}
         for mix, ci in zip(dataset.mixes, total_signal(dataset, sources))
@@ -144,11 +136,8 @@ def cmd_ci(args) -> list[dict]:
         "region": dataset.region,
         "ci_g_per_kwh": float(period_ci(dataset, sources)),
     }
-    if step_contracts is not None:
-        residuals = [
-            compute_residual_mix(mix, step_contracts(mix), sources, step).mix
-            for step, mix in enumerate(dataset.mixes)
-        ]
+    if contracts is not None:
+        residuals = [r.mix for r in residual_mixes(dataset.mixes, contracts, sources)]
         for record, residual in zip(records, residuals):
             record["residual_ci_g_per_kwh"] = (
                 float(compute_average_ci(residual, sources)) if residual.total_energy > 0 else ""
@@ -310,12 +299,9 @@ def cmd_inflation(args) -> list[dict]:
 def _load_signal(path: str, sources: SourceRegistry, basis: str):
     """A CI signal and its dataset from a mix CSV, or the signal and
     ``None`` from a bare (timestamp, ci) CSV."""
-    with open(path, "r", encoding="utf-8", newline="") as handle:
-        rows = csv.reader(handle)
-        header = [name.strip() for name in next(rows, [])]
-        if PUBLISHED_CI_COLUMN in header and set(header) <= {TIMESTAMP_COLUMN, PUBLISHED_CI_COLUMN}:
-            column = header.index(PUBLISHED_CI_COLUMN)
-            return tuple(float(cells[column]) for cells in rows if cells), None
+    signal = load_signal_csv(path)
+    if signal is not None:
+        return signal, None
     dataset = load_region_csv(path)
     return total_signal(dataset, sources, basis), dataset
 

@@ -16,11 +16,18 @@ the contracts by source region once and allocates each region's
 contracts once, so the residual mixes and every buyer's claim cost
 O(regions + contracts) together. The other functions here that allocate
 are views of it.
+
+:func:`residual_mixes` is the one loop over the steps of a series: it
+allocates the same contracts at every step, and every per-step residual
+signal and period residual aggregate is a reduction over its result.
+Contracts covering a fraction of generation are series contracts too:
+:func:`contracts_for_fraction` builds one contract per contracted source
+for a whole series, with a per-step energy tuple.
 """
 
 from __future__ import annotations
 
-from collections.abc import Mapping, Sequence
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
 
 from .errors import ContractNotCarbonFree, EmptyMix, EmptyResidual, UnknownRegion
@@ -297,7 +304,7 @@ def compute_residual_ci(
 
 
 def contracts_for_fraction(
-    mix: GridMix,
+    mixes: GridMix | Sequence[GridMix],
     fraction: float | Mapping[str, float],
     categories: Sequence[str] = ("solar", "wind"),
     sources: SourceRegistry | None = None,
@@ -309,6 +316,16 @@ def contracts_for_fraction(
     a mapping from category to its own fraction (the mapping's keys then
     replace ``categories``). Fractions must lie in [0, 1]. Useful for
     what-if analyses such as "all solar and wind is contracted out".
+
+    Given one mix, each contract's ``energy_mwh`` is a number. Given a
+    sequence of one region's mixes, each contract covers the whole
+    series: its ``energy_mwh`` holds ``generation * fraction`` per step,
+    for use with :func:`residual_mixes`. A source gets a contract when
+    that energy is positive in at least one step.
+
+    Raises:
+        ValueError: if a fraction is outside [0, 1] (checked even for an
+            empty series) or the mixes span several regions.
     """
     sources = sources or SourceRegistry.default()
     if isinstance(fraction, Mapping):
@@ -318,23 +335,59 @@ def contracts_for_fraction(
     for cat, f in per_category.items():
         if not 0.0 <= f <= 1.0:
             raise ValueError(f"contract fraction for {cat!r} must be in [0, 1], got {f}")
+    series = not isinstance(mixes, GridMix)
+    steps = tuple(mixes) if series else (mixes,)
+    regions = {mix.region for mix in steps}
+    if len(regions) > 1:
+        raise ValueError(f"contracts_for_fraction needs one region's mixes, got {sorted(regions)}")
     contracts = []
-    for source_id in sorted(mix.generation):
-        source = sources.get(source_id)
-        f = per_category.get(source.category, 0.0)
-        energy = mix.generation[source_id] * f
-        if energy > 0:
+    for source_id in sorted({source_id for mix in steps for source_id in mix.generation}):
+        f = per_category.get(sources.get(source_id).category, 0.0)
+        energy = tuple(mix.generation.get(source_id, 0.0) * f for mix in steps)
+        if any(e > 0 for e in energy):
             contracts.append(
                 Contract(
                     id=f"{buyer}:{source_id}",
                     buyer=buyer,
                     kind="financial",
                     source_id=source_id,
-                    source_region=mix.region,
-                    energy_mwh=energy,
+                    source_region=steps[0].region,
+                    energy_mwh=energy if series else energy[0],
                 )
             )
     return tuple(contracts)
+
+
+def residual_mixes(
+    mixes: Iterable[GridMix],
+    contracts: Sequence[Contract],
+    sources: SourceRegistry | None = None,
+    require_residual: bool = False,
+) -> Iterator[ResidualMix]:
+    """Yield the residual mix of every step of a series, with the same contracts.
+
+    Step ``t`` allocates each contract's energy at step ``t`` (a scalar
+    energy applies at every step) through :func:`compute_residual_mix`.
+    Steps are computed as they are consumed, so a reduction over them
+    holds one step's residual at a time.
+
+    With ``require_residual``, a step that has generation but is fully
+    contracted stops the loop there, as a residual CI is needed at every
+    step.
+
+    Raises:
+        ContractNotCarbonFree: if a contract of the mixes' region targets
+            a source with a nonzero emission factor.
+        ValueError: if a per-step contract series is shorter than the mixes.
+        EmptyResidual: with ``require_residual``, if a step with
+            generation is fully contracted.
+    """
+    sources = sources or SourceRegistry.default()
+    for step, mix in enumerate(mixes):
+        residual = compute_residual_mix(mix, contracts, sources, step)
+        if require_residual and residual.total_energy <= 0 < mix.total_energy:
+            raise EmptyResidual(f"step {step} of region {mix.region!r} is fully contracted")
+        yield residual
 
 
 def contracted_cfe_for_buyer(

@@ -16,6 +16,7 @@ datasets whose remaining timestamps are not evenly spaced.
 from __future__ import annotations
 
 import csv
+import math
 import warnings
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -104,31 +105,27 @@ def _parse_cell(raw: str, row: int, column: str, minimum: float | None = 0.0) ->
         raise ParseError(f"invalid number {raw!r}", row=row, column=column) from None
     if value != value:
         raise ParseError("NaN is not a valid value", row=row, column=column)
+    if math.isinf(value):
+        raise ParseError(f"value must be finite, got {value}", row=row, column=column)
     if minimum is not None and value < minimum:
         raise ParseError(f"value must be >= {minimum}, got {value}", row=row, column=column)
     return value
 
 
-def load_region_csv(
-    path: str | Path,
-    region: str | None = None,
-    fill_policy: str = "drop-row",
-    strict: bool = False,
-) -> RegionDataset:
-    """Load an hourly generation CSV into a :class:`RegionDataset`.
+_Row = tuple[datetime, dict[str, float], float | None]
 
-    ``region`` defaults to the file's stem. Rows are sorted by timestamp.
 
-    Raises:
-        SchemaError: missing timestamp column or no source columns.
-        ParseError: malformed cell, with its row and column.
-        GapError: in strict mode, when timestamps are not evenly spaced.
+def _read_csv(
+    path: Path, fill_policy: str, bare_signal: bool = False
+) -> tuple[list[_Row], bool, LoadSummary] | None:
+    """Read a CSV under the header and row checks every layout shares.
+
+    Returns the kept rows as (timestamp, generation, published CI) in
+    timestamp order, whether the published CI column is present, and the
+    load summary. With ``bare_signal`` the header must hold only
+    ``timestamp`` and ``ci_g_per_kwh`` (``None`` is returned otherwise)
+    and no source column is needed; without it one source column is.
     """
-    if fill_policy not in FILL_POLICIES:
-        raise ValueError(f"fill_policy must be one of {FILL_POLICIES}, got {fill_policy!r}")
-    path = Path(path)
-    region = region or path.stem
-
     with path.open("r", encoding="utf-8", newline="") as handle:
         reader = csv.reader(handle)
         try:
@@ -136,6 +133,11 @@ def load_region_csv(
         except StopIteration:
             raise SchemaError(f"{path}: file is empty") from None
         header = [name.strip() for name in header]
+        if bare_signal and not (
+            PUBLISHED_CI_COLUMN in header
+            and set(header) <= {TIMESTAMP_COLUMN, PUBLISHED_CI_COLUMN}
+        ):
+            return None
         if TIMESTAMP_COLUMN not in header:
             raise SchemaError(f"{path}: missing required column {TIMESTAMP_COLUMN!r}")
         if len(set(header)) != len(header):
@@ -149,14 +151,14 @@ def load_region_csv(
         if ignored:
             warnings.warn(
                 f"{path}: ignoring unrecognized columns: {', '.join(ignored)}",
-                stacklevel=2,
+                stacklevel=3,
             )
-        if not source_columns:
+        if not source_columns and not bare_signal:
             raise SchemaError(f"{path}: no recognized source columns in header")
         has_published = PUBLISHED_CI_COLUMN in header
         index = {name: i for i, name in enumerate(header)}
 
-        rows: list[tuple[datetime, dict[str, float], float | None]] = []
+        rows: list[_Row] = []
         rows_read = rows_dropped = cells_filled = 0
         for row_number, cells in enumerate(reader, start=2):
             if not cells or all(not cell.strip() for cell in cells):
@@ -210,7 +212,36 @@ def load_region_csv(
                 f"duplicate timestamp {first.strftime(TIMESTAMP_FORMAT)}",
                 column=TIMESTAMP_COLUMN,
             )
+    summary = LoadSummary(
+        rows_read=rows_read,
+        rows_kept=len(rows),
+        rows_dropped=rows_dropped,
+        cells_filled=cells_filled,
+        ignored_columns=ignored,
+    )
+    return rows, has_published, summary
 
+
+def load_region_csv(
+    path: str | Path,
+    region: str | None = None,
+    fill_policy: str = "drop-row",
+    strict: bool = False,
+) -> RegionDataset:
+    """Load an hourly generation CSV into a :class:`RegionDataset`.
+
+    ``region`` defaults to the file's stem. Rows are sorted by timestamp.
+
+    Raises:
+        SchemaError: missing timestamp column or no source columns.
+        ParseError: malformed cell, with its row and column.
+        GapError: in strict mode, when timestamps are not evenly spaced.
+    """
+    if fill_policy not in FILL_POLICIES:
+        raise ValueError(f"fill_policy must be one of {FILL_POLICIES}, got {fill_policy!r}")
+    path = Path(path)
+    region = region or path.stem
+    rows, has_published, summary = _read_csv(path, fill_policy)
     series = MixTimeSeries(
         region=region,
         steps=tuple(
@@ -222,14 +253,26 @@ def load_region_csv(
         raise GapError(f"{path}: timestamps are not evenly spaced")
 
     published_ci = tuple(p for _, _, p in rows) if has_published else None
-    summary = LoadSummary(
-        rows_read=rows_read,
-        rows_kept=len(rows),
-        rows_dropped=rows_dropped,
-        cells_filled=cells_filled,
-        ignored_columns=ignored,
-    )
     return RegionDataset(region=region, series=series, published_ci=published_ci, summary=summary)
+
+
+def load_signal_csv(path: str | Path) -> tuple[float, ...] | None:
+    """The CI series of a bare ``timestamp,ci_g_per_kwh`` CSV, in timestamp
+    order, or ``None`` when the CSV has other columns (a mix CSV).
+
+    Rows get the checks of :func:`load_region_csv` with its default
+    ``drop-row`` policy: a blank CI drops its row.
+
+    Raises:
+        SchemaError: an empty file, no timestamp column or duplicate columns.
+        ParseError: a ragged row, a bad timestamp, a CI that is not a
+            finite number >= 0, or a duplicate timestamp.
+    """
+    read = _read_csv(Path(path), "drop-row", bare_signal=True)
+    if read is None:
+        return None
+    rows, _, _ = read
+    return tuple(published for _, _, published in rows)
 
 
 def write_region_csv(dataset: RegionDataset, path: str | Path) -> None:

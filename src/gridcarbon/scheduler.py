@@ -13,7 +13,7 @@ from __future__ import annotations
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 
-from .contracts import compute_residual_ci, contracts_for_fraction
+from .contracts import contracts_for_fraction, residual_mixes
 from .errors import SignalMismatch, WindowTooShort, ZeroBaseline
 from .grid import SourceRegistry, compute_average_ci
 from .ingest import RegionDataset, check_basis
@@ -161,6 +161,12 @@ def _policy_hours(signal: Signal, load: FlexibleLoad, policy: str | int) -> tupl
                 f"fixed start {start} with duration {load.duration_hours} "
                 f"exceeds signal length {len(signal)}"
             )
+        if load.window is not None:
+            lo, hi = _start_bounds(signal, load)
+            if not lo <= start <= hi:
+                raise WindowTooShort(f"fixed start {start} outside start window ({lo}, {hi})")
+        if not load.contiguous:
+            raise ValueError(f"fixed start {start} needs a contiguous load")
         return tuple(range(start, start + load.duration_hours))
     raise ValueError(f"policy must be 'best_window', 'worst_window' or a start index, got {policy!r}")
 
@@ -177,9 +183,14 @@ def shift_savings(
     reported-vs-actual contrast, call this once on each signal and
     compare the two percentages.
 
+    A fixed start must lie in the load's window, and the load must be
+    contiguous.
+
     Raises:
         ZeroBaseline: if the from-placement has zero emissions.
-        WindowTooShort: if a placement does not fit the signal.
+        WindowTooShort: if a placement does not fit the signal or a fixed
+            start lies outside the window.
+        ValueError: if a fixed start is given for a non-contiguous load.
     """
     from_hours = _policy_hours(signal, load, from_policy)
     to_hours = _policy_hours(signal, load, to_policy)
@@ -214,10 +225,9 @@ def residual_signal(
 
     Raises:
         EmptyResidual: if any step becomes fully contracted.
+        EmptyMix: if a step has no generation.
     """
     sources = sources or SourceRegistry.default()
-    values = []
-    for mix in dataset.mixes:
-        contracts = contracts_for_fraction(mix, contract_fraction, categories, sources)
-        values.append(float(compute_residual_ci(mix, contracts, sources)))
-    return tuple(values)
+    contracts = contracts_for_fraction(dataset.mixes, contract_fraction, categories, sources)
+    residuals = residual_mixes(dataset.mixes, contracts, sources, require_residual=True)
+    return tuple(float(compute_average_ci(residual.mix, sources)) for residual in residuals)

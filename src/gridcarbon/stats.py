@@ -11,8 +11,8 @@ from __future__ import annotations
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 
-from .contracts import compute_residual_mix, contracts_for_fraction
-from .errors import EmptyFleet, EmptyMix, EmptyResidual, ZeroBaseline
+from .contracts import contracts_for_fraction, residual_mixes
+from .errors import EmptyFleet, EmptyMix, ZeroBaseline
 from .grid import CarbonIntensity, GridMix, SourceRegistry, total_emissions
 from .ingest import RegionDataset, check_basis
 
@@ -168,20 +168,14 @@ def period_residual_ci(
     """
     sources = sources or SourceRegistry.default()
     check_basis(dataset, basis)
-    steps = []
-    for step, mix in enumerate(dataset.mixes):
-        contracts = contracts_for_fraction(mix, contract_fraction, categories, sources)
-        residual = compute_residual_mix(mix, contracts, sources)
-        if mix.total_energy > 0 and residual.total_energy <= 0:
-            raise EmptyResidual(
-                f"step {step} of region {dataset.region!r} is fully contracted"
-            )
-        if basis == "cef":
-            emissions = total_emissions(residual.mix, sources) / 1000.0
-        else:
-            emissions = mix.total_energy * dataset.published_ci[step]
-        steps.append((emissions, residual.total_energy))
-    return _period(dataset, _weighted_ci(steps))
+    contracts = contracts_for_fraction(dataset.mixes, contract_fraction, categories, sources)
+    residuals = residual_mixes(dataset.mixes, contracts, sources, require_residual=True)
+    if basis == "cef":
+        return _period(dataset, energy_weighted_ci((r.mix for r in residuals), sources))
+    published = zip(dataset.mixes, residuals, dataset.published_ci)
+    return _period(
+        dataset, _weighted_ci((m.total_energy * ci, r.total_energy) for m, r, ci in published)
+    )
 
 
 def inflation_pct(ci_loc: float, ci_res: float) -> float:

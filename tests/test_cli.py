@@ -1,12 +1,17 @@
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import json
+import tempfile
+import traceback
 from pathlib import Path
 
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gridcarbon import factors
 from gridcarbon.cli import CEF_TABLE_ENV, main
@@ -358,6 +363,71 @@ def test_schedule_fixed_start_outside_signal(capsys, tmp_path: Path, start: str)
     assert f"fixed start {start} with duration 2 exceeds signal length 3" in err
 
 
+def test_schedule_fixed_start_outside_window(capsys, tmp_path: Path) -> None:
+    signal = tmp_path / "signal.csv"
+    signal.write_text(SIGNAL_CSV, encoding="utf-8")
+    err = _single_error_line(
+        capsys, "schedule", "--signal", str(signal), "--duration", "1",
+        "--policy", "2", "--window", "0:1",
+    )
+    assert "fixed start 2 outside start window (0, 1)" in err
+    code, out = _run(
+        capsys, "schedule", "--signal", str(signal), "--duration", "1",
+        "--policy", "1", "--window", "0:1",
+    )
+    assert code == 0
+    assert _records(out)[0]["hours"] == "1"
+
+
+def test_schedule_fixed_start_non_contiguous(capsys, tmp_path: Path) -> None:
+    signal = tmp_path / "signal.csv"
+    signal.write_text(SIGNAL_CSV, encoding="utf-8")
+    err = _single_error_line(
+        capsys, "schedule", "--signal", str(signal), "--duration", "1",
+        "--policy", "0", "--non-contiguous",
+    )
+    assert "fixed start 0 needs a contiguous load" in err
+
+
+@pytest.mark.parametrize(
+    ("rows", "message"),
+    [
+        ("2022-06-01T00:00:00Z,100\n2022-06-01T01:00:00Z\n", "expected 2 cells, got 1 (row 3"),
+        ("2022-06-01T00:00:00Z,nan\n", "NaN is not a valid value (row 2, column 'ci_g_per_kwh')"),
+        ("2022-06-01T00:00:00Z,-5\n", "value must be >= 0.0, got -5.0 (row 2"),
+        ("2022-06-01T00:00:00Z,inf\n", "value must be finite, got inf (row 2"),
+        ("2022-06-01T00:00:00Z,abc\n", "invalid number 'abc' (row 2"),
+        ("01/06/2022,100\n", "invalid timestamp '01/06/2022'"),
+        ("2022-06-01T00:00:00Z,1\n2022-06-01T00:00:00Z,2\n", "duplicate timestamp"),
+    ],
+    ids=["short-row", "nan", "negative", "inf", "not-a-number", "timestamp", "duplicate"],
+)
+@pytest.mark.parametrize("option", ["--signal", "--actual"])
+def test_schedule_bare_signal_rejects_bad_rows(
+    capsys, tmp_path: Path, rows: str, message: str, option: str
+) -> None:
+    good = tmp_path / "good.csv"
+    good.write_text(SIGNAL_CSV, encoding="utf-8")
+    bad = tmp_path / "bad.csv"
+    bad.write_text("timestamp,ci_g_per_kwh\n" + rows, encoding="utf-8")
+    files = {"--signal": good, "--actual": good, option: bad}
+    err = _single_error_line(
+        capsys, "schedule", "--signal", str(files["--signal"]),
+        "--actual", str(files["--actual"]), "--duration", "1",
+    )
+    assert message in err
+
+
+def test_schedule_bare_signal_sorted_by_timestamp(capsys, tmp_path: Path) -> None:
+    lines = SIGNAL_CSV.splitlines()
+    signal = tmp_path / "signal.csv"
+    signal.write_text("\n".join([lines[0], *reversed(lines[1:])]) + "\n", encoding="utf-8")
+    code, out = _run(capsys, "schedule", "--signal", str(signal), "--duration", "1")
+    assert code == 0
+    assert _records(out)[0]["hours"] == "1"
+    assert _records(out)[0]["reported_ci_avg_g_per_kwh"] == 50.0
+
+
 def test_schedule_unknown_policy(capsys, tmp_path: Path) -> None:
     signal = tmp_path / "signal.csv"
     signal.write_text(SIGNAL_CSV, encoding="utf-8")
@@ -538,3 +608,93 @@ def test_contracts_yaml_list_energy_is_per_step(capsys, tmp_path: Path) -> None:
     assert code == 0
     residual = [r["residual_ci_g_per_kwh"] for r in _records(out)]
     assert residual == [500.0, float(format(500_000.0 / 750.0, ".6g")), 571.429]
+
+
+# --- error contract ---------------------------------------------------------------------
+
+GOOD_CELL = st.sampled_from(["120", "7", "480", "0", "900", "55.5"])
+BAD_CELL = st.sampled_from(["", "nan", "-5", "inf", "x"])
+RARELY = st.sampled_from([False] * 9 + [True])
+
+
+@st.composite
+def csv_texts(draw, columns: tuple[str, ...]) -> str:
+    """A CSV with the given columns whose rows are mostly well formed, with
+    the odd blank, NaN, negative, non-number, bad or repeated timestamp or
+    short row."""
+    lines = [",".join(("timestamp", *columns))]
+    for hour in range(0 if draw(RARELY) else draw(st.integers(min_value=1, max_value=5))):
+        timestamp = f"2022-06-01T{hour:02d}:00:00Z"
+        if draw(RARELY):
+            timestamp = draw(st.sampled_from(["", "yesterday", "2022-06-01T00:00:00Z"]))
+        row = [timestamp, *(draw(BAD_CELL if draw(RARELY) else GOOD_CELL) for _ in columns)]
+        if draw(RARELY):
+            row = row[: draw(st.integers(min_value=1, max_value=len(row) - 1))]
+        lines.append(",".join(row))
+    return "\n".join(lines) + "\n"
+
+
+MIX_COLUMNS = st.sampled_from(
+    [("wind", "coal"), ("solar", "wind", "gas"), ("wind",), ("wind", "coal", "ci_g_per_kwh")]
+)
+FRACTIONS = st.sampled_from(["0.5", "0", "0.8", "1", "1.5", "-0.25", "nan"])
+
+
+@st.composite
+def cli_calls(draw) -> tuple[dict[str, str], list[str]]:
+    """Files to write and the argv of one ``schedule``, ``residual`` or
+    ``ci`` invocation over them."""
+    files = {
+        "mix.csv": draw(csv_texts(draw(MIX_COLUMNS))),
+        "bare.csv": draw(csv_texts(("ci_g_per_kwh",))),
+        "actual.csv": draw(csv_texts(("ci_g_per_kwh",))),
+    }
+    command = draw(st.sampled_from(["schedule", "residual", "ci"]))
+    if command == "residual":
+        return files, ["residual", "--mix", "mix.csv", "--fraction", draw(FRACTIONS)]
+    if command == "ci":
+        fraction = FRACTIONS.map("solar-wind:{}".format)
+        contracts = draw(st.one_of(st.sampled_from(["none", "all-solar-wind"]), fraction))
+        return files, ["ci", "--mix", "mix.csv", "--contracts", contracts]
+    argv = ["schedule", "--signal", draw(st.sampled_from(["mix.csv", "bare.csv"]))]
+    argv += ["--duration", draw(st.sampled_from(["1", "2", "4", "0"]))]
+    actual = draw(st.sampled_from([None, "actual", "fraction"]))
+    if actual == "actual":
+        argv += ["--actual", "actual.csv"]
+    elif actual == "fraction":
+        argv += ["--residual-fraction", draw(FRACTIONS)]
+    if draw(st.booleans()):
+        lo, hi = draw(st.integers(-1, 4)), draw(st.integers(-1, 4))
+        argv.append("--window=" + draw(st.sampled_from([f"{lo}:{hi}", f"{lo}", "a:b"])))
+    if draw(RARELY):
+        argv.append("--non-contiguous")
+    starts = st.integers(-1, 6).map(str)
+    policy = draw(st.one_of(st.sampled_from(["best_window", "worst_window"]), starts))
+    return files, [*argv, "--policy", policy]
+
+
+@settings(max_examples=300, deadline=None)
+@given(call=cli_calls())
+def test_cli_error_contract(call) -> None:
+    """Whatever the files and option values, the CLI exits 0, 1 or 2
+    without a traceback, and a failure prints exactly one ``error:`` line.
+    Every generated argv is well formed, so argparse never rejects it."""
+    files, argv = call
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, text in files.items():
+            Path(tmp, name).write_text(text, encoding="utf-8")
+        argv = [str(Path(tmp, arg)) if arg in files else arg for arg in argv]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse rejected the generated argv
+                code = exc.code
+            except Exception:  # what the console script would print
+                traceback.print_exc()
+                code = None
+    stderr = err.getvalue()
+    assert "Traceback" not in stderr, stderr
+    assert code in (0, 1, 2), (argv, stderr)
+    if code != 0:
+        assert stderr.startswith("error: ") and stderr.count("\n") == 1, (argv, stderr)

@@ -1,7 +1,7 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gridcarbon import (
@@ -16,6 +16,7 @@ from gridcarbon import (
     compute_residual_mix,
     contracted_cfe_for_buyer,
     contracts_for_fraction,
+    residual_mixes,
     total_emissions,
 )
 
@@ -153,6 +154,100 @@ def test_contracts_for_fraction_mapping(displaced_coal_mix: GridMix) -> None:
 def test_contracts_for_fraction_rejects_out_of_range(toy: GridMix) -> None:
     with pytest.raises(ValueError):
         contracts_for_fraction(toy, 1.5)
+    with pytest.raises(ValueError, match="must be in"):
+        contracts_for_fraction((), 1.5)
+
+
+def test_contracts_for_fraction_series() -> None:
+    mixes = (
+        GridMix(region="r", generation={"wind": 10.0, "coal": 5.0}),
+        GridMix(region="r", generation={"solar": 4.0, "coal": 5.0}),
+        GridMix(region="r", generation={"wind": 0.0, "solar": 2.0, "hydro": 0.0}),
+    )
+    contracts = contracts_for_fraction(mixes, 0.5, ("solar", "wind", "hydro"))
+    assert [(c.source_id, c.energy_mwh) for c in contracts] == [
+        ("solar", (0.0, 2.0, 1.0)),
+        ("wind", (5.0, 0.0, 0.0)),
+    ]
+    assert {c.source_region for c in contracts} == {"r"}
+    with pytest.raises(ValueError, match="one region"):
+        contracts_for_fraction((*mixes, GridMix(region="s", generation={"wind": 1.0})), 0.5)
+
+
+def test_residual_mixes_require_residual() -> None:
+    mixes = (
+        GridMix(region="r", generation={}),
+        GridMix(region="r", generation={"wind": 5.0, "coal": 1.0}),
+        GridMix(region="r", generation={"wind": 5.0}),
+    )
+    contracts = contracts_for_fraction(mixes, 1.0)
+    residuals = residual_mixes(mixes, contracts)
+    assert [r.total_energy for r in residuals] == [0.0, 1.0, 0.0]
+    with pytest.raises(EmptyResidual, match="step 2 of region 'r' is fully contracted"):
+        list(residual_mixes(mixes, contracts, require_residual=True))
+
+
+SERIES_SOURCES = ("solar", "wind", "hydro", "coal", "gas")
+generation_value = st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=1e4))
+
+
+@st.composite
+def fraction_specs(draw):
+    """One fraction, or a mapping of categories to fractions (at most one
+    of them not carbon-free), sometimes out of [0, 1]."""
+    value = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(min_value=0.0, max_value=1.0))
+    if draw(st.booleans()):
+        fraction = draw(value)
+    else:
+        categories = st.sampled_from(("solar", "wind", "hydro", "coal"))
+        fraction = {cat: draw(value) for cat in draw(st.lists(categories, unique=True))}
+    if draw(st.sampled_from([False] * 9 + [True])):
+        bad = draw(st.sampled_from([-0.25, 1.5]))
+        fraction = {**fraction, "solar": bad} if isinstance(fraction, dict) else bad
+    return fraction
+
+
+def _outcome(compute):
+    try:
+        return compute()
+    except (ValueError, ContractNotCarbonFree) as exc:
+        return type(exc), str(exc)
+
+
+def _bits(residual) -> tuple:
+    return (
+        [(source, value.hex()) for source, value in residual.generation.items()],
+        [(source, value.hex()) for source, value in residual.removed.items()],
+        residual.over_contracted,
+    )
+
+
+@settings(max_examples=300)
+@given(
+    steps=st.lists(
+        st.dictionaries(st.sampled_from(SERIES_SOURCES), generation_value, max_size=5),
+        min_size=1,
+        max_size=6,
+    ),
+    fraction=fraction_specs(),
+    categories=st.sampled_from([("solar", "wind"), ("wind",), ("hydro", "solar")]),
+)
+def test_series_contracts_match_per_step_contracts(steps, fraction, categories) -> None:
+    """Contracting a series once gives bit-identical residual mixes to
+    contracting every step on its own, or the same error."""
+    mixes = [GridMix(region="r", generation=generation) for generation in steps]
+
+    def per_step():
+        return [
+            _bits(compute_residual_mix(mix, contracts_for_fraction(mix, fraction, categories)))
+            for mix in mixes
+        ]
+
+    def series():
+        contracts = contracts_for_fraction(mixes, fraction, categories)
+        return [_bits(residual) for residual in residual_mixes(mixes, contracts)]
+
+    assert _outcome(series) == _outcome(per_step)
 
 
 # --- invariants -----------------------------------------------------------

@@ -125,7 +125,7 @@ def test_invalid_fill_policy(tmp_path: Path) -> None:
 
 @pytest.mark.parametrize(
     ("cell", "column"),
-    [("banana", "wind"), ("-5", "wind"), ("nan", "wind")],
+    [("banana", "wind"), ("-5", "wind"), ("nan", "wind"), ("inf", "wind")],
 )
 def test_bad_generation_cells(tmp_path: Path, cell: str, column: str) -> None:
     text = f"timestamp,wind\n2022-06-01T00:00:00Z,{cell}\n"

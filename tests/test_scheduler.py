@@ -8,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from gridcarbon import (
+    EmptyResidual,
     FlexibleLoad,
     GridMix,
     MixTimeSeries,
@@ -241,6 +242,22 @@ def test_shift_savings_fixed_start_out_of_range() -> None:
         shift_savings([1.0, 2.0], _load(1), from_policy=5)
 
 
+def test_fixed_start_respects_window() -> None:
+    signal = [10.0, 20.0, 30.0, 40.0]
+    load = _load(1, window=(1, 2))
+    savings = shift_savings(signal, load, from_policy=2, to_policy=1)
+    assert savings == pytest.approx(100.0 / 3.0, rel=1e-12)
+    with pytest.raises(WindowTooShort, match=r"fixed start 3 outside start window \(1, 2\)"):
+        shift_savings(signal, load, from_policy=3)
+    with pytest.raises(WindowTooShort, match=r"window \(0, 3\) with duration 2 exceeds"):
+        shift_savings(signal, _load(2, window=(0, 3)), from_policy=0)
+
+
+def test_fixed_start_needs_contiguous_load() -> None:
+    with pytest.raises(ValueError, match="fixed start 0 needs a contiguous load"):
+        shift_savings([1.0, 2.0, 3.0], _load(2, contiguous=False), from_policy=0)
+
+
 # --- CI signals from datasets ------------------------------------------------------
 
 def _flat_dataset(hours: int = 3) -> RegionDataset:
@@ -274,6 +291,15 @@ def test_residual_signal_fraction_zero_is_total() -> None:
 
 def test_residual_signal_all_contracted() -> None:
     assert residual_signal(_flat_dataset(), 1.0) == (1000.0, 1000.0, 1000.0)
+
+
+def test_residual_signal_fully_contracted_step() -> None:
+    flat = _flat_dataset()
+    steps = list(flat.mixes)
+    steps[1] = GridMix(region="r", generation={"wind": 80.0}, timestamp=steps[1].timestamp)
+    dataset = RegionDataset(region="r", series=MixTimeSeries(region="r", steps=tuple(steps)))
+    with pytest.raises(EmptyResidual, match="step 1 of region 'r' is fully contracted"):
+        residual_signal(dataset, 1.0)
 
 
 def test_duck_curve_signal_shapes() -> None:
