@@ -186,7 +186,6 @@ def attribute_market_based(
     contracts: Sequence[Contract],
     consumers: Sequence[Consumer],
     sources: SourceRegistry | None = None,
-    step: int = 0,
     allocation: Allocation | None = None,
 ) -> dict[str, MethodResult]:
     """Market-based attribution across one or more regions.
@@ -200,7 +199,7 @@ def attribute_market_based(
     All claims come from one :func:`~gridcarbon.contracts.allocate_contracts`
     call, which allocates each region once, so the cost is
     O(regions + consumers + contracts). A caller that already holds that
-    allocation for the same mixes, contracts, sources and step, made
+    allocation for the same mixes, contracts and sources, made
     with ``require_residual=True``, passes it as ``allocation``.
 
     Raises:
@@ -212,7 +211,7 @@ def attribute_market_based(
     if isinstance(mixes, GridMix):
         mixes = {mixes.region: mixes}
     if allocation is None:
-        allocation = allocate_contracts(mixes, contracts, sources, step, require_residual=True)
+        allocation = allocate_contracts(mixes, contracts, sources, require_residual=True)
 
     residual_ci: dict[str, float] = {}
     residual_fraction: dict[str, float] = {}
@@ -251,7 +250,6 @@ def detect_double_counting(
     consumers: Sequence[Consumer],
     public_signal_adjusted: bool,
     sources: SourceRegistry | None = None,
-    step: int = 0,
 ) -> float:
     """Carbon-free energy (MWh) counted both by contract buyers and the grid mix.
 
@@ -264,7 +262,7 @@ def detect_double_counting(
     """
     if public_signal_adjusted or mix.region not in _signal_readers(consumers):
         return 0.0
-    residual = compute_residual_mix(mix, contracts, sources or SourceRegistry.default(), step)
+    residual = compute_residual_mix(mix, contracts, sources or SourceRegistry.default())
     return residual.total_removed
 
 
@@ -280,7 +278,6 @@ def build_report(
     sources: SourceRegistry | None = None,
     grid_demand_mwh: Mapping[str, float] | None = None,
     public_signal_adjusted: bool = False,
-    step: int = 0,
 ) -> AttributionReport:
     """Run both accounting methods and assemble the full report.
 
@@ -303,10 +300,8 @@ def build_report(
                 mix, by_region.get(region, []), sources, grid_demand_mwh.get(region)
             )
         )
-    allocation = allocate_contracts(mixes, contracts, sources, step, require_residual=True)
-    market = attribute_market_based(
-        mixes, contracts, consumers, sources, step, allocation=allocation
-    )
+    allocation = allocate_contracts(mixes, contracts, sources, require_residual=True)
+    market = attribute_market_based(mixes, contracts, consumers, sources, allocation=allocation)
 
     entries = []
     for consumer in consumers:

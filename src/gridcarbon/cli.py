@@ -14,6 +14,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -56,6 +57,9 @@ def _emit(records: list[dict], fmt: str, out: str) -> None:
     buffer = io.StringIO()
     if fmt == "json-records":
         for record in records:
+            for key, value in record.items():
+                if isinstance(value, float) and not math.isfinite(value):
+                    raise GridCarbonError(f"{key} is {value}, which JSON cannot represent")
             buffer.write(json.dumps({k: _fmt(v) for k, v in record.items()}))
             buffer.write("\n")
     else:
@@ -120,7 +124,7 @@ def _parse_contracts_arg(spec: str, dataset, sources: SourceRegistry):
 
 
 def _timestamp_label(mix) -> str:
-    return mix.timestamp.strftime(TIMESTAMP_FORMAT) if mix.timestamp else ""
+    return mix.timestamp.strftime(TIMESTAMP_FORMAT)
 
 
 def cmd_ci(args) -> list[dict]:
@@ -309,6 +313,8 @@ def _load_signal(path: str, sources: SourceRegistry, basis: str):
 def cmd_schedule(args) -> list[dict]:
     if args.actual and args.residual_fraction is not None:
         raise GridCarbonError("give either --actual or --residual-fraction, not both")
+    if args.basis == "published" and args.residual_fraction is not None:
+        raise GridCarbonError("--residual-fraction prices on emission factors; use --basis cef")
     sources = _registry(args)
     reported, dataset = _load_signal(args.signal, sources, args.basis)
     if args.actual:
@@ -367,11 +373,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         help="output format (default: json-records)",
     )
     parser.add_argument("--out", default="-", help="output path, '-' for stdout (default)")
-    parser.add_argument(
-        "--cef",
-        default=None,
-        help=f"YAML table of per-category CEF overrides (default: ${CEF_TABLE_ENV})",
-    )
 
 
 def _add_ingest_options(parser: argparse.ArgumentParser) -> None:
@@ -471,6 +472,12 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.set_defaults(handler=cmd_fixtures)
 
+    for name in ("ci", "residual", "penetration", "inflation", "schedule"):  # they read CSVs
+        sub.choices[name].add_argument(
+            "--cef",
+            default=None,
+            help=f"YAML table of per-category CEF overrides (default: ${CEF_TABLE_ENV})",
+        )
     return parser
 
 

@@ -31,6 +31,7 @@ from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
 
 from .errors import ContractNotCarbonFree, EmptyMix, EmptyResidual, UnknownRegion
+from .factors import check_categories
 from .grid import CarbonIntensity, GridMix, SourceRegistry, compute_average_ci
 
 PHYSICAL_KINDS = frozenset({"physical_onsite", "physical_offsite"})
@@ -41,10 +42,10 @@ CONTRACT_KINDS = PHYSICAL_KINDS | {"financial", "rec"}
 class Contract:
     """A PPA or REC purchase granting ``buyer`` a claim on contracted generation.
 
-    ``energy_mwh`` is the contracted energy per time step: a scalar for
-    static scenarios, or a sequence aligned step-for-step with a mix
-    time series. A REC purchase is accounting-wise identical to a
-    financial PPA here; the kind tag is kept for reporting.
+    ``energy_mwh`` is the contracted energy per time step: a scalar, or
+    a sequence aligned step-for-step with a series of mixes, which only
+    :func:`residual_mixes` reads. A REC purchase is accounting-wise
+    identical to a financial PPA here; the kind tag is kept for reporting.
     """
 
     id: str
@@ -68,10 +69,12 @@ class Contract:
             if any(e < 0 for e in self.energy_mwh):
                 raise ValueError(f"contract {self.id!r}: energy must be >= 0 at every step")
 
-    def energy_at(self, step: int = 0) -> float:
-        """Contracted energy in MWh at the given series step."""
+    def energy_at(self, step: int | None = None) -> float:
+        """Contracted energy in MWh at a series step; a scalar applies at every step."""
         if isinstance(self.energy_mwh, float):
             return self.energy_mwh
+        if step is None:
+            raise ValueError(f"contract {self.id!r} has a per-step energy series; give a step")
         if not 0 <= step < len(self.energy_mwh):
             raise ValueError(
                 f"contract {self.id!r}: step {step} outside contracted series of length {len(self.energy_mwh)}"
@@ -122,7 +125,7 @@ def _allocate(
     mix: GridMix,
     contracts: Sequence[Contract],
     sources: SourceRegistry,
-    step: int,
+    step: int | None,
 ) -> tuple[dict[str, float], dict[str, float], set[str]]:
     """Allocate contracted energy against a mix's generation.
 
@@ -167,7 +170,7 @@ def compute_residual_mix(
     mix: GridMix,
     contracts: Sequence[Contract],
     sources: SourceRegistry | None = None,
-    step: int = 0,
+    step: int | None = None,
 ) -> ResidualMix:
     """Remove all contracted carbon-free energy from a mix.
 
@@ -177,6 +180,7 @@ def compute_residual_mix(
     Raises:
         ContractNotCarbonFree: if an applicable contract targets a
             source with a nonzero emission factor.
+        ValueError: if ``step`` does not index a contract's energy series.
     """
     sources = sources or SourceRegistry.default()
     allocated, removed, over_contracted = _allocate(mix, contracts, sources, step)
@@ -229,7 +233,6 @@ def allocate_contracts(
     mixes: GridMix | Mapping[str, GridMix],
     contracts: Sequence[Contract],
     sources: SourceRegistry | None = None,
-    step: int = 0,
     require_residual: bool = False,
 ) -> Allocation:
     """Allocate every contract against the mix of its source region.
@@ -265,7 +268,7 @@ def allocate_contracts(
     claims: dict[str, float] = {}
     for region, mix in mixes.items():
         region_contracts = by_region.get(mix.region, ())
-        residual = compute_residual_mix(mix, region_contracts, sources, step)
+        residual = compute_residual_mix(mix, region_contracts, sources)
         if require_residual and residual.total_energy <= 0:
             raise EmptyResidual(
                 f"all generation in region {region!r} is under contract; residual mix is empty"
@@ -281,7 +284,6 @@ def compute_residual_ci(
     mix: GridMix,
     contracts: Sequence[Contract],
     sources: SourceRegistry | None = None,
-    step: int = 0,
 ) -> CarbonIntensity:
     """Average carbon intensity of the residual mix, g/kWh.
 
@@ -295,7 +297,7 @@ def compute_residual_ci(
     sources = sources or SourceRegistry.default()
     if mix.total_energy <= 0:
         raise EmptyMix(f"carbon intensity undefined for empty mix in region {mix.region!r}")
-    residual = compute_residual_mix(mix, contracts, sources, step)
+    residual = compute_residual_mix(mix, contracts, sources)
     if residual.total_energy <= 0:
         raise EmptyResidual(
             f"all generation in region {mix.region!r} is under contract; residual mix is empty"
@@ -324,14 +326,16 @@ def contracts_for_fraction(
     that energy is positive in at least one step.
 
     Raises:
-        ValueError: if a fraction is outside [0, 1] (checked even for an
-            empty series) or the mixes span several regions.
+        ValueError: if a category is unknown, a fraction is outside
+            [0, 1] (both checked even for an empty series) or the mixes
+            span several regions.
     """
     sources = sources or SourceRegistry.default()
     if isinstance(fraction, Mapping):
         per_category = {str(cat): float(f) for cat, f in fraction.items()}
     else:
         per_category = {str(cat): float(fraction) for cat in categories}
+    check_categories(per_category)
     for cat, f in per_category.items():
         if not 0.0 <= f <= 1.0:
             raise ValueError(f"contract fraction for {cat!r} must be in [0, 1], got {f}")
@@ -395,9 +399,8 @@ def contracted_cfe_for_buyer(
     buyer: str,
     mixes: GridMix | Mapping[str, GridMix],
     sources: SourceRegistry | None = None,
-    step: int = 0,
 ) -> float:
-    """Carbon-free energy (MWh) deliverable to a buyer at one step.
+    """Carbon-free energy (MWh) deliverable to a buyer.
 
     Sums the buyer's contracted energy across regions after the same
     per-source clamping and proration used for the residual mix, so a
@@ -412,4 +415,4 @@ def contracted_cfe_for_buyer(
         UnknownRegion: if one of the buyer's contracts sources energy
             from a region with no mix provided.
     """
-    return allocate_contracts(mixes, contracts, sources, step).claim_mwh(buyer)
+    return allocate_contracts(mixes, contracts, sources).claim_mwh(buyer)

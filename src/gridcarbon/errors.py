@@ -55,9 +55,10 @@ class ParseError(GridCarbonError):
     def __init__(self, message: str, *, row: int | None = None, column: str | None = None):
         self.row = row
         self.column = column
-        where = ""
-        if row is not None or column is not None:
-            where = f" (row {row}, column {column!r})"
+        parts = [f"row {row}"] if row is not None else []
+        if column is not None:
+            parts.append(f"column {column!r}")
+        where = f" ({', '.join(parts)})" if parts else ""
         super().__init__(f"{message}{where}")
 
 

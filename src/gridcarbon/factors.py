@@ -16,7 +16,7 @@ even though it is often classed as renewable.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
+from collections.abc import Iterable, Mapping
 from pathlib import Path
 
 import yaml
@@ -76,6 +76,13 @@ def _load_yaml(stream):
 
 def is_carbon_free_category(category: str) -> bool:
     return category in CARBON_FREE_CATEGORIES
+
+
+def check_categories(categories: Iterable[str]) -> None:
+    """Raise ValueError for a name that is not a source category."""
+    for category in categories:
+        if category not in SOURCE_CATEGORIES:
+            raise ValueError(f"unknown source category {category!r}")
 
 
 def load_cef_table(path: str | Path) -> dict[str, float]:

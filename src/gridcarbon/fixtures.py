@@ -31,7 +31,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from .factors import DEFAULT_CEF
-from .grid import GridMix, MixTimeSeries, SourceRegistry, compute_average_ci
+from .grid import GridMix, SourceRegistry, compute_average_ci
 from .ingest import RegionDataset, write_region_csv
 
 _SOLAR_WEIGHTS = (0, 0, 0, 0, 0, 0, 1, 2, 4, 6, 8, 9, 9, 8, 6, 4, 2, 1, 0, 0, 0, 0, 0, 0)
@@ -57,13 +57,12 @@ def _hour(h: int) -> datetime:
 
 def _dataset(region: str, generations: list[dict[str, float]]) -> RegionDataset:
     sources = SourceRegistry.default()
-    steps = tuple(
+    mixes = tuple(
         GridMix(region=region, generation=generation, timestamp=_hour(h))
         for h, generation in enumerate(generations)
     )
-    series = MixTimeSeries(region=region, steps=steps)
-    published = tuple(float(compute_average_ci(mix, sources)) for mix in steps)
-    return RegionDataset(region=region, series=series, published_ci=published)
+    published = tuple(float(compute_average_ci(mix, sources)) for mix in mixes)
+    return RegionDataset(region=region, mixes=mixes, published_ci=published)
 
 
 def toy_mix() -> GridMix:

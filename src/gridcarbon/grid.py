@@ -136,46 +136,6 @@ class GridMix:
 
 
 @dataclass(frozen=True)
-class MixTimeSeries:
-    """An ordered sequence of grid mixes for one region.
-
-    Timestamps must be present on every step and strictly increasing.
-    Uniform (hourly) spacing is the expected shape; loaders with a
-    drop-row fill policy can legitimately leave gaps, so uniformity is
-    exposed via :attr:`is_uniform` rather than enforced here.
-    """
-
-    region: str
-    steps: tuple[GridMix, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "steps", tuple(self.steps))
-        previous: datetime | None = None
-        for i, step in enumerate(self.steps):
-            if step.region != self.region:
-                raise ValueError(f"step {i} has region {step.region!r}, expected {self.region!r}")
-            if step.timestamp is None:
-                raise ValueError(f"step {i} is missing a timestamp")
-            if previous is not None and step.timestamp <= previous:
-                raise ValueError(f"timestamps must be strictly increasing (step {i})")
-            previous = step.timestamp
-
-    def __len__(self) -> int:
-        return len(self.steps)
-
-    @property
-    def is_uniform(self) -> bool:
-        """True when consecutive timestamps are evenly spaced."""
-        if len(self.steps) < 2:
-            return True
-        deltas = {
-            self.steps[i + 1].timestamp - self.steps[i].timestamp
-            for i in range(len(self.steps) - 1)
-        }
-        return len(deltas) == 1
-
-
-@dataclass(frozen=True)
 class CarbonIntensity:
     """Carbon intensity in g CO2-eq per kWh."""
 

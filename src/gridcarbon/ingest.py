@@ -24,7 +24,7 @@ from pathlib import Path
 
 from .errors import GapError, ParseError, SchemaError
 from .factors import SOURCE_CATEGORIES
-from .grid import GridMix, MixTimeSeries
+from .grid import GridMix
 
 TIMESTAMP_FORMAT = "%Y-%m-%dT%H:%M:%SZ"
 TIMESTAMP_COLUMN = "timestamp"
@@ -47,36 +47,52 @@ class LoadSummary:
 
 @dataclass(frozen=True)
 class RegionDataset:
-    """An hourly generation series for one region.
+    """An ordered series of grid mixes for one region.
+
+    Timestamps must be present and strictly increasing. Even spacing is
+    not enforced, as drop-row loading can leave gaps; see :attr:`is_uniform`.
 
     ``published_ci`` is the operator's own carbon-intensity signal,
-    aligned step-for-step with the series when present.
+    aligned step-for-step with the mixes when present.
     """
 
     region: str
-    series: MixTimeSeries
+    mixes: tuple[GridMix, ...]
     published_ci: tuple[float, ...] | None = None
     summary: LoadSummary | None = None
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "mixes", tuple(self.mixes))
+        previous: datetime | None = None
+        for i, mix in enumerate(self.mixes):
+            if mix.region != self.region:
+                raise ValueError(f"step {i} has region {mix.region!r}, expected {self.region!r}")
+            if mix.timestamp is None:
+                raise ValueError(f"step {i} is missing a timestamp")
+            if previous is not None and mix.timestamp <= previous:
+                raise ValueError(f"timestamps must be strictly increasing (step {i})")
+            previous = mix.timestamp
         if self.published_ci is not None:
             object.__setattr__(self, "published_ci", tuple(self.published_ci))
-            if len(self.published_ci) != len(self.series):
+            if len(self.published_ci) != len(self.mixes):
                 raise ValueError(
                     f"published_ci has {len(self.published_ci)} values "
-                    f"for {len(self.series)} series steps"
+                    f"for {len(self.mixes)} series steps"
                 )
-        if self.series.region != self.region:
-            raise ValueError(
-                f"series region {self.series.region!r} does not match {self.region!r}"
-            )
 
     def __len__(self) -> int:
-        return len(self.series)
+        return len(self.mixes)
 
     @property
-    def mixes(self) -> tuple[GridMix, ...]:
-        return self.series.steps
+    def is_uniform(self) -> bool:
+        """True when consecutive timestamps are evenly spaced."""
+        if len(self.mixes) < 2:
+            return True
+        deltas = {
+            self.mixes[i + 1].timestamp - self.mixes[i].timestamp
+            for i in range(len(self.mixes) - 1)
+        }
+        return len(deltas) == 1
 
 
 def check_basis(dataset: RegionDataset, basis: str) -> None:
@@ -242,18 +258,18 @@ def load_region_csv(
     path = Path(path)
     region = region or path.stem
     rows, has_published, summary = _read_csv(path, fill_policy)
-    series = MixTimeSeries(
+    dataset = RegionDataset(
         region=region,
-        steps=tuple(
+        mixes=tuple(
             GridMix(region=region, generation=generation, timestamp=timestamp)
             for timestamp, generation, _ in rows
         ),
+        published_ci=tuple(p for _, _, p in rows) if has_published else None,
+        summary=summary,
     )
-    if strict and not series.is_uniform:
+    if strict and not dataset.is_uniform:
         raise GapError(f"{path}: timestamps are not evenly spaced")
-
-    published_ci = tuple(p for _, _, p in rows) if has_published else None
-    return RegionDataset(region=region, series=series, published_ci=published_ci, summary=summary)
+    return dataset
 
 
 def load_signal_csv(path: str | Path) -> tuple[float, ...] | None:

@@ -231,6 +231,8 @@ def parse_scenario(data: Any, name_hint: str = "<scenario>") -> Scenario:
     for i, body in enumerate(contracts_raw):
         prefix = f"contracts[{i}]"
         contract = parse_contract(body, prefix, sources, mixes)
+        if isinstance(contract.energy_mwh, tuple):
+            _fail(f"{prefix}.energy_mwh", "expected a number: a scenario covers one step")
         if contract.id in seen_contracts:
             _fail(f"{prefix}.id", f"duplicate contract id {contract.id!r}")
         seen_contracts.add(contract.id)

@@ -10,6 +10,7 @@ differs from the one that actually prices their residual demand.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 
@@ -36,8 +37,8 @@ class FlexibleLoad:
     contiguous: bool = True
 
     def __post_init__(self) -> None:
-        if self.energy_per_hour_kwh < 0:
-            raise ValueError("energy_per_hour_kwh must be >= 0")
+        if not 0 <= self.energy_per_hour_kwh < math.inf:
+            raise ValueError("energy_per_hour_kwh must be a finite number >= 0")
         if not isinstance(self.duration_hours, int) or self.duration_hours < 1:
             raise ValueError(f"duration_hours must be an integer >= 1, got {self.duration_hours}")
         if self.window is not None:

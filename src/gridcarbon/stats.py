@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 from .contracts import contracts_for_fraction, residual_mixes
 from .errors import EmptyFleet, EmptyMix, ZeroBaseline
+from .factors import check_categories
 from .grid import CarbonIntensity, GridMix, SourceRegistry, total_emissions
 from .ingest import RegionDataset, check_basis
 
@@ -54,8 +55,10 @@ def penetration(
     returned instead (zero-generation hours are skipped).
 
     Raises:
+        ValueError: if a category is unknown.
         EmptyMix: if the dataset has no generation at all.
     """
+    check_categories(categories)
     sources = sources or SourceRegistry.default()
     total = 0.0
     selected = 0.0

@@ -21,7 +21,6 @@ from gridcarbon import (
     Contract,
     FlexibleLoad,
     GridMix,
-    MixTimeSeries,
     RegionDataset,
     SourceRegistry,
     attribute_location_based,
@@ -276,7 +275,7 @@ def test_criterion_6_invariants() -> None:
                 )
                 for h in range(24)
             )
-            dataset = RegionDataset(region="rt", series=MixTimeSeries(region="rt", steps=steps))
+            dataset = RegionDataset(region="rt", mixes=steps)
             csv_path = Path(tmp) / "rt.csv"
             write_region_csv(dataset, csv_path)
             reloaded = load_region_csv(csv_path)

@@ -489,7 +489,7 @@ def _reference_build_report(
             )
         )
         double_counted += detect_double_counting(
-            mix, contracts, consumers, public_signal_adjusted, sources, step
+            mix, contracts, consumers, public_signal_adjusted, sources
         )
 
     return AttributionReport(

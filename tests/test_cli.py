@@ -159,6 +159,20 @@ def test_scenario_invalid_file_names_field(capsys, tmp_path: Path) -> None:
     assert "regions" in captured.err
 
 
+def test_scenario_rejects_per_step_energy(capsys, tmp_path: Path) -> None:
+    """A scenario covers one step; a list is not read at its first step."""
+    scenario = tmp_path / "series.yaml"
+    scenario.write_text(
+        "regions: {r: {generation: {wind: 500, coal: 500}}}\n"
+        "consumers: [{id: C1, region: r, demand_kwh: 100000}]\n"
+        "contracts: [{id: k, buyer: C1, kind: financial, source: wind, region: r,"
+        " energy_mwh: [10, 90, 50]}]\n",
+        encoding="utf-8",
+    )
+    err = _single_error_line(capsys, "scenario", "--file", str(scenario))
+    assert "contracts[0].energy_mwh: expected a number" in err
+
+
 def test_attribute_declared_methods(capsys) -> None:
     code, out = _run(capsys, "attribute", "commercial-case-2")
     assert code == 0
@@ -251,6 +265,21 @@ def test_inflation_aggregate_fixture(capsys, fixture_dir: Path) -> None:
     assert record["ci_g_per_kwh"] == pytest.approx(125.67, rel=1e-6)
     assert record["residual_ci_g_per_kwh"] == pytest.approx(370.22, rel=0.01)
     assert record["inflation_pct"] == pytest.approx(194.0, abs=2.0)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["residual", "--mix", "duck-curve.csv", "--fraction", "1"],
+        ["inflation", "--mix", "duck-curve.csv", "--fraction", "1"],
+        ["penetration", "--data", "."],
+    ],
+    ids=["residual", "inflation", "penetration"],
+)
+def test_unknown_category_is_an_error(capsys, fixture_dir: Path, argv) -> None:
+    argv = [str(fixture_dir / arg) if arg in ("duck-curve.csv", ".") else arg for arg in argv]
+    err = _single_error_line(capsys, *argv, "--categories", "sun")
+    assert "unknown source category 'sun'" in err
 
 
 # --- schedule ---------------------------------------------------------------------------
@@ -351,6 +380,38 @@ def test_schedule_residual_fraction_uses_cef_table(capsys, tmp_path: Path, fixtu
     assert record["hours"] == "12"
     assert record["reported_ci_avg_g_per_kwh"] == 190.864
     assert record["actual_ci_avg_g_per_kwh"] == 918.039
+
+
+def test_schedule_residual_fraction_rejects_published_basis(capsys, fixture_dir: Path) -> None:
+    err = _single_error_line(
+        capsys,
+        "schedule", "--signal", str(fixture_dir / "duck-curve.csv"),
+        "--residual-fraction", "1.0", "--duration", "1", "--basis", "published",
+    )
+    assert "--residual-fraction prices on emission factors; use --basis cef" in err
+
+
+@pytest.mark.parametrize("energy", ["nan", "inf"])
+def test_schedule_rejects_non_finite_energy(capsys, tmp_path: Path, energy: str) -> None:
+    signal = tmp_path / "signal.csv"
+    signal.write_text(SIGNAL_CSV, encoding="utf-8")
+    err = _single_error_line(
+        capsys, "schedule", "--signal", str(signal), "--duration", "1", "--energy-per-hour", energy
+    )
+    assert "energy_per_hour_kwh must be a finite number >= 0" in err
+
+
+def test_schedule_infinite_discrepancy_is_an_error(capsys, tmp_path: Path) -> None:
+    """JSON has no Infinity: a zero reported average against a nonzero
+    actual one is an error naming the field, not an invalid record."""
+    reported = tmp_path / "reported.csv"
+    reported.write_text("timestamp,ci_g_per_kwh\n2022-06-01T00:00:00Z,0\n", encoding="utf-8")
+    actual = tmp_path / "actual.csv"
+    actual.write_text("timestamp,ci_g_per_kwh\n2022-06-01T00:00:00Z,10\n", encoding="utf-8")
+    err = _single_error_line(
+        capsys, "schedule", "--signal", str(reported), "--actual", str(actual), "--duration", "1"
+    )
+    assert "discrepancy_pct is inf" in err
 
 
 @pytest.mark.parametrize("start", ["2", "-1"])
@@ -464,6 +525,18 @@ def test_cef_flag_beats_env(capsys, tmp_path: Path, toy_csv: Path, monkeypatch) 
     monkeypatch.setenv(CEF_TABLE_ENV, str(env_table))
     _, out = _run(capsys, "ci", "--mix", str(toy_csv), "--cef", str(flag_table))
     assert _records(out)[0]["ci_g_per_kwh"] == 400.0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["scenario", "commercial-case-1"], ["attribute", "commercial-case-1"], ["fixtures", "list"]],
+)
+def test_cef_only_on_csv_subcommands(capsys, argv) -> None:
+    """Subcommands that read no CSV have no --cef to ignore."""
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--cef", "x.yaml"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --cef" in capsys.readouterr().err
 
 
 # --- exit codes ------------------------------------------------------------------------------
@@ -668,6 +741,9 @@ def cli_calls(draw) -> tuple[dict[str, str], list[str]]:
         argv.append("--window=" + draw(st.sampled_from([f"{lo}:{hi}", f"{lo}", "a:b"])))
     if draw(RARELY):
         argv.append("--non-contiguous")
+    energy = draw(st.sampled_from([None, None, "nan", "inf"]))
+    if energy:
+        argv.append(f"--energy-per-hour={energy}")
     starts = st.integers(-1, 6).map(str)
     policy = draw(st.one_of(st.sampled_from(["best_window", "worst_window"]), starts))
     return files, [*argv, "--policy", policy]
@@ -677,8 +753,9 @@ def cli_calls(draw) -> tuple[dict[str, str], list[str]]:
 @given(call=cli_calls())
 def test_cli_error_contract(call) -> None:
     """Whatever the files and option values, the CLI exits 0, 1 or 2
-    without a traceback, and a failure prints exactly one ``error:`` line.
-    Every generated argv is well formed, so argparse never rejects it."""
+    without a traceback, a failure prints exactly one ``error:`` line, and
+    a success prints strict JSON, without NaN or Infinity. Every generated
+    argv is well formed, so argparse never rejects it."""
     files, argv = call
     with tempfile.TemporaryDirectory() as tmp:
         for name, text in files.items():
@@ -698,3 +775,10 @@ def test_cli_error_contract(call) -> None:
     assert code in (0, 1, 2), (argv, stderr)
     if code != 0:
         assert stderr.startswith("error: ") and stderr.count("\n") == 1, (argv, stderr)
+    else:
+        for line in out.getvalue().splitlines():
+            json.loads(line, parse_constant=_not_json)
+
+
+def _not_json(constant: str):
+    raise AssertionError(f"{constant} is not valid JSON")

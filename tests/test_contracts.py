@@ -55,6 +55,22 @@ def test_contract_energy_series() -> None:
         contract.energy_at(2)
 
 
+def test_series_contract_needs_a_step() -> None:
+    """A single-step call raises rather than reading a series at step 0."""
+    mix = GridMix(region="local", generation={"solar": 100.0, "coal": 100.0})
+    series = Contract(id="s", buyer="C1", kind="rec", source_id="solar",
+                      source_region="local", energy_mwh=(10.0, 90.0, 50.0))
+    for call in (
+        series.energy_at,
+        lambda: compute_residual_mix(mix, [series]),
+        lambda: compute_residual_ci(mix, [series]),
+        lambda: contracted_cfe_for_buyer([series], "C1", mix),
+    ):
+        with pytest.raises(ValueError, match="per-step energy series"):
+            call()
+    assert compute_residual_mix(mix, [series], step=1).removed == {"solar": 90.0}
+
+
 def test_scalar_contract_applies_at_every_step() -> None:
     contract = _solar_contract(3.0)
     assert contract.energy_at(0) == contract.energy_at(17) == 3.0

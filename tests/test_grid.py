@@ -12,7 +12,7 @@ from gridcarbon import (
     EmptyMix,
     EnergySource,
     GridMix,
-    MixTimeSeries,
+    RegionDataset,
     SourceRegistry,
     UnknownSource,
     compute_average_ci,
@@ -109,40 +109,40 @@ def test_carbon_intensity_value_object() -> None:
         CarbonIntensity(-0.1)
 
 
-def _series(hours: int, region: str = "r") -> MixTimeSeries:
+def _series(hours: int, region: str = "r") -> RegionDataset:
     base = datetime(2022, 1, 1, tzinfo=timezone.utc)
     steps = tuple(
         GridMix(region=region, generation={"wind": 1.0}, timestamp=base + timedelta(hours=h))
         for h in range(hours)
     )
-    return MixTimeSeries(region=region, steps=steps)
+    return RegionDataset(region=region, mixes=steps)
 
 
 def test_series_requires_increasing_timestamps() -> None:
     base = datetime(2022, 1, 1, tzinfo=timezone.utc)
     step = GridMix(region="r", generation={"wind": 1.0}, timestamp=base)
     with pytest.raises(ValueError):
-        MixTimeSeries(region="r", steps=(step, step))
+        RegionDataset(region="r", mixes=(step, step))
 
 
 def test_series_requires_matching_region() -> None:
     base = datetime(2022, 1, 1, tzinfo=timezone.utc)
     step = GridMix(region="other", generation={"wind": 1.0}, timestamp=base)
     with pytest.raises(ValueError):
-        MixTimeSeries(region="r", steps=(step,))
+        RegionDataset(region="r", mixes=(step,))
 
 
 def test_series_requires_timestamps() -> None:
     with pytest.raises(ValueError):
-        MixTimeSeries(region="r", steps=(GridMix(region="r", generation={"wind": 1.0}),))
+        RegionDataset(region="r", mixes=(GridMix(region="r", generation={"wind": 1.0}),))
 
 
 def test_series_uniformity() -> None:
     assert _series(3).is_uniform
     base = datetime(2022, 1, 1, tzinfo=timezone.utc)
-    gappy = MixTimeSeries(
+    gappy = RegionDataset(
         region="r",
-        steps=(
+        mixes=(
             GridMix(region="r", generation={"wind": 1.0}, timestamp=base),
             GridMix(region="r", generation={"wind": 1.0}, timestamp=base + timedelta(hours=1)),
             GridMix(region="r", generation={"wind": 1.0}, timestamp=base + timedelta(hours=3)),

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from gridcarbon import (
     GapError,
     GridMix,
-    MixTimeSeries,
     ParseError,
     RegionDataset,
     SchemaError,
@@ -45,7 +44,7 @@ def test_load_well_formed(tmp_path: Path) -> None:
     assert dataset.summary.rows_dropped == 0
     assert dataset.summary.cells_filled == 0
     assert dataset.summary.ignored_columns == ()
-    assert dataset.series.is_uniform
+    assert dataset.is_uniform
 
 
 def test_region_override(tmp_path: Path) -> None:
@@ -152,6 +151,7 @@ def test_ragged_row(tmp_path: Path) -> None:
     with pytest.raises(ParseError) as exc:
         load_region_csv(_write(tmp_path, "timestamp,wind,coal\n2022-06-01T00:00:00Z,10\n"))
     assert exc.value.row == 2
+    assert str(exc.value) == "expected 3 cells, got 2 (row 2)"
 
 
 def test_duplicate_timestamps(tmp_path: Path) -> None:
@@ -163,6 +163,16 @@ def test_duplicate_timestamps(tmp_path: Path) -> None:
     with pytest.raises(ParseError) as exc:
         load_region_csv(_write(tmp_path, text))
     assert "duplicate" in str(exc.value)
+    assert str(exc.value).endswith(" (column 'timestamp')")
+
+
+@pytest.mark.parametrize(
+    ("row", "column", "where"),
+    [(3, None, " (row 3)"), (None, "wind", " (column 'wind')"),
+     (3, "wind", " (row 3, column 'wind')"), (None, None, "")],
+)
+def test_parse_error_names_only_the_location_it_has(row, column, where) -> None:
+    assert str(ParseError("bad cell", row=row, column=column)) == "bad cell" + where
 
 
 @pytest.mark.parametrize(
@@ -206,25 +216,22 @@ def test_strict_accepts_uniform(tmp_path: Path) -> None:
 
 # --- dataset validation ------------------------------------------------------
 
-def _series(region: str = "r", hours: int = 2) -> MixTimeSeries:
+def _series(region: str = "r", hours: int = 2) -> tuple[GridMix, ...]:
     start = datetime(2022, 6, 1, tzinfo=timezone.utc)
-    return MixTimeSeries(
-        region=region,
-        steps=tuple(
-            GridMix(region=region, generation={"wind": 1.0}, timestamp=start + timedelta(hours=h))
-            for h in range(hours)
-        ),
+    return tuple(
+        GridMix(region=region, generation={"wind": 1.0}, timestamp=start + timedelta(hours=h))
+        for h in range(hours)
     )
 
 
 def test_dataset_rejects_misaligned_published_ci() -> None:
     with pytest.raises(ValueError):
-        RegionDataset(region="r", series=_series(hours=2), published_ci=(1.0,))
+        RegionDataset(region="r", mixes=_series(hours=2), published_ci=(1.0,))
 
 
 def test_dataset_rejects_region_mismatch() -> None:
     with pytest.raises(ValueError):
-        RegionDataset(region="other", series=_series(region="r"))
+        RegionDataset(region="other", mixes=_series(region="r"))
 
 
 # --- round trip ---------------------------------------------------------------
@@ -264,7 +271,7 @@ def test_round_trip_exact_floats(values) -> None:
     )
     dataset = RegionDataset(
         region="r",
-        series=MixTimeSeries(region="r", steps=steps),
+        mixes=steps,
         published_ci=tuple(ci for _, _, ci in values),
     )
     with tempfile.TemporaryDirectory() as tmp:

@@ -170,8 +170,9 @@ def test_energy_series_contract() -> None:
             "source": "wind", "region": "r", "energy_mwh": [0.0, 0.005],
         }]
     )
-    scenario = parse_scenario(data)
-    assert scenario.contracts[0].energy_at(1) == 0.005
+    with pytest.raises(ScenarioInvalid) as exc:
+        parse_scenario(data)
+    assert exc.value.field == "contracts[0].energy_mwh"
 
 
 # --- validation failures ----------------------------------------------------

@@ -11,7 +11,6 @@ from gridcarbon import (
     EmptyResidual,
     FlexibleLoad,
     GridMix,
-    MixTimeSeries,
     RegionDataset,
     SignalMismatch,
     WindowTooShort,
@@ -35,6 +34,9 @@ def _load(duration: int = 1, energy: float = 1000.0, window=None,
 def test_load_validation() -> None:
     with pytest.raises(ValueError):
         FlexibleLoad(energy_per_hour_kwh=-1.0, duration_hours=1)
+    for energy in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="must be a finite number"):
+            FlexibleLoad(energy_per_hour_kwh=energy, duration_hours=1)
     with pytest.raises(ValueError):
         FlexibleLoad(energy_per_hour_kwh=1.0, duration_hours=0)
     with pytest.raises(ValueError):
@@ -269,7 +271,7 @@ def _flat_dataset(hours: int = 3) -> RegionDataset:
     )
     return RegionDataset(
         region="r",
-        series=MixTimeSeries(region="r", steps=steps),
+        mixes=steps,
         published_ci=(123.0,) * hours,
     )
 
@@ -297,7 +299,7 @@ def test_residual_signal_fully_contracted_step() -> None:
     flat = _flat_dataset()
     steps = list(flat.mixes)
     steps[1] = GridMix(region="r", generation={"wind": 80.0}, timestamp=steps[1].timestamp)
-    dataset = RegionDataset(region="r", series=MixTimeSeries(region="r", steps=tuple(steps)))
+    dataset = RegionDataset(region="r", mixes=tuple(steps))
     with pytest.raises(EmptyResidual, match="step 1 of region 'r' is fully contracted"):
         residual_signal(dataset, 1.0)
 

@@ -11,7 +11,6 @@ from gridcarbon import (
     EmptyMix,
     EmptyResidual,
     GridMix,
-    MixTimeSeries,
     RegionDataset,
     fleet_fixtures,
     penetration,
@@ -31,9 +30,7 @@ def _dataset(generations: list[dict[str, float]], region: str = "r",
         GridMix(region=region, generation=g, timestamp=start + timedelta(hours=h))
         for h, g in enumerate(generations)
     )
-    return RegionDataset(
-        region=region, series=MixTimeSeries(region=region, steps=steps), published_ci=published
-    )
+    return RegionDataset(region=region, mixes=steps, published_ci=published)
 
 
 # --- penetration -------------------------------------------------------------
