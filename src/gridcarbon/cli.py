@@ -21,11 +21,11 @@ from pathlib import Path
 
 import yaml
 
-from .contracts import contracts_for_fraction, residual_mixes
+from .contracts import _residual_dataset, contracts_for_fraction
 from .errors import GridCarbonError, ScenarioInvalid
 from .factors import _load_yaml, load_cef_table
 from .fixtures import fixture_datasets, write_fixture_csvs
-from .grid import SourceRegistry, compute_average_ci
+from .grid import SourceRegistry
 from .ingest import BASES, FILL_POLICIES, TIMESTAMP_FORMAT, load_region_csv, load_signal_csv
 from .scenarios import (
     builtin_scenario_names,
@@ -34,7 +34,14 @@ from .scenarios import (
     parse_contract,
     run_scenario,
 )
-from .scheduler import FlexibleLoad, _policy_hours, evaluate_schedule, residual_signal, total_signal
+from .scheduler import (
+    FlexibleLoad,
+    _ci_steps,
+    _policy_hours,
+    evaluate_schedule,
+    residual_signal,
+    total_signal,
+)
 from .stats import (
     energy_weighted_ci,
     inflation_pct,
@@ -54,12 +61,13 @@ def _fmt(value):
 
 
 def _emit(records: list[dict], fmt: str, out: str) -> None:
+    for record in records:
+        for key, value in record.items():
+            if isinstance(value, float) and not math.isfinite(value):
+                raise GridCarbonError(f"{key} is {value}, which the output cannot represent")
     buffer = io.StringIO()
     if fmt == "json-records":
         for record in records:
-            for key, value in record.items():
-                if isinstance(value, float) and not math.isfinite(value):
-                    raise GridCarbonError(f"{key} is {value}, which JSON cannot represent")
             buffer.write(json.dumps({k: _fmt(v) for k, v in record.items()}))
             buffer.write("\n")
     else:
@@ -106,7 +114,7 @@ def _parse_contracts_arg(spec: str, dataset, sources: SourceRegistry):
         return None
     if spec == "all-solar-wind" or spec.startswith("solar-wind:"):
         fraction = 1.0 if spec == "all-solar-wind" else float(spec.split(":", 1)[1])
-        return contracts_for_fraction(dataset.mixes, fraction, sources=sources)
+        return contracts_for_fraction(dataset, fraction, sources=sources)
     with open(spec, encoding="utf-8") as handle:
         data = _load_yaml(handle)
     if not isinstance(data, list):
@@ -123,8 +131,14 @@ def _parse_contracts_arg(spec: str, dataset, sources: SourceRegistry):
     )
 
 
-def _timestamp_label(mix) -> str:
-    return mix.timestamp.strftime(TIMESTAMP_FORMAT)
+def _timestamp_labels(dataset) -> list[str]:
+    """Each step's timestamp as TIMESTAMP_FORMAT writes it. From year 1000
+    on, isoformat's first 19 characters are those fields, and cheaper (below
+    it, strftime does not pad the year on every platform)."""
+    return [
+        t.isoformat()[:19] + "Z" if t.year >= 1000 else t.strftime(TIMESTAMP_FORMAT)
+        for t in dataset.timestamps
+    ]
 
 
 def cmd_ci(args) -> list[dict]:
@@ -132,8 +146,8 @@ def cmd_ci(args) -> list[dict]:
     dataset = _load_dataset(args)
     contracts = _parse_contracts_arg(args.contracts, dataset, sources)
     records = [
-        {"timestamp": _timestamp_label(mix), "region": dataset.region, "ci_g_per_kwh": ci}
-        for mix, ci in zip(dataset.mixes, total_signal(dataset, sources))
+        {"timestamp": label, "region": dataset.region, "ci_g_per_kwh": ci}
+        for label, ci in zip(_timestamp_labels(dataset), total_signal(dataset, sources))
     ]
     aggregate = {
         "timestamp": "aggregate",
@@ -141,12 +155,10 @@ def cmd_ci(args) -> list[dict]:
         "ci_g_per_kwh": float(period_ci(dataset, sources)),
     }
     if contracts is not None:
-        residuals = [r.mix for r in residual_mixes(dataset.mixes, contracts, sources)]
-        for record, residual in zip(records, residuals):
-            record["residual_ci_g_per_kwh"] = (
-                float(compute_average_ci(residual, sources)) if residual.total_energy > 0 else ""
-            )
-        ci_res = energy_weighted_ci(residuals, sources)
+        residual = _residual_dataset(dataset, contracts, sources)
+        for record, ci in zip(records, _ci_steps(residual, sources)):
+            record["residual_ci_g_per_kwh"] = "" if ci is None else ci
+        ci_res = energy_weighted_ci(residual, sources)
         aggregate["residual_ci_g_per_kwh"] = "" if ci_res is None else ci_res
     records.append(aggregate)
     return records
@@ -158,17 +170,15 @@ def cmd_residual(args) -> list[dict]:
     categories = args.categories.split(",")
     total = total_signal(dataset, sources)
     resid = residual_signal(dataset, args.fraction, categories, sources)
-    records = []
-    for mix, ci, ci_res in zip(dataset.mixes, total, resid):
-        records.append(
-            {
-                "timestamp": _timestamp_label(mix),
-                "region": dataset.region,
-                "ci_g_per_kwh": ci,
-                "residual_ci_g_per_kwh": ci_res,
-            }
-        )
-    return records
+    return [
+        {
+            "timestamp": label,
+            "region": dataset.region,
+            "ci_g_per_kwh": ci,
+            "residual_ci_g_per_kwh": ci_res,
+        }
+        for label, ci, ci_res in zip(_timestamp_labels(dataset), total, resid)
+    ]
 
 
 def _report_records(report) -> list[dict]:

@@ -17,22 +17,29 @@ contracts once, so the residual mixes and every buyer's claim cost
 O(regions + contracts) together. The other functions here that allocate
 are views of it.
 
-:func:`residual_mixes` is the one loop over the steps of a series: it
-allocates the same contracts at every step, and every per-step residual
-signal and period residual aggregate is a reduction over its result.
-Contracts covering a fraction of generation are series contracts too:
-:func:`contracts_for_fraction` builds one contract per contracted source
-for a whole series, with a per-step energy tuple.
+:func:`_remove_contracted` is the one allocation along the steps of a
+series: over generation columns, it sums each contracted source's claims
+per step and removes them, clamped at the generation. The residual CI
+signal, the period residual aggregates and :func:`residual_mixes` all
+read its residual columns. Contracts covering a fraction of generation
+are series contracts too: :func:`contracts_for_fraction` builds one
+contract per contracted source for a whole series, with a per-step
+energy tuple.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator, Mapping, Sequence
-from dataclasses import dataclass, field
+from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
+from dataclasses import dataclass, field, replace
+from functools import partial
+from itertools import repeat
+from operator import gt, mul, sub
+from typing import NamedTuple
 
 from .errors import ContractNotCarbonFree, EmptyMix, EmptyResidual, UnknownRegion
 from .factors import check_categories
-from .grid import CarbonIntensity, GridMix, SourceRegistry, compute_average_ci
+from .grid import CarbonIntensity, GridMix, SourceRegistry, _columns, compute_average_ci
+from .ingest import LoadSummary, RegionDataset
 
 PHYSICAL_KINDS = frozenset({"physical_onsite", "physical_offsite"})
 CONTRACT_KINDS = PHYSICAL_KINDS | {"financial", "rec"}
@@ -43,9 +50,10 @@ class Contract:
     """A PPA or REC purchase granting ``buyer`` a claim on contracted generation.
 
     ``energy_mwh`` is the contracted energy per time step: a scalar, or
-    a sequence aligned step-for-step with a series of mixes, which only
-    :func:`residual_mixes` reads. A REC purchase is accounting-wise
-    identical to a financial PPA here; the kind tag is kept for reporting.
+    a sequence with exactly one entry per step of a series, which only
+    the series allocation (:func:`residual_mixes`, ``ci --contracts``)
+    reads. A REC purchase is accounting-wise identical to a financial PPA
+    here; the kind tag is kept for reporting.
     """
 
     id: str
@@ -65,8 +73,8 @@ class Contract:
             if self.energy_mwh < 0:
                 raise ValueError(f"contract {self.id!r}: energy must be >= 0")
         else:
-            object.__setattr__(self, "energy_mwh", tuple(float(e) for e in self.energy_mwh))
-            if any(e < 0 for e in self.energy_mwh):
+            object.__setattr__(self, "energy_mwh", tuple(map(float, self.energy_mwh)))
+            if any(map(partial(gt, 0.0), self.energy_mwh)):
                 raise ValueError(f"contract {self.id!r}: energy must be >= 0 at every step")
 
     def energy_at(self, step: int | None = None) -> float:
@@ -306,7 +314,7 @@ def compute_residual_ci(
 
 
 def contracts_for_fraction(
-    mixes: GridMix | Sequence[GridMix],
+    mixes: GridMix | Sequence[GridMix] | RegionDataset,
     fraction: float | Mapping[str, float],
     categories: Sequence[str] = ("solar", "wind"),
     sources: SourceRegistry | None = None,
@@ -320,10 +328,10 @@ def contracts_for_fraction(
     what-if analyses such as "all solar and wind is contracted out".
 
     Given one mix, each contract's ``energy_mwh`` is a number. Given a
-    sequence of one region's mixes, each contract covers the whole
-    series: its ``energy_mwh`` holds ``generation * fraction`` per step,
-    for use with :func:`residual_mixes`. A source gets a contract when
-    that energy is positive in at least one step.
+    dataset or a sequence of one region's mixes, each contract covers the
+    whole series: its ``energy_mwh`` holds ``generation * fraction`` per
+    step. A source gets a contract when that energy is positive in at
+    least one step.
 
     Raises:
         ValueError: if a category is unknown, a fraction is outside
@@ -340,26 +348,125 @@ def contracts_for_fraction(
         if not 0.0 <= f <= 1.0:
             raise ValueError(f"contract fraction for {cat!r} must be in [0, 1], got {f}")
     series = not isinstance(mixes, GridMix)
-    steps = tuple(mixes) if series else (mixes,)
-    regions = {mix.region for mix in steps}
-    if len(regions) > 1:
-        raise ValueError(f"contracts_for_fraction needs one region's mixes, got {sorted(regions)}")
+    if isinstance(mixes, RegionDataset):
+        region, source_ids, columns = mixes.region, mixes.source_ids, mixes.columns
+    else:
+        steps = tuple(mixes) if series else (mixes,)
+        region = _one_region(steps, "contracts_for_fraction")
+        source_ids, columns = _columns(steps)
     contracts = []
-    for source_id in sorted({source_id for mix in steps for source_id in mix.generation}):
+    for source_id, column in sorted(zip(source_ids, columns)):
         f = per_category.get(sources.get(source_id).category, 0.0)
-        energy = tuple(mix.generation.get(source_id, 0.0) * f for mix in steps)
-        if any(e > 0 for e in energy):
+        energy = tuple(map(mul, column, repeat(f)))
+        if max(energy, default=0.0) > 0:
             contracts.append(
                 Contract(
                     id=f"{buyer}:{source_id}",
                     buyer=buyer,
                     kind="financial",
                     source_id=source_id,
-                    source_region=steps[0].region,
+                    source_region=region,
                     energy_mwh=energy if series else energy[0],
                 )
             )
     return tuple(contracts)
+
+
+def _one_region(mixes: Sequence[GridMix], caller: str) -> str | None:
+    """The region of a run of mixes (``None`` for no mixes); several raise ValueError."""
+    regions = {mix.region for mix in mixes}
+    if len(regions) > 1:
+        raise ValueError(f"{caller} needs one region's mixes, got {sorted(regions)}")
+    return mixes[0].region if mixes else None
+
+
+class _Removal(NamedTuple):
+    """One contracted source along a series: its contracts in input order,
+    and the MWh claimed, removed and left over at each step."""
+
+    contracts: tuple[Contract, ...]
+    claimed: tuple[float, ...]
+    removed: tuple[float, ...]
+    residual: tuple[float, ...]
+
+
+def _remove_contracted(
+    region: str | None,
+    steps: int,
+    column: Callable[[str], Sequence[float]],
+    contracts: Sequence[Contract],
+    sources: SourceRegistry,
+    summary: LoadSummary | None = None,
+) -> dict[str, _Removal]:
+    """Remove the contracts of ``region`` from its generation columns.
+
+    ``column(source_id)`` is the source's generation per step, zeros for
+    a source the series lacks. For each contracted source, in order of its
+    first contract, the claim of a step sums its contracts' energy in input
+    order. ``removed`` is the claim when it is at most the generation,
+    and otherwise the generation (the source is over-contracted at that
+    step: claimed > removed). The residual is ``g - removed``, which keeps
+    ``g`` when nothing is removed. These are the floats of
+    :func:`compute_residual_mix` step by step.
+
+    Raises:
+        ContractNotCarbonFree: if a contract of the region targets a
+            source with a nonzero emission factor.
+        ValueError: if a contract's per-step energy does not have exactly
+            one entry per step; the message gives the rows the load
+            dropped, if any.
+    """
+    by_source: dict[str, list[Contract]] = {}
+    for contract in contracts:
+        if contract.source_region != region:
+            continue
+        if not sources.get(contract.source_id).carbon_free:
+            raise ContractNotCarbonFree(
+                f"contract {contract.id!r} targets {contract.source_id!r}, which is not carbon-free"
+            )
+        energy = contract.energy_mwh
+        if not isinstance(energy, float) and len(energy) != steps:
+            dropped = summary.rows_dropped if summary is not None else 0
+            raise ValueError(
+                f"contract {contract.id!r} has {len(energy)} per-step energy_mwh values "
+                f"for a series of {steps} steps"
+                + (f" (rows dropped on load for a blank cell: {dropped})" if dropped else "")
+            )
+        by_source.setdefault(contract.source_id, []).append(contract)
+
+    removals: dict[str, _Removal] = {}
+    for source_id, source_contracts in by_source.items():
+        generation = column(source_id)
+        energies = [
+            repeat(c.energy_mwh, steps) if isinstance(c.energy_mwh, float) else c.energy_mwh
+            for c in source_contracts
+        ]
+        claimed = tuple(map(sum, zip(*energies)))
+        removed = tuple(map(min, claimed, generation))
+        # max(g - removed, 0.0) is g - removed bit for bit, as removed <= g.
+        residual = tuple(map(sub, generation, removed))
+        removals[source_id] = _Removal(tuple(source_contracts), claimed, removed, residual)
+    return removals
+
+
+def _residual_dataset(
+    dataset: RegionDataset, contracts: Sequence[Contract], sources: SourceRegistry
+) -> RegionDataset:
+    """The dataset with each contracted source's column replaced by its
+    residual column, and no published CI (it priced the whole mix)."""
+    removals = _remove_contracted(
+        dataset.region, len(dataset), dataset.column, contracts, sources, dataset.summary
+    )
+    columns = tuple(
+        removals[source_id].residual if source_id in removals else column
+        for source_id, column in zip(dataset.source_ids, dataset.columns)
+    )
+    return replace(dataset, columns=columns, published_ci=None)
+
+
+def _fully_contracted(region: str | None, step: int) -> EmptyResidual:
+    """The error for a step with generation and an empty residual."""
+    return EmptyResidual(f"step {step} of region {region!r} is fully contracted")
 
 
 def residual_mixes(
@@ -368,12 +475,12 @@ def residual_mixes(
     sources: SourceRegistry | None = None,
     require_residual: bool = False,
 ) -> Iterator[ResidualMix]:
-    """Yield the residual mix of every step of a series, with the same contracts.
+    """Yield the residual mix of every step of one region's series, with the same contracts.
 
     Step ``t`` allocates each contract's energy at step ``t`` (a scalar
-    energy applies at every step) through :func:`compute_residual_mix`.
-    Steps are computed as they are consumed, so a reduction over them
-    holds one step's residual at a time.
+    energy applies at every step), as :func:`compute_residual_mix` would,
+    from the columns :func:`_remove_contracted` computes for the whole
+    series when the first step is consumed.
 
     With ``require_residual``, a step that has generation but is fully
     contracted stops the loop there, as a residual CI is needed at every
@@ -382,15 +489,44 @@ def residual_mixes(
     Raises:
         ContractNotCarbonFree: if a contract of the mixes' region targets
             a source with a nonzero emission factor.
-        ValueError: if a per-step contract series is shorter than the mixes.
+        ValueError: if the mixes span several regions, or a per-step
+            contract series does not have one entry per mix.
         EmptyResidual: with ``require_residual``, if a step with
             generation is fully contracted.
     """
     sources = sources or SourceRegistry.default()
+    mixes = tuple(mixes)
+    region = _one_region(mixes, "residual_mixes")
+
+    def column(source_id: str) -> tuple[float, ...]:
+        return tuple(mix.generation.get(source_id, 0.0) for mix in mixes)
+
+    removals = _remove_contracted(region, len(mixes), column, contracts, sources)
     for step, mix in enumerate(mixes):
-        residual = compute_residual_mix(mix, contracts, sources, step)
+        generation = dict(mix.generation)
+        removed: dict[str, float] = {}
+        allocated: dict[str, float] = {}
+        over_contracted = set()
+        for source_id, removal in removals.items():
+            claim, amount = removal.claimed[step], removal.removed[step]
+            scale = 1.0
+            if claim > amount:
+                over_contracted.add(source_id)
+                scale = amount / claim
+            for contract in removal.contracts:
+                share = contract.energy_at(step) * scale
+                allocated[contract.id] = allocated.get(contract.id, 0.0) + share
+            if amount > 0:
+                removed[source_id] = amount
+                generation[source_id] = removal.residual[step]
+        residual = ResidualMix(
+            mix=GridMix(region=mix.region, generation=generation, timestamp=mix.timestamp),
+            removed=removed,
+            over_contracted=frozenset(over_contracted),
+            allocated=allocated,
+        )
         if require_residual and residual.total_energy <= 0 < mix.total_energy:
-            raise EmptyResidual(f"step {step} of region {mix.region!r} is fully contracted")
+            raise _fully_contracted(region, step)
         yield residual
 
 

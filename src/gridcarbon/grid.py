@@ -14,9 +14,11 @@ steps.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from datetime import datetime
+from itertools import repeat
+from operator import mul, truediv
 
 from .errors import EmptyMix, UnknownSource
 from .factors import DEFAULT_CEF, SOURCE_CATEGORIES, is_carbon_free_category
@@ -179,3 +181,55 @@ def compute_average_ci(mix: GridMix, sources: SourceRegistry | None = None) -> C
         mwh * sources.get(source_id).cef for source_id, mwh in mix.generation.items()
     )
     return CarbonIntensity(weighted / total)
+
+
+# Per-step helpers over generation columns: one float tuple per source id,
+# all of the series' length. Each keeps the per-mix expression above, term
+# for term and in column order, so a series computed on columns gives the
+# same floats as the same mixes computed one by one.
+
+_Row = tuple[float, ...]
+
+
+def _columns(mixes: Sequence[GridMix]) -> tuple[tuple[str, ...], tuple[_Row, ...]]:
+    """The source ids of a run of mixes, in order of first appearance, and
+    one generation column per id, with 0.0 where a mix lacks the id."""
+    source_ids = tuple(dict.fromkeys(s for mix in mixes for s in mix.generation))
+    columns = tuple(tuple(mix.generation.get(s, 0.0) for mix in mixes) for s in source_ids)
+    return source_ids, columns
+
+
+def _rows(columns: Sequence[Iterable[float]], steps: int) -> Iterator[_Row]:
+    """The per-step rows of generation columns (empty rows when there are none)."""
+    return zip(*columns) if columns else repeat((), steps)
+
+
+def _cefs(source_ids: Iterable[str], sources: SourceRegistry) -> _Row:
+    """The emission factor of each source id, resolved once for a whole series."""
+    return tuple(sources.get(source_id).cef for source_id in source_ids)
+
+
+def _weighted(
+    columns: Sequence[_Row], cefs: _Row, steps: int, scale: float | None = None
+) -> Iterator[float]:
+    """Per step, sum(mwh * cef) in column order, or sum(mwh * cef * scale)."""
+    terms = [map(mul, column, repeat(cef)) for column, cef in zip(columns, cefs)]
+    if scale is not None:
+        terms = [map(mul, column, repeat(scale)) for column in terms]
+    return map(sum, _rows(terms, steps))
+
+
+def _step_cis(columns: Sequence[_Row], cefs: _Row, steps: int) -> tuple[float | None, ...]:
+    """:func:`compute_average_ci` of each step, or ``None`` for a step without energy."""
+    totals = map(sum, _rows(columns, steps))
+    weighted = _weighted(columns, cefs, steps)
+    return tuple(w / total if total > 0 else None for w, total in zip(weighted, totals))
+
+
+def _step_emissions(columns: Sequence[_Row], cefs: _Row, steps: int) -> tuple[_Row, _Row]:
+    """Per step, :func:`total_emissions` over 1000 (MWh · g/kWh), and the total energy in MWh."""
+    emissions = _weighted(columns, cefs, steps, KWH_PER_MWH)
+    return (
+        tuple(map(truediv, emissions, repeat(KWH_PER_MWH))),
+        tuple(map(sum, _rows(columns, steps))),
+    )

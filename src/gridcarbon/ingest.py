@@ -17,14 +17,18 @@ from __future__ import annotations
 
 import csv
 import math
+import re
 import warnings
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
 from datetime import datetime, timezone
+from functools import cached_property
+from operator import itemgetter, lt
 from pathlib import Path
 
 from .errors import GapError, ParseError, SchemaError
 from .factors import SOURCE_CATEGORIES
-from .grid import GridMix
+from .grid import GridMix, _columns, _rows
 
 TIMESTAMP_FORMAT = "%Y-%m-%dT%H:%M:%SZ"
 TIMESTAMP_COLUMN = "timestamp"
@@ -45,54 +49,115 @@ class LoadSummary:
     ignored_columns: tuple[str, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class RegionDataset:
-    """An ordered series of grid mixes for one region.
+    """An ordered series of one region's generation, stored as columns.
 
-    Timestamps must be present and strictly increasing. Even spacing is
-    not enforced, as drop-row loading can leave gaps; see :attr:`is_uniform`.
+    ``timestamps`` holds one timestamp per step, present and strictly
+    increasing. Even spacing is not enforced, as drop-row loading can leave
+    gaps; see :attr:`is_uniform`. ``source_ids`` names the sources in
+    column order (a CSV's header order) and ``columns`` holds one float
+    tuple of MWh per source, aligned with the timestamps.
 
     ``published_ci`` is the operator's own carbon-intensity signal,
-    aligned step-for-step with the mixes when present.
+    aligned step-for-step with the timestamps when present.
+
+    ``RegionDataset(region, mixes=...)`` builds the columns from one
+    :class:`GridMix` per step: the union of their source ids in order of
+    first appearance, with 0.0 where a mix lacks a source. :attr:`mixes`
+    is the reverse view, built from the columns on first access.
     """
 
     region: str
-    mixes: tuple[GridMix, ...]
-    published_ci: tuple[float, ...] | None = None
-    summary: LoadSummary | None = None
+    timestamps: tuple[datetime, ...]
+    source_ids: tuple[str, ...]
+    columns: tuple[tuple[float, ...], ...]
+    published_ci: tuple[float, ...] | None
+    summary: LoadSummary | None
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "mixes", tuple(self.mixes))
-        previous: datetime | None = None
-        for i, mix in enumerate(self.mixes):
-            if mix.region != self.region:
-                raise ValueError(f"step {i} has region {mix.region!r}, expected {self.region!r}")
-            if mix.timestamp is None:
-                raise ValueError(f"step {i} is missing a timestamp")
-            if previous is not None and mix.timestamp <= previous:
-                raise ValueError(f"timestamps must be strictly increasing (step {i})")
-            previous = mix.timestamp
-        if self.published_ci is not None:
-            object.__setattr__(self, "published_ci", tuple(self.published_ci))
-            if len(self.published_ci) != len(self.mixes):
+    def __init__(
+        self,
+        region: str,
+        mixes: Iterable[GridMix] | None = None,
+        published_ci: Sequence[float] | None = None,
+        summary: LoadSummary | None = None,
+        *,
+        timestamps: Sequence[datetime] = (),
+        source_ids: Sequence[str] = (),
+        columns: Sequence[Sequence[float]] = (),
+    ) -> None:
+        if mixes is not None:
+            if timestamps or source_ids or columns:
+                raise ValueError("give a dataset either mixes or columns, not both")
+            mixes = tuple(mixes)
+            for i, mix in enumerate(mixes):
+                if mix.region != region:
+                    raise ValueError(f"step {i} has region {mix.region!r}, expected {region!r}")
+                if mix.timestamp is None:
+                    raise ValueError(f"step {i} is missing a timestamp")
+            timestamps = tuple(mix.timestamp for mix in mixes)
+            source_ids, columns = _columns(mixes)
+        timestamps = tuple(timestamps)
+        source_ids = tuple(source_ids)
+        columns = tuple(tuple(column) for column in columns)
+        if not all(map(lt, timestamps, timestamps[1:])):
+            step = next(
+                i for i in range(1, len(timestamps)) if not timestamps[i - 1] < timestamps[i]
+            )
+            raise ValueError(f"timestamps must be strictly increasing (step {step})")
+        if len(source_ids) != len(columns) or len(set(source_ids)) != len(source_ids):
+            raise ValueError("a dataset needs one column per distinct source id")
+        for source_id, column in zip(source_ids, columns):
+            if len(column) != len(timestamps):
                 raise ValueError(
-                    f"published_ci has {len(self.published_ci)} values "
-                    f"for {len(self.mixes)} series steps"
+                    f"column {source_id!r} has {len(column)} values "
+                    f"for {len(timestamps)} timestamps"
                 )
+            if column and min(column) < 0:
+                raise ValueError(f"generation for {source_id!r} must be >= 0, got {min(column)}")
+        if published_ci is not None:
+            published_ci = tuple(published_ci)
+            if len(published_ci) != len(timestamps):
+                raise ValueError(
+                    f"published_ci has {len(published_ci)} values "
+                    f"for {len(timestamps)} series steps"
+                )
+        for name, value in (
+            ("region", region),
+            ("timestamps", timestamps),
+            ("source_ids", source_ids),
+            ("columns", columns),
+            ("published_ci", published_ci),
+            ("summary", summary),
+        ):
+            object.__setattr__(self, name, value)
 
     def __len__(self) -> int:
-        return len(self.mixes)
+        return len(self.timestamps)
+
+    def rows(self) -> Iterable[tuple[float, ...]]:
+        """The generation of each step, one value per source in column order."""
+        return _rows(self.columns, len(self.timestamps))
+
+    def column(self, source_id: str) -> tuple[float, ...]:
+        """The generation column of a source id; zeros when the dataset lacks it."""
+        if source_id in self.source_ids:
+            return self.columns[self.source_ids.index(source_id)]
+        return (0.0,) * len(self.timestamps)
+
+    @cached_property
+    def mixes(self) -> tuple[GridMix, ...]:
+        """One :class:`GridMix` per step, built from the columns on first access."""
+        return tuple(
+            GridMix(region=self.region, generation=dict(zip(self.source_ids, row)), timestamp=t)
+            for t, row in zip(self.timestamps, self.rows())
+        )
 
     @property
     def is_uniform(self) -> bool:
         """True when consecutive timestamps are evenly spaced."""
-        if len(self.mixes) < 2:
-            return True
-        deltas = {
-            self.mixes[i + 1].timestamp - self.mixes[i].timestamp
-            for i in range(len(self.mixes) - 1)
-        }
-        return len(deltas) == 1
+        timestamps = self.timestamps
+        return len({b - a for a, b in zip(timestamps, timestamps[1:])}) <= 1
 
 
 def check_basis(dataset: RegionDataset, basis: str) -> None:
@@ -103,9 +168,22 @@ def check_basis(dataset: RegionDataset, basis: str) -> None:
         raise ValueError(f"dataset for region {dataset.region!r} has no published CI series")
 
 
+# The canonical timestamp shape, ASCII digits only. ``datetime.fromisoformat``
+# reads it, with ``Z`` as timezone.utc, many times faster than ``strptime``
+# and to the same datetime; every other value goes to ``strptime``, so the
+# accepted set and the errors stay those of TIMESTAMP_FORMAT.
+_CANONICAL_TIMESTAMP = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}T[0-9]{2}:[0-9]{2}:[0-9]{2}Z")
+
+
+def _timestamp(raw: str) -> datetime:
+    if _CANONICAL_TIMESTAMP.fullmatch(raw):
+        return datetime.fromisoformat(raw)
+    return datetime.strptime(raw, TIMESTAMP_FORMAT).replace(tzinfo=timezone.utc)
+
+
 def _parse_timestamp(raw: str, row: int) -> datetime:
     try:
-        return datetime.strptime(raw, TIMESTAMP_FORMAT).replace(tzinfo=timezone.utc)
+        return _timestamp(raw)
     except ValueError:
         raise ParseError(
             f"invalid timestamp {raw!r} (expected YYYY-MM-DDTHH:00:00Z)",
@@ -128,19 +206,91 @@ def _parse_cell(raw: str, row: int, column: str, minimum: float | None = 0.0) ->
     return value
 
 
-_Row = tuple[datetime, dict[str, float], float | None]
+def _picker(indexes: Sequence[int]) -> Callable[[list[str]], tuple[str, ...]]:
+    """A function from a row's cells to the cells at ``indexes``, as a tuple."""
+    if len(indexes) > 1:
+        return itemgetter(*indexes)
+    return lambda cells: tuple(cells[i] for i in indexes)
 
 
-def _read_csv(
-    path: Path, fill_policy: str, bare_signal: bool = False
-) -> tuple[list[_Row], bool, LoadSummary] | None:
+def _parse_row(
+    raw: Sequence[str], row: int, names: Sequence[str], zero_fill: bool
+) -> tuple[tuple[float, ...] | None, int]:
+    """A row's values, one per named raw cell, under the blank-cell policy,
+    and the cells filled; ``None`` when a blank cell drops the row."""
+    values = []
+    filled = 0
+    for name, cell in zip(names, raw):
+        cell = cell.strip()
+        if cell:
+            values.append(_parse_cell(cell, row, name))
+        elif zero_fill:
+            values.append(0.0)
+            filled += 1
+        else:
+            return None, 0
+    return tuple(values), filled
+
+
+# A row read but not yet parsed: its number, stripped timestamp and raw cells.
+_RawRow = tuple[int, str, tuple[str, ...]]
+
+
+def _parse_columns(
+    rows: Sequence[_RawRow],
+) -> tuple[list[datetime], list[tuple[float, ...]]] | None:
+    """Parse rows a column at a time: their timestamps and values, or
+    ``None`` when a cell or timestamp fails a check. A value passes when
+    it is a number >= 0; a NaN or inf makes its column's sum NaN or inf."""
+    if not rows:
+        return [], []
+    _, raw_timestamps, raw_rows = zip(*rows)
+    try:
+        timestamps = list(map(_timestamp, raw_timestamps))
+        columns = [tuple(map(float, column)) for column in zip(*raw_rows)]
+    except ValueError:
+        return None
+    if not all(min(column) >= 0.0 and sum(column) < math.inf for column in columns):
+        return None
+    return timestamps, list(zip(*columns))
+
+
+def _parse_rows(
+    clean: list[_RawRow], blank: list[_RawRow], names: Sequence[str], zero_fill: bool
+) -> tuple[list[datetime], list[tuple[float, ...]], int, int]:
+    """Parse the rows read: the kept timestamps and values (in no set
+    order), the rows dropped and the cells filled.
+
+    ``clean`` rows have no empty cell and ``blank`` rows have one. When
+    every clean row passes the checks, they parse a column at a time and
+    only blank rows go one by one through the timestamp check, the
+    blank-cell policy and :func:`_parse_cell`. Otherwise every row does,
+    in file order, so the first bad row raises its error.
+    """
+    parsed = _parse_columns(clean)
+    timestamps, rows = parsed if parsed is not None else ([], [])
+    dropped = filled = 0
+    for row, raw_timestamp, raw in blank if parsed is not None else sorted(clean + blank):
+        timestamp = _parse_timestamp(raw_timestamp, row)
+        values, row_filled = _parse_row(raw, row, names, zero_fill)
+        if values is None:
+            dropped += 1
+            continue
+        filled += row_filled
+        timestamps.append(timestamp)
+        rows.append(values)
+    return timestamps, rows, dropped, filled
+
+
+def _read_csv(path: Path, fill_policy: str, bare_signal: bool = False) -> tuple | None:
     """Read a CSV under the header and row checks every layout shares.
 
-    Returns the kept rows as (timestamp, generation, published CI) in
-    timestamp order, whether the published CI column is present, and the
-    load summary. With ``bare_signal`` the header must hold only
-    ``timestamp`` and ``ci_g_per_kwh`` (``None`` is returned otherwise)
-    and no source column is needed; without it one source column is.
+    Returns the kept rows as columns in timestamp order: the timestamps,
+    one generation column per source column in header order, the
+    published CI when its column is present, and the load summary. With
+    ``bare_signal`` the header must hold only ``timestamp`` and
+    ``ci_g_per_kwh`` (``None`` is returned otherwise) and no source column
+    is needed; without it one source column is.
     """
     with path.open("r", encoding="utf-8", newline="") as handle:
         reader = csv.reader(handle)
@@ -158,7 +308,7 @@ def _read_csv(
             raise SchemaError(f"{path}: missing required column {TIMESTAMP_COLUMN!r}")
         if len(set(header)) != len(header):
             raise SchemaError(f"{path}: duplicate column names in header")
-        source_columns = [name for name in header if name in SOURCE_CATEGORIES]
+        source_columns = tuple(name for name in header if name in SOURCE_CATEGORIES)
         ignored = tuple(
             name
             for name in header
@@ -172,62 +322,44 @@ def _read_csv(
         if not source_columns and not bare_signal:
             raise SchemaError(f"{path}: no recognized source columns in header")
         has_published = PUBLISHED_CI_COLUMN in header
-        index = {name: i for i, name in enumerate(header)}
+        # Every parsed cell of a row: the source columns, then the published CI.
+        names = [*source_columns, *([PUBLISHED_CI_COLUMN] if has_published else [])]
+        pick = _picker([header.index(name) for name in names])
+        timestamp_at = header.index(TIMESTAMP_COLUMN)
+        zero_fill = fill_policy == "zero-fill"
 
-        rows: list[_Row] = []
-        rows_read = rows_dropped = cells_filled = 0
-        for row_number, cells in enumerate(reader, start=2):
-            if not cells or all(not cell.strip() for cell in cells):
-                continue
-            rows_read += 1
-            if len(cells) != len(header):
+        clean: list[_RawRow] = []
+        blank: list[_RawRow] = []
+        rows_read = 0
+        try:
+            for row_number, cells in enumerate(reader, start=2):
+                if not (cells and (cells[0].strip() or any(map(str.strip, cells)))):
+                    continue
+                rows_read += 1
+                if len(cells) != len(header):
+                    raise ParseError(
+                        f"expected {len(header)} cells, got {len(cells)}", row=row_number
+                    )
+                raw_timestamp = cells[timestamp_at].strip()
+                if not raw_timestamp:
+                    raise ParseError("missing timestamp", row=row_number, column=TIMESTAMP_COLUMN)
+                raw = pick(cells)
+                (clean if all(raw) else blank).append((row_number, raw_timestamp, raw))
+        except ParseError:
+            _parse_rows(clean, blank, names, zero_fill)  # a bad row before this one comes first
+            raise
+    timestamps, rows, rows_dropped, cells_filled = _parse_rows(clean, blank, names, zero_fill)
+
+    if not all(map(lt, timestamps, timestamps[1:])):
+        order = sorted(range(len(timestamps)), key=timestamps.__getitem__)
+        timestamps = [timestamps[i] for i in order]
+        rows = [rows[i] for i in order]
+        for first, second in zip(timestamps, timestamps[1:]):
+            if first == second:
                 raise ParseError(
-                    f"expected {len(header)} cells, got {len(cells)}", row=row_number
+                    f"duplicate timestamp {first.strftime(TIMESTAMP_FORMAT)}",
+                    column=TIMESTAMP_COLUMN,
                 )
-            raw_timestamp = cells[index[TIMESTAMP_COLUMN]].strip()
-            if not raw_timestamp:
-                raise ParseError("missing timestamp", row=row_number, column=TIMESTAMP_COLUMN)
-            timestamp = _parse_timestamp(raw_timestamp, row_number)
-
-            generation: dict[str, float] = {}
-            dropped = False
-            filled = 0
-            for name in source_columns:
-                raw = cells[index[name]].strip()
-                if not raw:
-                    if fill_policy == "zero-fill":
-                        generation[name] = 0.0
-                        filled += 1
-                        continue
-                    dropped = True
-                    break
-                generation[name] = _parse_cell(raw, row_number, name)
-            if dropped:
-                rows_dropped += 1
-                continue
-
-            published: float | None = None
-            if has_published:
-                raw = cells[index[PUBLISHED_CI_COLUMN]].strip()
-                if not raw:
-                    if fill_policy == "zero-fill":
-                        published = 0.0
-                        filled += 1
-                    else:
-                        rows_dropped += 1
-                        continue
-                else:
-                    published = _parse_cell(raw, row_number, PUBLISHED_CI_COLUMN)
-            cells_filled += filled
-            rows.append((timestamp, generation, published))
-
-    rows.sort(key=lambda item: item[0])
-    for (first, _, _), (second, _, _) in zip(rows, rows[1:]):
-        if first == second:
-            raise ParseError(
-                f"duplicate timestamp {first.strftime(TIMESTAMP_FORMAT)}",
-                column=TIMESTAMP_COLUMN,
-            )
     summary = LoadSummary(
         rows_read=rows_read,
         rows_kept=len(rows),
@@ -235,7 +367,9 @@ def _read_csv(
         cells_filled=cells_filled,
         ignored_columns=ignored,
     )
-    return rows, has_published, summary
+    columns = tuple(zip(*rows)) if rows else ((),) * len(names)
+    published = columns[-1] if has_published else None
+    return tuple(timestamps), source_columns, columns[: len(source_columns)], published, summary
 
 
 def load_region_csv(
@@ -256,15 +390,13 @@ def load_region_csv(
     if fill_policy not in FILL_POLICIES:
         raise ValueError(f"fill_policy must be one of {FILL_POLICIES}, got {fill_policy!r}")
     path = Path(path)
-    region = region or path.stem
-    rows, has_published, summary = _read_csv(path, fill_policy)
+    timestamps, source_ids, columns, published_ci, summary = _read_csv(path, fill_policy)
     dataset = RegionDataset(
-        region=region,
-        mixes=tuple(
-            GridMix(region=region, generation=generation, timestamp=timestamp)
-            for timestamp, generation, _ in rows
-        ),
-        published_ci=tuple(p for _, _, p in rows) if has_published else None,
+        region=region or path.stem,
+        timestamps=timestamps,
+        source_ids=source_ids,
+        columns=columns,
+        published_ci=published_ci,
         summary=summary,
     )
     if strict and not dataset.is_uniform:
@@ -284,30 +416,25 @@ def load_signal_csv(path: str | Path) -> tuple[float, ...] | None:
         ParseError: a ragged row, a bad timestamp, a CI that is not a
             finite number >= 0, or a duplicate timestamp.
     """
-    read = _read_csv(Path(path), "drop-row", bare_signal=True)
-    if read is None:
-        return None
-    rows, _, _ = read
-    return tuple(published for _, _, published in rows)
+    table = _read_csv(Path(path), "drop-row", bare_signal=True)
+    return None if table is None else table[3]
 
 
 def write_region_csv(dataset: RegionDataset, path: str | Path) -> None:
     """Write a dataset back to CSV; loading the result is value-identical.
 
     Floats are written with ``repr`` so every value round-trips exactly.
-    Sources absent from a step are written as 0.0.
+    Source columns are written in name order.
     """
     path = Path(path)
-    columns = sorted({name for mix in dataset.mixes for name in mix.generation})
-    header = [TIMESTAMP_COLUMN, *columns]
+    named = sorted(zip(dataset.source_ids, dataset.columns))
+    header = [TIMESTAMP_COLUMN, *(name for name, _ in named)]
+    columns = [column for _, column in named]
     if dataset.published_ci is not None:
         header.append(PUBLISHED_CI_COLUMN)
+        columns.append(dataset.published_ci)
     with path.open("w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(header)
-        for i, mix in enumerate(dataset.mixes):
-            row = [mix.timestamp.strftime(TIMESTAMP_FORMAT)]
-            row.extend(repr(mix.generation.get(name, 0.0)) for name in columns)
-            if dataset.published_ci is not None:
-                row.append(repr(dataset.published_ci[i]))
-            writer.writerow(row)
+        for timestamp, row in zip(dataset.timestamps, _rows(columns, len(dataset))):
+            writer.writerow([timestamp.strftime(TIMESTAMP_FORMAT), *map(repr, row)])

@@ -14,9 +14,9 @@ import math
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 
-from .contracts import contracts_for_fraction, residual_mixes
-from .errors import SignalMismatch, WindowTooShort, ZeroBaseline
-from .grid import SourceRegistry, compute_average_ci
+from .contracts import _fully_contracted, _residual_dataset, contracts_for_fraction
+from .errors import EmptyMix, SignalMismatch, WindowTooShort, ZeroBaseline
+from .grid import SourceRegistry, _cefs, _step_cis
 from .ingest import RegionDataset, check_basis
 
 Signal = Sequence[float]
@@ -203,6 +203,30 @@ def shift_savings(
     return 100.0 * (from_emissions - to_emissions) / from_emissions
 
 
+def _ci_steps(dataset: RegionDataset, sources: SourceRegistry) -> tuple[float | None, ...]:
+    """The average CI of each step of a dataset, ``None`` for a step without energy."""
+    return _step_cis(dataset.columns, _cefs(dataset.source_ids, sources), len(dataset))
+
+
+def _signal(
+    dataset: RegionDataset, sources: SourceRegistry, uncontracted: RegionDataset | None = None
+) -> tuple[float, ...]:
+    """The per-step CI series of a dataset.
+
+    Raises:
+        EmptyMix: at the first step without energy, or EmptyResidual
+            there when ``dataset`` is the residual of ``uncontracted``
+            and that step had generation.
+    """
+    signal = _ci_steps(dataset, sources)
+    if None in signal:
+        step = signal.index(None)
+        if uncontracted is not None and sum(c[step] for c in uncontracted.columns) > 0:
+            raise _fully_contracted(dataset.region, step)
+        raise EmptyMix(f"carbon intensity undefined for empty mix in region {dataset.region!r}")
+    return signal
+
+
 def total_signal(
     dataset: RegionDataset,
     sources: SourceRegistry | None = None,
@@ -212,8 +236,7 @@ def total_signal(
     check_basis(dataset, basis)
     if basis == "published":
         return dataset.published_ci
-    sources = sources or SourceRegistry.default()
-    return tuple(float(compute_average_ci(mix, sources)) for mix in dataset.mixes)
+    return _signal(dataset, sources or SourceRegistry.default())
 
 
 def residual_signal(
@@ -229,6 +252,5 @@ def residual_signal(
         EmptyMix: if a step has no generation.
     """
     sources = sources or SourceRegistry.default()
-    contracts = contracts_for_fraction(dataset.mixes, contract_fraction, categories, sources)
-    residuals = residual_mixes(dataset.mixes, contracts, sources, require_residual=True)
-    return tuple(float(compute_average_ci(residual.mix, sources)) for residual in residuals)
+    contracts = contracts_for_fraction(dataset, contract_fraction, categories, sources)
+    return _signal(_residual_dataset(dataset, contracts, sources), sources, dataset)

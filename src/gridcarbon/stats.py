@@ -10,11 +10,13 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
+from itertools import compress
+from operator import mul
 
-from .contracts import contracts_for_fraction, residual_mixes
+from .contracts import _fully_contracted, _residual_dataset, contracts_for_fraction
 from .errors import EmptyFleet, EmptyMix, ZeroBaseline
 from .factors import check_categories
-from .grid import CarbonIntensity, GridMix, SourceRegistry, total_emissions
+from .grid import CarbonIntensity, SourceRegistry, _cefs, _step_emissions
 from .ingest import RegionDataset, check_basis
 
 SOLAR_WIND = ("solar", "wind")
@@ -60,12 +62,14 @@ def penetration(
     """
     check_categories(categories)
     sources = sources or SourceRegistry.default()
+    wanted = set(categories)
+    mask = tuple(sources.get(source_id).category in wanted for source_id in dataset.source_ids)
     total = 0.0
     selected = 0.0
     ratios = []
-    for mix in dataset.mixes:
-        step_total = mix.total_energy
-        step_selected = mix.energy_for_categories(categories, sources)
+    for row in dataset.rows():
+        step_total = sum(row)
+        step_selected = sum(compress(row, mask))
         total += step_total
         selected += step_selected
         if step_total > 0:
@@ -122,12 +126,13 @@ def _weighted_ci(steps: Iterable[tuple[float, float]]) -> float | None:
 
 
 def energy_weighted_ci(
-    mixes: Iterable[GridMix], sources: SourceRegistry | None = None
+    dataset: RegionDataset, sources: SourceRegistry | None = None
 ) -> float | None:
-    """Energy-weighted CI of a run of mixes from per-source factors, or
-    ``None`` when they hold no energy (a fully contracted residual)."""
+    """Energy-weighted CI of a dataset from per-source factors, or ``None``
+    when it holds no energy (a fully contracted residual)."""
     sources = sources or SourceRegistry.default()
-    return _weighted_ci((total_emissions(mix, sources) / 1000.0, mix.total_energy) for mix in mixes)
+    cefs = _cefs(dataset.source_ids, sources)
+    return _weighted_ci(zip(*_step_emissions(dataset.columns, cefs, len(dataset))))
 
 
 def _period(dataset: RegionDataset, ci: float | None) -> CarbonIntensity:
@@ -148,9 +153,9 @@ def period_ci(
     """
     check_basis(dataset, basis)
     if basis == "cef":
-        return _period(dataset, energy_weighted_ci(dataset.mixes, sources))
-    published = zip(dataset.mixes, dataset.published_ci)
-    return _period(dataset, _weighted_ci((m.total_energy * ci, m.total_energy) for m, ci in published))
+        return _period(dataset, energy_weighted_ci(dataset, sources))
+    totals = tuple(map(sum, dataset.rows()))
+    return _period(dataset, _weighted_ci(zip(map(mul, totals, dataset.published_ci), totals)))
 
 
 def period_residual_ci(
@@ -171,14 +176,19 @@ def period_residual_ci(
     """
     sources = sources or SourceRegistry.default()
     check_basis(dataset, basis)
-    contracts = contracts_for_fraction(dataset.mixes, contract_fraction, categories, sources)
-    residuals = residual_mixes(dataset.mixes, contracts, sources, require_residual=True)
+    contracts = contracts_for_fraction(dataset, contract_fraction, categories, sources)
+    residual = _residual_dataset(dataset, contracts, sources)
     if basis == "cef":
-        return _period(dataset, energy_weighted_ci((r.mix for r in residuals), sources))
-    published = zip(dataset.mixes, residuals, dataset.published_ci)
-    return _period(
-        dataset, _weighted_ci((m.total_energy * ci, r.total_energy) for m, r, ci in published)
-    )
+        cefs = _cefs(residual.source_ids, sources)
+        emissions, energy = _step_emissions(residual.columns, cefs, len(residual))
+    else:
+        emissions = tuple(map(mul, map(sum, dataset.rows()), dataset.published_ci))
+        energy = tuple(map(sum, residual.rows()))
+    if min(energy, default=1.0) <= 0:
+        for step, step_energy in enumerate(energy):
+            if step_energy <= 0 and sum(column[step] for column in dataset.columns) > 0:
+                raise _fully_contracted(dataset.region, step)
+    return _period(dataset, _weighted_ci(zip(emissions, energy)))
 
 
 def inflation_pct(ci_loc: float, ci_res: float) -> float:

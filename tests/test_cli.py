@@ -414,6 +414,19 @@ def test_schedule_infinite_discrepancy_is_an_error(capsys, tmp_path: Path) -> No
     assert "discrepancy_pct is inf" in err
 
 
+def test_csv_format_rejects_non_finite_like_json(capsys, tmp_path: Path) -> None:
+    """CSV output has no inf either: both formats give the same error line."""
+    reported = tmp_path / "reported.csv"
+    reported.write_text("timestamp,ci_g_per_kwh\n2022-06-01T00:00:00Z,0\n", encoding="utf-8")
+    actual = tmp_path / "actual.csv"
+    actual.write_text("timestamp,ci_g_per_kwh\n2022-06-01T00:00:00Z,10\n", encoding="utf-8")
+    argv = ("schedule", "--signal", str(reported), "--actual", str(actual), "--duration", "1")
+    csv_err = _single_error_line(capsys, *argv, "--format", "csv")
+    assert csv_err == _single_error_line(capsys, *argv, "--format", "json-records")
+    assert "discrepancy_pct is inf" in csv_err
+    assert capsys.readouterr().out == ""
+
+
 @pytest.mark.parametrize("start", ["2", "-1"])
 def test_schedule_fixed_start_outside_signal(capsys, tmp_path: Path, start: str) -> None:
     signal = tmp_path / "signal.csv"
@@ -683,11 +696,43 @@ def test_contracts_yaml_list_energy_is_per_step(capsys, tmp_path: Path) -> None:
     assert residual == [500.0, float(format(500_000.0 / 750.0, ".6g")), 571.429]
 
 
+def test_contracts_yaml_list_longer_than_kept_steps(capsys, tmp_path: Path) -> None:
+    """A per-step list needs one entry per kept step: a dropped row makes
+    three entries for two steps an error that counts the dropped row,
+    rather than shifting the list onto the wrong hours."""
+    mix = tmp_path / "three.csv"
+    mix.write_text(
+        "timestamp,wind,coal\n2022-06-01T00:00:00Z,,500\n"
+        "2022-06-01T01:00:00Z,500,500\n2022-06-01T02:00:00Z,500,500\n",
+        encoding="utf-8",
+    )
+    contracts = tmp_path / "contracts.yaml"
+    contracts.write_text("- {source: wind, energy_mwh: [0, 250, 400]}\n", encoding="utf-8")
+    err = _single_error_line(capsys, "ci", "--mix", str(mix), "--contracts", str(contracts))
+    assert "contract 'contract-0' has 3 per-step energy_mwh values for a series of 2 steps" in err
+    assert "rows dropped on load for a blank cell: 1" in err
+
+
+def test_contracts_yaml_list_longer_than_series(capsys, tmp_path: Path) -> None:
+    mix = tmp_path / "two.csv"
+    mix.write_text(
+        "timestamp,wind,coal\n2022-06-01T00:00:00Z,500,500\n2022-06-01T01:00:00Z,500,500\n",
+        encoding="utf-8",
+    )
+    contracts = tmp_path / "contracts.yaml"
+    contracts.write_text("- {source: wind, energy_mwh: [0, 250, 400]}\n", encoding="utf-8")
+    err = _single_error_line(capsys, "ci", "--mix", str(mix), "--contracts", str(contracts))
+    assert "has 3 per-step energy_mwh values for a series of 2 steps\n" in err
+
+
 # --- error contract ---------------------------------------------------------------------
 
 GOOD_CELL = st.sampled_from(["120", "7", "480", "0", "900", "55.5"])
 BAD_CELL = st.sampled_from(["", "nan", "-5", "inf", "x"])
 RARELY = st.sampled_from([False] * 9 + [True])
+# Mostly good cells, with blank ones (dropped or zero-filled rows) more
+# often than other bad ones.
+CELL = st.one_of(*[GOOD_CELL] * 6, st.just(""), BAD_CELL)
 
 
 @st.composite
@@ -700,7 +745,7 @@ def csv_texts(draw, columns: tuple[str, ...]) -> str:
         timestamp = f"2022-06-01T{hour:02d}:00:00Z"
         if draw(RARELY):
             timestamp = draw(st.sampled_from(["", "yesterday", "2022-06-01T00:00:00Z"]))
-        row = [timestamp, *(draw(BAD_CELL if draw(RARELY) else GOOD_CELL) for _ in columns)]
+        row = [timestamp, *(draw(CELL) for _ in columns)]
         if draw(RARELY):
             row = row[: draw(st.integers(min_value=1, max_value=len(row) - 1))]
         lines.append(",".join(row))
@@ -711,6 +756,18 @@ MIX_COLUMNS = st.sampled_from(
     [("wind", "coal"), ("solar", "wind", "gas"), ("wind",), ("wind", "coal", "ci_g_per_kwh")]
 )
 FRACTIONS = st.sampled_from(["0.5", "0", "0.8", "1", "1.5", "-0.25", "nan"])
+
+
+@st.composite
+def list_contracts(draw) -> str:
+    """A contracts YAML of per-step lists of random length, and the odd scalar."""
+    lines = []
+    for source in draw(st.lists(st.sampled_from(["wind", "solar"]), min_size=1, max_size=2)):
+        energy = draw(st.lists(st.sampled_from(["0", "50", "250", "400"]), max_size=6))
+        lines.append(f"- {{source: {source}, energy_mwh: [{', '.join(energy)}]}}")
+    if draw(RARELY):
+        lines.append("- {source: wind, energy_mwh: 100}")
+    return "\n".join(lines) + "\n"
 
 
 @st.composite
@@ -727,8 +784,12 @@ def cli_calls(draw) -> tuple[dict[str, str], list[str]]:
         return files, ["residual", "--mix", "mix.csv", "--fraction", draw(FRACTIONS)]
     if command == "ci":
         fraction = FRACTIONS.map("solar-wind:{}".format)
-        contracts = draw(st.one_of(st.sampled_from(["none", "all-solar-wind"]), fraction))
-        return files, ["ci", "--mix", "mix.csv", "--contracts", contracts]
+        contracts = draw(
+            st.one_of(st.sampled_from(["none", "all-solar-wind", "contracts.yaml"]), fraction)
+        )
+        files["contracts.yaml"] = draw(list_contracts())
+        policy = draw(st.sampled_from(["drop-row", "zero-fill"]))
+        return files, ["ci", "--mix", "mix.csv", "--contracts", contracts, "--fill-policy", policy]
     argv = ["schedule", "--signal", draw(st.sampled_from(["mix.csv", "bare.csv"]))]
     argv += ["--duration", draw(st.sampled_from(["1", "2", "4", "0"]))]
     actual = draw(st.sampled_from([None, "actual", "fraction"]))
@@ -755,29 +816,47 @@ def test_cli_error_contract(call) -> None:
     """Whatever the files and option values, the CLI exits 0, 1 or 2
     without a traceback, a failure prints exactly one ``error:`` line, and
     a success prints strict JSON, without NaN or Infinity. Every generated
-    argv is well formed, so argparse never rejects it."""
+    argv is well formed, so argparse never rejects it. Both output formats
+    agree: the same exit code and error line, and on success the CSV cells
+    equal the JSON values (both carry six significant digits)."""
     files, argv = call
+    runs = {}
     with tempfile.TemporaryDirectory() as tmp:
         for name, text in files.items():
             Path(tmp, name).write_text(text, encoding="utf-8")
         argv = [str(Path(tmp, arg)) if arg in files else arg for arg in argv]
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            try:
-                code = main(argv)
-            except SystemExit as exc:  # argparse rejected the generated argv
-                code = exc.code
-            except Exception:  # what the console script would print
-                traceback.print_exc()
-                code = None
-    stderr = err.getvalue()
+        for fmt in ("json-records", "csv"):
+            runs[fmt] = _run_captured([*argv, "--format", fmt])
+    (code, out, stderr), (csv_code, csv_out, csv_stderr) = runs["json-records"], runs["csv"]
     assert "Traceback" not in stderr, stderr
     assert code in (0, 1, 2), (argv, stderr)
+    assert (csv_code, csv_stderr) == (code, stderr), (argv, csv_stderr, stderr)
     if code != 0:
         assert stderr.startswith("error: ") and stderr.count("\n") == 1, (argv, stderr)
-    else:
-        for line in out.getvalue().splitlines():
-            json.loads(line, parse_constant=_not_json)
+        return
+    records = [json.loads(line, parse_constant=_not_json) for line in out.splitlines()]
+    rows = list(csv.DictReader(io.StringIO(csv_out)))
+    assert len(rows) == len(records), argv
+    for record, row in zip(records, rows):
+        for key, value in record.items():
+            cell = row[key]
+            if isinstance(value, float):
+                assert float(cell) == value, (argv, key, cell, value)
+            else:
+                assert cell == str(value), (argv, key, cell, value)
+
+
+def _run_captured(argv: list[str]) -> tuple[int | None, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejected the generated argv
+            code = exc.code
+        except Exception:  # what the console script would print
+            traceback.print_exc()
+            code = None
+    return code, out.getvalue(), err.getvalue()
 
 
 def _not_json(constant: str):

@@ -203,6 +203,34 @@ def test_residual_mixes_require_residual() -> None:
         list(residual_mixes(mixes, contracts, require_residual=True))
 
 
+def test_residual_mixes_need_one_entry_per_step() -> None:
+    mixes = (
+        GridMix(region="r", generation={"wind": 5.0, "coal": 1.0}),
+        GridMix(region="r", generation={"wind": 5.0, "coal": 1.0}),
+    )
+    for energy in ((1.0,), (1.0, 2.0, 3.0)):
+        contract = Contract(id="w", buyer="b", kind="rec", source_id="wind",
+                            source_region="r", energy_mwh=energy)
+        message = f"has {len(energy)} per-step energy_mwh values for a series of 2 steps$"
+        with pytest.raises(ValueError, match=message):
+            list(residual_mixes(mixes, [contract]))
+    with pytest.raises(ValueError, match="one region's mixes"):
+        list(residual_mixes((*mixes, GridMix(region="s", generation={"wind": 1.0})), []))
+
+
+def test_residual_mixes_sum_claims_in_contract_order() -> None:
+    """A source's claims add up in contract order, as compute_residual_mix does."""
+    mix = GridMix(region="r", generation={"wind": 10.0, "coal": 1.0})
+    contracts = [
+        Contract(id=f"c{i}", buyer="b", kind="rec", source_id="wind",
+                 source_region="r", energy_mwh=e)
+        for i, e in enumerate((0.1, 0.2, 0.3))
+    ]
+    (residual,) = residual_mixes([mix], contracts)
+    assert residual.removed["wind"] == (0.1 + 0.2) + 0.3 != (0.3 + 0.2) + 0.1
+    assert residual.removed == compute_residual_mix(mix, contracts).removed
+
+
 SERIES_SOURCES = ("solar", "wind", "hydro", "coal", "gas")
 generation_value = st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=1e4))
 

@@ -47,6 +47,60 @@ def test_load_well_formed(tmp_path: Path) -> None:
     assert dataset.is_uniform
 
 
+def test_load_stores_columns(tmp_path: Path) -> None:
+    dataset = load_region_csv(_write(tmp_path, WELL_FORMED))
+    assert dataset.source_ids == ("solar", "wind", "coal")  # header order
+    assert dataset.columns == ((0.0, 0.0, 10.0), (60.0, 50.0, 50.0), (40.0, 50.0, 40.0))
+    assert dataset.timestamps == tuple(
+        datetime(2022, 6, 1, h, tzinfo=timezone.utc) for h in range(3)
+    )
+    assert dataset.column("wind") == (60.0, 50.0, 50.0)
+    assert dataset.column("hydro") == (0.0, 0.0, 0.0)
+    assert list(dataset.rows()) == [(0.0, 60.0, 40.0), (0.0, 50.0, 50.0), (10.0, 50.0, 40.0)]
+    assert "mixes" not in vars(dataset)  # the view is built on first access only
+    assert dataset.mixes[2].generation == {"solar": 10.0, "wind": 50.0, "coal": 40.0}
+    assert dataset.mixes is dataset.mixes
+
+
+def test_dataset_from_mixes_fills_absent_sources() -> None:
+    start = datetime(2022, 6, 1, tzinfo=timezone.utc)
+    dataset = RegionDataset(
+        region="r",
+        mixes=(
+            GridMix(region="r", generation={"wind": 1.0, "coal": 2.0}, timestamp=start),
+            GridMix(
+                region="r", generation={"gas": 3.0, "wind": 4.0}, timestamp=start + timedelta(hours=1)
+            ),
+        ),
+    )
+    assert dataset.source_ids == ("wind", "coal", "gas")
+    assert dataset.columns == ((1.0, 4.0), (2.0, 0.0), (0.0, 3.0))
+    assert dataset.mixes[1].generation == {"wind": 4.0, "coal": 0.0, "gas": 3.0}
+    same = RegionDataset(
+        region="r",
+        timestamps=dataset.timestamps,
+        source_ids=dataset.source_ids,
+        columns=dataset.columns,
+    )
+    assert same == dataset
+
+
+@pytest.mark.parametrize(
+    ("columns", "message"),
+    [
+        ({"source_ids": ("wind",), "columns": ((1.0,),)}, "'wind' has 1 values for 2 timestamps"),
+        ({"source_ids": ("wind", "wind"), "columns": ((1.0, 2.0),) * 2}, "one column per distinct"),
+        ({"source_ids": ("wind",), "columns": ((1.0, -2.0),)}, "must be >= 0"),
+    ],
+)
+def test_dataset_checks_columns(columns, message: str) -> None:
+    start = datetime(2022, 6, 1, tzinfo=timezone.utc)
+    with pytest.raises(ValueError, match=message):
+        RegionDataset(region="r", timestamps=(start, start + timedelta(hours=1)), **columns)
+    with pytest.raises(ValueError, match="strictly increasing"):
+        RegionDataset(region="r", timestamps=(start, start))
+
+
 def test_region_override(tmp_path: Path) -> None:
     dataset = load_region_csv(_write(tmp_path, WELL_FORMED), region="custom")
     assert dataset.region == "custom"
