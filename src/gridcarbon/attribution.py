@@ -28,6 +28,7 @@ from __future__ import annotations
 
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
+from math import inf
 
 from .contracts import Allocation, Contract, allocate_contracts, compute_residual_mix
 from .errors import ClaimExceedsDemand, UnknownRegion, ZeroDemand
@@ -50,8 +51,8 @@ class Consumer:
     def __post_init__(self) -> None:
         if self.method not in METHODS:
             raise ValueError(f"consumer {self.id!r}: method must be one of {sorted(METHODS)}")
-        if self.demand_kwh < 0:
-            raise ValueError(f"consumer {self.id!r}: demand must be >= 0")
+        if not 0 <= self.demand_kwh < inf:
+            raise ValueError(f"consumer {self.id!r}: demand must be finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -142,7 +143,7 @@ def attribute_location_based(
     Raises:
         EmptyMix: if the mix has zero generation.
     """
-    sources = sources or SourceRegistry.default()
+    sources = SourceRegistry.default() if sources is None else sources
     ci_loc = float(compute_average_ci(mix, sources))
     fraction = _cfe_fraction(mix, sources, grid_demand_mwh)
     results: dict[str, MethodResult] = {}
@@ -207,7 +208,7 @@ def attribute_market_based(
         UnknownRegion: if a consumer's region has no mix, or one of its
             contracts sources from a region with no mix.
     """
-    sources = sources or SourceRegistry.default()
+    sources = SourceRegistry.default() if sources is None else sources
     if isinstance(mixes, GridMix):
         mixes = {mixes.region: mixes}
     if allocation is None:
@@ -226,14 +227,12 @@ def attribute_market_based(
         claim_kwh = KWH_PER_MWH * allocation.claim_mwh(consumer.id)
         claim_kwh = min(claim_kwh, consumer.demand_kwh)
         residual_demand = consumer.demand_kwh - claim_kwh
-        ci_res = residual_ci[consumer.region]
-        # With no claim the formula collapses to ci_res exactly; taking the
+        ci = residual_ci[consumer.region]
+        # With no claim the formula collapses to the residual CI exactly; the
         # shortcut keeps that identity float-exact for any demand (and covers
         # zero demand, where the ratio form is undefined).
-        if residual_demand == consumer.demand_kwh:
-            ci = ci_res
-        else:
-            ci = residual_demand * ci_res / consumer.demand_kwh
+        if residual_demand != consumer.demand_kwh:
+            ci = float(compute_market_ci(consumer.demand_kwh, claim_kwh, ci))
         cfe = claim_kwh + residual_demand * residual_fraction[consumer.region]
         results[consumer.id] = MethodResult(
             attributed_cfe_kwh=cfe,
@@ -262,7 +261,7 @@ def detect_double_counting(
     """
     if public_signal_adjusted or mix.region not in _signal_readers(consumers):
         return 0.0
-    residual = compute_residual_mix(mix, contracts, sources or SourceRegistry.default())
+    residual = compute_residual_mix(mix, contracts, sources)
     return residual.total_removed
 
 
@@ -285,7 +284,7 @@ def build_report(
     for quoting the location-based carbon-free share (see
     :func:`attribute_location_based`).
     """
-    sources = sources or SourceRegistry.default()
+    sources = SourceRegistry.default() if sources is None else sources
     if isinstance(mixes, GridMix):
         mixes = {mixes.region: mixes}
     grid_demand_mwh = dict(grid_demand_mwh or {})

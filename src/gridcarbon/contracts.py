@@ -6,25 +6,19 @@ MWh from the grid mix yields the *residual* mix; its average carbon
 intensity is the residual carbon intensity, the signal that uncontracted
 consumers should see under market-based accounting.
 
-Over-contracting (claims exceeding a source's generation in a step) is
-clamped at the available generation and pro-rated among the competing
-contracts, and the affected source ids are flagged rather than raised:
-the anomaly is surfaced but the accounting invariants stay intact.
-
-:func:`allocate_contracts` is the one allocation of a step: it indexes
-the contracts by source region once and allocates each region's
-contracts once, so the residual mixes and every buyer's claim cost
-O(regions + contracts) together. The other functions here that allocate
-are views of it.
-
-:func:`_remove_contracted` is the one allocation along the steps of a
-series: over generation columns, it sums each contracted source's claims
-per step and removes them, clamped at the generation. The residual CI
-signal, the period residual aggregates and :func:`residual_mixes` all
-read its residual columns. Contracts covering a fraction of generation
-are series contracts too: :func:`contracts_for_fraction` builds one
-contract per contracted source for a whole series, with a per-step
-energy tuple.
+One rule allocates contracts, :func:`_remove_contracted`, over the steps
+of a series; a single mix is its one-step case. Per source and step, the
+claims of the contracts sourced there are summed in contract order and
+min(claim, generation) is removed. Over-contracted claims (more than the
+generation) are prorated by contracted amount and the source id is
+flagged in ``over_contracted`` rather than raised, so the accounting
+invariants stay intact. :func:`compute_residual_mix` and
+:func:`residual_mixes` are its residual mixes, and the residual columns
+of a dataset feed the residual CI signal and the period aggregates.
+:func:`allocate_contracts` allocates each region once and sums every
+buyer's grants; a contract sourced from a region with no mix is
+unsourced. :func:`contracts_for_fraction` builds the contracts covering a
+fraction of generation, one per source for a whole series.
 """
 
 from __future__ import annotations
@@ -33,6 +27,7 @@ from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field, replace
 from functools import partial
 from itertools import repeat
+from math import isfinite
 from operator import gt, mul, sub
 from typing import NamedTuple
 
@@ -49,11 +44,10 @@ CONTRACT_KINDS = PHYSICAL_KINDS | {"financial", "rec"}
 class Contract:
     """A PPA or REC purchase granting ``buyer`` a claim on contracted generation.
 
-    ``energy_mwh`` is the contracted energy per time step: a scalar, or
-    a sequence with exactly one entry per step of a series, which only
-    the series allocation (:func:`residual_mixes`, ``ci --contracts``)
-    reads. A REC purchase is accounting-wise identical to a financial PPA
-    here; the kind tag is kept for reporting.
+    ``energy_mwh`` is the contracted energy per time step, finite and
+    >= 0: a scalar, or a sequence with one entry per step of a series.
+    A REC purchase is accounting-wise identical to a financial PPA here;
+    the kind tag is kept for reporting.
     """
 
     id: str
@@ -70,12 +64,14 @@ class Contract:
             )
         if isinstance(self.energy_mwh, (int, float)):
             object.__setattr__(self, "energy_mwh", float(self.energy_mwh))
-            if self.energy_mwh < 0:
-                raise ValueError(f"contract {self.id!r}: energy must be >= 0")
+            energies, where = (self.energy_mwh,), ""
         else:
             object.__setattr__(self, "energy_mwh", tuple(map(float, self.energy_mwh)))
-            if any(map(partial(gt, 0.0), self.energy_mwh)):
-                raise ValueError(f"contract {self.id!r}: energy must be >= 0 at every step")
+            energies, where = self.energy_mwh, " at every step"
+        if not all(map(isfinite, energies)):
+            raise ValueError(f"contract {self.id!r}: energy must be finite{where}")
+        if any(map(partial(gt, 0.0), energies)):
+            raise ValueError(f"contract {self.id!r}: energy must be >= 0{where}")
 
     def energy_at(self, step: int | None = None) -> float:
         """Contracted energy in MWh at a series step; a scalar applies at every step."""
@@ -129,51 +125,6 @@ class ResidualMix:
         return sum(self.removed.values())
 
 
-def _allocate(
-    mix: GridMix,
-    contracts: Sequence[Contract],
-    sources: SourceRegistry,
-    step: int | None,
-) -> tuple[dict[str, float], dict[str, float], set[str]]:
-    """Allocate contracted energy against a mix's generation.
-
-    Returns (per-contract allocations keyed by contract id, MWh removed
-    per source id, over-contracted source ids). Claims beyond a source's
-    generation are pro-rated by contracted amount; the removed total is
-    exactly the available generation in that case, so an over-contracted
-    source zeroes out of the residual with no float dust.
-    """
-    claims: dict[str, list[tuple[Contract, float]]] = {}
-    for contract in contracts:
-        if contract.source_region != mix.region:
-            continue
-        source = sources.get(contract.source_id)
-        if not source.carbon_free:
-            raise ContractNotCarbonFree(
-                f"contract {contract.id!r} targets {contract.source_id!r}, which is not carbon-free"
-            )
-        claims.setdefault(contract.source_id, []).append((contract, contract.energy_at(step)))
-
-    allocations: dict[str, float] = {}
-    removed: dict[str, float] = {}
-    over_contracted: set[str] = set()
-    for source_id, source_claims in claims.items():
-        total_claim = sum(amount for _, amount in source_claims)
-        available = mix.generation.get(source_id, 0.0)
-        if total_claim <= available:
-            removed_amount = total_claim
-            scale = 1.0
-        else:  # total_claim > available >= 0, so total_claim > 0
-            over_contracted.add(source_id)
-            removed_amount = available
-            scale = available / total_claim
-        for contract, amount in source_claims:
-            allocations[contract.id] = allocations.get(contract.id, 0.0) + amount * scale
-        if removed_amount > 0:
-            removed[source_id] = removed_amount
-    return allocations, removed, over_contracted
-
-
 def compute_residual_mix(
     mix: GridMix,
     contracts: Sequence[Contract],
@@ -183,26 +134,21 @@ def compute_residual_mix(
     """Remove all contracted carbon-free energy from a mix.
 
     Only contracts whose ``source_region`` matches the mix's region
-    apply. Removal per source is clamped at available generation.
+    apply. This is the one-step case of :func:`_remove_contracted`: each
+    contract's energy is ``energy_at(step)``.
 
     Raises:
         ContractNotCarbonFree: if an applicable contract targets a
             source with a nonzero emission factor.
         ValueError: if ``step`` does not index a contract's energy series.
     """
-    sources = sources or SourceRegistry.default()
-    allocated, removed, over_contracted = _allocate(mix, contracts, sources, step)
-    generation = dict(mix.generation)
-    for source_id, amount in removed.items():
-        # max() only guards float dust; the allocation is already clamped.
-        generation[source_id] = max(generation.get(source_id, 0.0) - amount, 0.0)
-    residual = GridMix(region=mix.region, generation=generation, timestamp=mix.timestamp)
-    return ResidualMix(
-        mix=residual,
-        removed=removed,
-        over_contracted=frozenset(over_contracted),
-        allocated=allocated,
-    )
+    sources = SourceRegistry.default() if sources is None else sources
+
+    def column(source_id: str) -> tuple[float]:
+        return (mix.generation.get(source_id, 0.0),)
+
+    removals = _remove_contracted(mix.region, None, column, contracts, sources, step=step)
+    return _residual_at(mix, removals, 0)
 
 
 @dataclass(frozen=True)
@@ -262,7 +208,7 @@ def allocate_contracts(
         EmptyResidual: with ``require_residual``, if a region's
             generation is fully contracted.
     """
-    sources = sources or SourceRegistry.default()
+    sources = SourceRegistry.default() if sources is None else sources
     if isinstance(mixes, GridMix):
         mixes = {mixes.region: mixes}
     by_region: dict[str, list[Contract]] = {}
@@ -302,7 +248,7 @@ def compute_residual_ci(
         EmptyMix: if the original mix has zero generation.
         EmptyResidual: if every MWh of generation is under contract.
     """
-    sources = sources or SourceRegistry.default()
+    sources = SourceRegistry.default() if sources is None else sources
     if mix.total_energy <= 0:
         raise EmptyMix(f"carbon intensity undefined for empty mix in region {mix.region!r}")
     residual = compute_residual_mix(mix, contracts, sources)
@@ -338,7 +284,7 @@ def contracts_for_fraction(
             [0, 1] (both checked even for an empty series) or the mixes
             span several regions.
     """
-    sources = sources or SourceRegistry.default()
+    sources = SourceRegistry.default() if sources is None else sources
     if isinstance(fraction, Mapping):
         per_category = {str(cat): float(f) for cat, f in fraction.items()}
     else:
@@ -382,9 +328,11 @@ def _one_region(mixes: Sequence[GridMix], caller: str) -> str | None:
 
 class _Removal(NamedTuple):
     """One contracted source along a series: its contracts in input order,
-    and the MWh claimed, removed and left over at each step."""
+    the MWh granted to each contract per step, and the MWh claimed, removed
+    and left over at each step."""
 
     contracts: tuple[Contract, ...]
+    granted: tuple[tuple[float, ...], ...]
     claimed: tuple[float, ...]
     removed: tuple[float, ...]
     residual: tuple[float, ...]
@@ -392,31 +340,38 @@ class _Removal(NamedTuple):
 
 def _remove_contracted(
     region: str | None,
-    steps: int,
+    steps: int | None,
     column: Callable[[str], Sequence[float]],
     contracts: Sequence[Contract],
     sources: SourceRegistry,
     summary: LoadSummary | None = None,
+    step: int | None = None,
 ) -> dict[str, _Removal]:
     """Remove the contracts of ``region`` from its generation columns.
 
-    ``column(source_id)`` is the source's generation per step, zeros for
-    a source the series lacks. For each contracted source, in order of its
-    first contract, the claim of a step sums its contracts' energy in input
-    order. ``removed`` is the claim when it is at most the generation,
-    and otherwise the generation (the source is over-contracted at that
-    step: claimed > removed). The residual is ``g - removed``, which keeps
-    ``g`` when nothing is removed. These are the floats of
-    :func:`compute_residual_mix` step by step.
+    This is the one allocation rule. ``column(source_id)`` is the source's
+    generation per step, zeros for a source the series lacks. ``steps``
+    is the series' length: a contract's energy is its scalar at every
+    step, or its per-step series. ``steps=None`` is the single step of
+    :func:`compute_residual_mix`: a contract's energy is
+    ``energy_at(step)``, read after its carbon-free check.
+
+    For each contracted source, in order of its first contract, the
+    claim of a step sums its contracts' energy in input order.
+    ``removed`` is the claim when it is at most the generation, and
+    otherwise the generation: the source is over-contracted at that step
+    (claimed > removed), and each contract is granted its energy times
+    removed / claimed. The residual is ``g - removed``, which keeps ``g``
+    when nothing is removed.
 
     Raises:
         ContractNotCarbonFree: if a contract of the region targets a
             source with a nonzero emission factor.
         ValueError: if a contract's per-step energy does not have exactly
-            one entry per step; the message gives the rows the load
-            dropped, if any.
+            one entry per step (the message gives the rows the load
+            dropped, if any), or ``step`` does not index it.
     """
-    by_source: dict[str, list[Contract]] = {}
+    by_source: dict[str, list[tuple[Contract, tuple[float, ...]]]] = {}
     for contract in contracts:
         if contract.source_region != region:
             continue
@@ -425,28 +380,57 @@ def _remove_contracted(
                 f"contract {contract.id!r} targets {contract.source_id!r}, which is not carbon-free"
             )
         energy = contract.energy_mwh
-        if not isinstance(energy, float) and len(energy) != steps:
+        if steps is None:
+            energy = (contract.energy_at(step),)
+        elif isinstance(energy, float):
+            energy = (energy,) * steps
+        elif len(energy) != steps:
             dropped = summary.rows_dropped if summary is not None else 0
             raise ValueError(
                 f"contract {contract.id!r} has {len(energy)} per-step energy_mwh values "
                 f"for a series of {steps} steps"
                 + (f" (rows dropped on load for a blank cell: {dropped})" if dropped else "")
             )
-        by_source.setdefault(contract.source_id, []).append(contract)
+        by_source.setdefault(contract.source_id, []).append((contract, energy))
 
     removals: dict[str, _Removal] = {}
-    for source_id, source_contracts in by_source.items():
+    for source_id, claims in by_source.items():
         generation = column(source_id)
-        energies = [
-            repeat(c.energy_mwh, steps) if isinstance(c.energy_mwh, float) else c.energy_mwh
-            for c in source_contracts
-        ]
+        source_contracts, energies = zip(*claims)
         claimed = tuple(map(sum, zip(*energies)))
         removed = tuple(map(min, claimed, generation))
+        granted = energies  # each energy * 1.0 when no step is over-contracted
+        if claimed != removed:
+            scales = tuple(r / c if c > r else 1.0 for c, r in zip(claimed, removed))
+            granted = tuple(tuple(map(mul, energy, scales)) for energy in energies)
         # max(g - removed, 0.0) is g - removed bit for bit, as removed <= g.
         residual = tuple(map(sub, generation, removed))
-        removals[source_id] = _Removal(tuple(source_contracts), claimed, removed, residual)
+        removals[source_id] = _Removal(source_contracts, granted, claimed, removed, residual)
     return removals
+
+
+def _residual_at(mix: GridMix, removals: Mapping[str, _Removal], step: int) -> ResidualMix:
+    """The :class:`ResidualMix` of ``mix``, step ``step`` of ``removals``;
+    contracts sharing an id share one ``allocated`` entry."""
+    generation = dict(mix.generation)
+    removed: dict[str, float] = {}
+    allocated: dict[str, float] = {}
+    over_contracted = set()
+    for source_id, removal in removals.items():
+        amount = removal.removed[step]
+        if removal.claimed[step] > amount:
+            over_contracted.add(source_id)
+        for contract, granted in zip(removal.contracts, removal.granted):
+            allocated[contract.id] = allocated.get(contract.id, 0.0) + granted[step]
+        if amount > 0:
+            removed[source_id] = amount
+            generation[source_id] = removal.residual[step]
+    return ResidualMix(
+        mix=GridMix(region=mix.region, generation=generation, timestamp=mix.timestamp),
+        removed=removed,
+        over_contracted=frozenset(over_contracted),
+        allocated=allocated,
+    )
 
 
 def _residual_dataset(
@@ -478,9 +462,8 @@ def residual_mixes(
     """Yield the residual mix of every step of one region's series, with the same contracts.
 
     Step ``t`` allocates each contract's energy at step ``t`` (a scalar
-    energy applies at every step), as :func:`compute_residual_mix` would,
-    from the columns :func:`_remove_contracted` computes for the whole
-    series when the first step is consumed.
+    energy applies at every step); the whole series is allocated once,
+    when the first step is consumed.
 
     With ``require_residual``, a step that has generation but is fully
     contracted stops the loop there, as a residual CI is needed at every
@@ -494,7 +477,7 @@ def residual_mixes(
         EmptyResidual: with ``require_residual``, if a step with
             generation is fully contracted.
     """
-    sources = sources or SourceRegistry.default()
+    sources = SourceRegistry.default() if sources is None else sources
     mixes = tuple(mixes)
     region = _one_region(mixes, "residual_mixes")
 
@@ -503,52 +486,7 @@ def residual_mixes(
 
     removals = _remove_contracted(region, len(mixes), column, contracts, sources)
     for step, mix in enumerate(mixes):
-        generation = dict(mix.generation)
-        removed: dict[str, float] = {}
-        allocated: dict[str, float] = {}
-        over_contracted = set()
-        for source_id, removal in removals.items():
-            claim, amount = removal.claimed[step], removal.removed[step]
-            scale = 1.0
-            if claim > amount:
-                over_contracted.add(source_id)
-                scale = amount / claim
-            for contract in removal.contracts:
-                share = contract.energy_at(step) * scale
-                allocated[contract.id] = allocated.get(contract.id, 0.0) + share
-            if amount > 0:
-                removed[source_id] = amount
-                generation[source_id] = removal.residual[step]
-        residual = ResidualMix(
-            mix=GridMix(region=mix.region, generation=generation, timestamp=mix.timestamp),
-            removed=removed,
-            over_contracted=frozenset(over_contracted),
-            allocated=allocated,
-        )
+        residual = _residual_at(mix, removals, step)
         if require_residual and residual.total_energy <= 0 < mix.total_energy:
             raise _fully_contracted(region, step)
         yield residual
-
-
-def contracted_cfe_for_buyer(
-    contracts: Sequence[Contract],
-    buyer: str,
-    mixes: GridMix | Mapping[str, GridMix],
-    sources: SourceRegistry | None = None,
-) -> float:
-    """Carbon-free energy (MWh) deliverable to a buyer.
-
-    Sums the buyer's contracted energy across regions after the same
-    per-source clamping and proration used for the residual mix, so a
-    buyer competing for scarce generation only gets its pro-rata share.
-    This is the buyer's entry of :func:`allocate_contracts`, which
-    allocates each region once for all buyers; callers needing several
-    buyers' claims should call that once instead.
-
-    Raises:
-        ContractNotCarbonFree: if a contract targets a source that is
-            not carbon-free.
-        UnknownRegion: if one of the buyer's contracts sources energy
-            from a region with no mix provided.
-    """
-    return allocate_contracts(mixes, contracts, sources).claim_mwh(buyer)

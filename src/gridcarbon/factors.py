@@ -17,6 +17,7 @@ even though it is often classed as renewable.
 from __future__ import annotations
 
 from collections.abc import Iterable, Mapping
+from math import inf, isfinite
 from pathlib import Path
 
 import yaml
@@ -85,11 +86,20 @@ def check_categories(categories: Iterable[str]) -> None:
             raise ValueError(f"unknown source category {category!r}")
 
 
+def _float(value: int | float) -> float:
+    """``float(value)``, with an int beyond the float range read as infinite."""
+    try:
+        return float(value)
+    except OverflowError:
+        return inf if value > 0 else -inf
+
+
 def load_cef_table(path: str | Path) -> dict[str, float]:
     """Load a CEF override table: a YAML mapping of category -> g/kWh.
 
-    Unknown categories and non-numeric values are rejected so a typo in an
-    override file cannot silently leave the default in place.
+    Unknown categories and non-numeric, non-finite or negative values are
+    rejected so a typo in an override file cannot silently leave the
+    default in place.
     """
     with open(path, encoding="utf-8") as fh:
         raw = _load_yaml(fh)
@@ -101,7 +111,10 @@ def load_cef_table(path: str | Path) -> dict[str, float]:
             raise SchemaError(f"CEF table {path}: unknown category {key!r}")
         if not isinstance(value, (int, float)) or isinstance(value, bool):
             raise SchemaError(f"CEF table {path}: value for {key!r} must be a number")
-        if value < 0:
+        number = _float(value)
+        if not isfinite(number):
+            raise SchemaError(f"CEF table {path}: value for {key!r} must be finite, got {number}")
+        if number < 0:
             raise SchemaError(f"CEF table {path}: value for {key!r} must be >= 0")
-        table[key] = float(value)
+        table[key] = number
     return table

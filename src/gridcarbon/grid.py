@@ -18,6 +18,7 @@ from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from datetime import datetime
 from itertools import repeat
+from math import inf
 from operator import mul, truediv
 
 from .errors import EmptyMix, UnknownSource
@@ -113,8 +114,8 @@ class GridMix:
     def __post_init__(self) -> None:
         object.__setattr__(self, "generation", dict(self.generation))
         for source_id, mwh in self.generation.items():
-            if mwh < 0:
-                raise ValueError(f"generation for {source_id!r} must be >= 0, got {mwh}")
+            if not 0 <= mwh < inf:
+                raise ValueError(f"generation for {source_id!r} must be finite and >= 0, got {mwh}")
 
     @property
     def total_energy(self) -> float:
@@ -156,7 +157,7 @@ def total_emissions(mix: GridMix, sources: SourceRegistry | None = None) -> floa
 
     Generation is in MWh and CEFs in g/kWh, hence the factor of 1000.
     """
-    sources = sources or SourceRegistry.default()
+    sources = SourceRegistry.default() if sources is None else sources
     return sum(
         mwh * sources.get(source_id).cef * KWH_PER_MWH
         for source_id, mwh in mix.generation.items()
@@ -173,7 +174,7 @@ def compute_average_ci(mix: GridMix, sources: SourceRegistry | None = None) -> C
         EmptyMix: if the mix has zero total generation.
         UnknownSource: if a source id is not registered.
     """
-    sources = sources or SourceRegistry.default()
+    sources = SourceRegistry.default() if sources is None else sources
     total = mix.total_energy
     if total <= 0:
         raise EmptyMix(f"carbon intensity undefined for empty mix in region {mix.region!r}")

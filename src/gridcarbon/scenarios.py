@@ -31,13 +31,14 @@ from __future__ import annotations
 from collections.abc import Collection, Mapping, Sequence
 from dataclasses import dataclass, field
 from importlib import resources
+from math import isfinite
 from pathlib import Path
 from typing import Any, IO
 
 from .attribution import METHODS, AttributionReport, Consumer, build_report
 from .contracts import CONTRACT_KINDS, PHYSICAL_KINDS, Contract
 from .errors import ScenarioInvalid
-from .factors import _load_yaml
+from .factors import _float, _load_yaml
 from .grid import GridMix, SourceRegistry
 
 _SCENARIO_DIR = "data/scenarios"
@@ -70,9 +71,9 @@ def _fail(field_path: str, reason: str) -> None:
 def _number(value: Any, field_path: str, minimum: float | None = None) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         _fail(field_path, f"expected a number, got {value!r}")
-    result = float(value)
-    if result != result:  # NaN
-        _fail(field_path, "must not be NaN")
+    result = _float(value)
+    if not isfinite(result):
+        _fail(field_path, f"must not be NaN or infinite, got {result}")
     if minimum is not None and result < minimum:
         _fail(field_path, f"must be >= {minimum}, got {result}")
     return result

@@ -236,7 +236,7 @@ def total_signal(
     check_basis(dataset, basis)
     if basis == "published":
         return dataset.published_ci
-    return _signal(dataset, sources or SourceRegistry.default())
+    return _signal(dataset, SourceRegistry.default() if sources is None else sources)
 
 
 def residual_signal(
@@ -251,6 +251,6 @@ def residual_signal(
         EmptyResidual: if any step becomes fully contracted.
         EmptyMix: if a step has no generation.
     """
-    sources = sources or SourceRegistry.default()
+    sources = SourceRegistry.default() if sources is None else sources
     contracts = contracts_for_fraction(dataset, contract_fraction, categories, sources)
     return _signal(_residual_dataset(dataset, contracts, sources), sources, dataset)

@@ -61,7 +61,7 @@ def penetration(
         EmptyMix: if the dataset has no generation at all.
     """
     check_categories(categories)
-    sources = sources or SourceRegistry.default()
+    sources = SourceRegistry.default() if sources is None else sources
     wanted = set(categories)
     mask = tuple(sources.get(source_id).category in wanted for source_id in dataset.source_ids)
     total = 0.0
@@ -130,7 +130,7 @@ def energy_weighted_ci(
 ) -> float | None:
     """Energy-weighted CI of a dataset from per-source factors, or ``None``
     when it holds no energy (a fully contracted residual)."""
-    sources = sources or SourceRegistry.default()
+    sources = SourceRegistry.default() if sources is None else sources
     cefs = _cefs(dataset.source_ids, sources)
     return _weighted_ci(zip(*_step_emissions(dataset.columns, cefs, len(dataset))))
 
@@ -174,7 +174,7 @@ def period_residual_ci(
     Raises:
         EmptyResidual: if any step's generation is fully contracted.
     """
-    sources = sources or SourceRegistry.default()
+    sources = SourceRegistry.default() if sources is None else sources
     check_basis(dataset, basis)
     contracts = contracts_for_fraction(dataset, contract_fraction, categories, sources)
     residual = _residual_dataset(dataset, contracts, sources)

@@ -26,13 +26,14 @@ from gridcarbon import (
     compute_average_ci,
     compute_market_ci,
     compute_residual_ci,
-    compute_residual_mix,
     detect_double_counting,
     total_emissions,
 )
 from gridcarbon import contracts as contracts_module
 from gridcarbon.attribution import _cfe_fraction
 from gridcarbon.grid import KWH_PER_MWH
+
+import reference_allocation
 
 
 def _home(consumer_id: str, demand: float = 20.0, method: str = "location_based",
@@ -41,8 +42,9 @@ def _home(consumer_id: str, demand: float = 20.0, method: str = "location_based"
 
 
 def test_consumer_validation() -> None:
-    with pytest.raises(ValueError):
-        Consumer(id="x", region="r", demand_kwh=-1.0)
+    for demand in (-1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            Consumer(id="x", region="r", demand_kwh=demand)
     with pytest.raises(ValueError):
         Consumer(id="x", region="r", demand_kwh=1.0, method="vibes")
 
@@ -327,6 +329,8 @@ def test_ci_ordering_for_claimants() -> None:
 # to each other. They re-allocate every region for every consumer, twice, so
 # they are the reference the linear build_report must match exactly: equal
 # reports (bit-exact floats), or the same exception with the same message.
+# They allocate through reference_allocation, the single-step allocation as
+# it was before the kernel, so they do not share code with what they check.
 
 
 def _reference_contracted_cfe_for_buyer(
@@ -357,7 +361,7 @@ def _reference_contracted_cfe_for_buyer(
             )
     total = 0.0
     for mix in mixes.values():
-        allocations, _, _ = contracts_module._allocate(mix, contracts, sources, step)
+        allocations, _, _ = reference_allocation._allocate(mix, contracts, sources, step)
         for contract in contracts:
             if contract.buyer == buyer and contract.source_region == mix.region:
                 total += allocations.get(contract.id, 0.0)
@@ -390,7 +394,7 @@ def _reference_attribute_market_based(
     residual_ci: dict[str, float] = {}
     residual_fraction: dict[str, float] = {}
     for region, mix in mixes.items():
-        residual = compute_residual_mix(mix, contracts, sources, step)
+        residual = reference_allocation.compute_residual_mix(mix, contracts, sources, step)
         if residual.total_energy <= 0:
             raise EmptyResidual(
                 f"all generation in region {region!r} is under contract; residual mix is empty"
@@ -474,7 +478,7 @@ def _reference_build_report(
     regions = []
     double_counted = 0.0
     for region, mix in sorted(mixes.items()):
-        residual = compute_residual_mix(mix, contracts, sources, step)
+        residual = reference_allocation.compute_residual_mix(mix, contracts, sources, step)
         regions.append(
             RegionSummary(
                 region=region,
@@ -592,13 +596,13 @@ def test_build_report_allocates_each_region_once(monkeypatch) -> None:
         for i in range(size)
     ]
     calls = []
-    allocate = contracts_module._allocate
+    allocate = contracts_module._remove_contracted
 
     def counting(*args, **kwargs):
-        calls.append(args[0].region)
+        calls.append(args[0])
         return allocate(*args, **kwargs)
 
-    monkeypatch.setattr(contracts_module, "_allocate", counting)
+    monkeypatch.setattr(contracts_module, "_remove_contracted", counting)
     report = build_report(mixes, contracts, consumers)
     assert sorted(calls) == regions
     assert len(report.consumers) == size

@@ -173,6 +173,20 @@ def test_scenario_rejects_per_step_energy(capsys, tmp_path: Path) -> None:
     assert "contracts[0].energy_mwh: expected a number" in err
 
 
+def test_scenario_rejects_infinite_energy(capsys, tmp_path: Path) -> None:
+    """An infinite contract is a field error, not a NaN claim in the output."""
+    scenario = tmp_path / "infinite.yaml"
+    scenario.write_text(
+        "regions: {r: {generation: {solar: 20, coal: 980}}}\n"
+        "consumers: [{id: C1, region: r, demand_kwh: 20000, method: market_based}]\n"
+        "contracts: [{id: k, buyer: C1, kind: financial, source: solar, region: r,"
+        " energy_mwh: .inf}]\n",
+        encoding="utf-8",
+    )
+    err = _single_error_line(capsys, "scenario", "--file", str(scenario))
+    assert err == "error: contracts[0].energy_mwh: must not be NaN or infinite, got inf\n"
+
+
 def test_attribute_declared_methods(capsys) -> None:
     code, out = _run(capsys, "attribute", "commercial-case-2")
     assert code == 0
@@ -541,6 +555,20 @@ def test_cef_flag_beats_env(capsys, tmp_path: Path, toy_csv: Path, monkeypatch) 
 
 
 @pytest.mark.parametrize(
+    ("value", "shown"),
+    [(".nan", "nan"), (".inf", "inf"), ("-.inf", "-inf"), pytest.param("9" * 400, "inf", id="big-int")],
+)
+def test_cef_table_rejects_non_finite(capsys, tmp_path: Path, toy_csv: Path, value, shown) -> None:
+    """A NaN factor is not mistaken for a non-zero one ("'solar' is not carbon-free")."""
+    table = tmp_path / "cef.yaml"
+    table.write_text(f"solar: {value}\n", encoding="utf-8")
+    err = _single_error_line(
+        capsys, "ci", "--mix", str(toy_csv), "--cef", str(table), "--contracts", "all-solar-wind"
+    )
+    assert err == f"error: CEF table {table}: value for 'solar' must be finite, got {shown}\n"
+
+
+@pytest.mark.parametrize(
     "argv",
     [["scenario", "commercial-case-1"], ["attribute", "commercial-case-1"], ["fixtures", "list"]],
 )
@@ -651,6 +679,12 @@ def test_inflation_zero_period_ci(capsys, tmp_path: Path) -> None:
         ("energy_mwh: 2022-01-01", "energy_mwh", "expected a number"),
         ('energy_mwh: "5"', "energy_mwh", "expected a number"),
         ("energy_mwh: .nan", "energy_mwh", "must not be NaN"),
+        ("energy_mwh: .inf", "energy_mwh", "must not be NaN or infinite, got inf"),
+        ("energy_mwh: [100, -.inf]", "energy_mwh[1]", "must not be NaN or infinite, got -inf"),
+        pytest.param(
+            "energy_mwh: 1" + "0" * 400, "energy_mwh", "must not be NaN or infinite, got inf",
+            id="energy_mwh: int beyond float",
+        ),
         ("energy_mwh: true", "energy_mwh", "expected a number"),
         ("energy_mwh: [100, -1]", "energy_mwh[1]", "must be >= 0"),
         ("energy_mwh: 100, region: elsewhere", "region", "'elsewhere' has no grid mix"),

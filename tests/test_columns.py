@@ -32,7 +32,6 @@ from gridcarbon import (
     RegionDataset,
     SourceRegistry,
     compute_average_ci,
-    compute_residual_mix,
     residual_mixes,
     total_emissions,
 )
@@ -53,6 +52,8 @@ from gridcarbon.ingest import (
 )
 from gridcarbon.scheduler import _ci_steps, residual_signal, total_signal
 from gridcarbon.stats import energy_weighted_ci, penetration, period_ci, period_residual_ci
+
+import reference_allocation
 
 # --- verbatim copies of the per-mix code ------------------------------------------
 
@@ -212,7 +213,7 @@ def _reference_residual_mixes(
 ):
     sources = sources or SourceRegistry.default()
     for step, mix in enumerate(mixes):
-        residual = compute_residual_mix(mix, contracts, sources, step)
+        residual = reference_allocation.compute_residual_mix(mix, contracts, sources, step)
         if require_residual and residual.total_energy <= 0 < mix.total_energy:
             raise EmptyResidual(f"step {step} of region {mix.region!r} is fully contracted")
         yield residual

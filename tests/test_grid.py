@@ -16,7 +16,10 @@ from gridcarbon import (
     SourceRegistry,
     UnknownSource,
     compute_average_ci,
+    duck_curve_fixture,
+    toy_mix,
     total_emissions,
+    total_signal,
 )
 
 
@@ -54,6 +57,14 @@ def test_registry_unknown_source() -> None:
         SourceRegistry.default().get("diesel-farm")
 
 
+def test_empty_registry_is_not_replaced_by_the_default() -> None:
+    """Only ``sources=None`` means the default table; an empty one knows no source."""
+    with pytest.raises(UnknownSource):
+        compute_average_ci(toy_mix(), SourceRegistry([]))
+    with pytest.raises(UnknownSource):
+        total_signal(duck_curve_fixture(), SourceRegistry([]))
+
+
 def test_registry_rejects_duplicate_ids() -> None:
     source = EnergySource(id="a", category="wind", cef=0.0, carbon_free=True)
     with pytest.raises(ValueError):
@@ -63,6 +74,12 @@ def test_registry_rejects_duplicate_ids() -> None:
 def test_grid_mix_rejects_negative_generation() -> None:
     with pytest.raises(ValueError):
         GridMix(region="r", generation={"wind": -1.0})
+
+
+@pytest.mark.parametrize("mwh", [float("nan"), float("inf")])
+def test_grid_mix_rejects_non_finite_generation(mwh: float) -> None:
+    with pytest.raises(ValueError, match="must be finite and >= 0"):
+        GridMix(region="r", generation={"wind": mwh})
 
 
 def test_grid_mix_totals(toy: GridMix, sources: SourceRegistry) -> None:

@@ -276,6 +276,31 @@ def test_invalid_scenarios(mutate, field: str) -> None:
     assert exc.value.field == field
 
 
+def _contract(energy) -> dict:
+    return {"id": "c", "buyer": "H1", "kind": "rec", "source": "wind", "region": "r",
+            "energy_mwh": energy}
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf"), 10**400])
+@pytest.mark.parametrize(
+    ("mutate", "field"),
+    [
+        (lambda d, v: d["regions"]["r"]["generation"].update(wind=v), "regions.r.generation.wind"),
+        (lambda d, v: d["regions"]["r"].update(demand_mwh=v), "regions.r.demand_mwh"),
+        (lambda d, v: d["consumers"][0].update(demand_kwh=v), "consumers[0].demand_kwh"),
+        (lambda d, v: d.update(contracts=[_contract(v)]), "contracts[0].energy_mwh"),
+        (lambda d, v: d.update(contracts=[_contract([1, v])]), "contracts[0].energy_mwh[1]"),
+        (lambda d, v: d.update(cef_g_per_kwh={"gas": v}), "cef_g_per_kwh.gas"),
+    ],
+)
+def test_every_number_must_be_finite(mutate, field: str, value) -> None:
+    data = _minimal()
+    mutate(data, value)
+    with pytest.raises(ScenarioInvalid, match="must not be NaN or infinite") as exc:
+        parse_scenario(data)
+    assert exc.value.field == field
+
+
 def test_root_must_be_mapping() -> None:
     with pytest.raises(ScenarioInvalid) as exc:
         parse_scenario(["not", "a", "mapping"])
