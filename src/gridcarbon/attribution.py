@@ -28,11 +28,11 @@ from __future__ import annotations
 
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
-from math import inf
+from math import inf, isfinite
 
 from .contracts import Allocation, Contract, allocate_contracts, compute_residual_mix
 from .errors import ClaimExceedsDemand, UnknownRegion, ZeroDemand
-from .grid import KWH_PER_MWH, CarbonIntensity, GridMix, SourceRegistry, compute_average_ci
+from .grid import KWH_PER_MWH, GridMix, SourceRegistry, compute_average_ci
 
 LOCATION_BASED = "location_based"
 MARKET_BASED = "market_based"
@@ -144,7 +144,7 @@ def attribute_location_based(
         EmptyMix: if the mix has zero generation.
     """
     sources = SourceRegistry.default() if sources is None else sources
-    ci_loc = float(compute_average_ci(mix, sources))
+    ci_loc = compute_average_ci(mix, sources)
     fraction = _cfe_fraction(mix, sources, grid_demand_mwh)
     results: dict[str, MethodResult] = {}
     for consumer in consumers:
@@ -161,16 +161,22 @@ def attribute_location_based(
 def compute_market_ci(
     demand_kwh: float,
     cfe_claim_kwh: float,
-    ci_res: CarbonIntensity | float,
-) -> CarbonIntensity:
+    ci_res: float,
+) -> float:
     """Market-based carbon intensity for one consumer: (D - D_cf) * CI_res / D.
 
     Raises:
+        ValueError: if a number is not finite, or the claim or the
+            residual CI is negative.
         ZeroDemand: if demand is zero.
         ClaimExceedsDemand: if the claim exceeds demand; over-claims are
             rejected here so they stay visible (the scenario runner
             clamps and flags instead).
     """
+    numbers = {"demand": demand_kwh, "carbon-free claim": cfe_claim_kwh, "residual CI": ci_res}
+    for name, value in numbers.items():
+        if not isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
     if demand_kwh <= 0:
         raise ZeroDemand("market-based carbon intensity is undefined for zero demand")
     if cfe_claim_kwh < 0:
@@ -179,7 +185,9 @@ def compute_market_ci(
         raise ClaimExceedsDemand(
             f"claim of {cfe_claim_kwh} kWh exceeds demand of {demand_kwh} kWh"
         )
-    return CarbonIntensity((demand_kwh - cfe_claim_kwh) * float(ci_res) / demand_kwh)
+    if ci_res < 0:
+        raise ValueError(f"residual CI must be >= 0, got {ci_res}")
+    return (demand_kwh - cfe_claim_kwh) * ci_res / demand_kwh
 
 
 def attribute_market_based(
@@ -217,7 +225,7 @@ def attribute_market_based(
     residual_ci: dict[str, float] = {}
     residual_fraction: dict[str, float] = {}
     for region, residual in allocation.residuals.items():
-        residual_ci[region] = float(compute_average_ci(residual.mix, sources))
+        residual_ci[region] = compute_average_ci(residual.mix, sources)
         residual_fraction[region] = _cfe_fraction(residual.mix, sources)
 
     results: dict[str, MethodResult] = {}
@@ -232,7 +240,7 @@ def attribute_market_based(
         # shortcut keeps that identity float-exact for any demand (and covers
         # zero demand, where the ratio form is undefined).
         if residual_demand != consumer.demand_kwh:
-            ci = float(compute_market_ci(consumer.demand_kwh, claim_kwh, ci))
+            ci = compute_market_ci(consumer.demand_kwh, claim_kwh, ci)
         cfe = claim_kwh + residual_demand * residual_fraction[consumer.region]
         results[consumer.id] = MethodResult(
             attributed_cfe_kwh=cfe,
@@ -259,14 +267,16 @@ def detect_double_counting(
     adjusted signal (or the absence of location-based consumers reading
     it) eliminates the overlap.
     """
-    if public_signal_adjusted or mix.region not in _signal_readers(consumers):
+    if mix.region not in _counted_twice(consumers, public_signal_adjusted):
         return 0.0
-    residual = compute_residual_mix(mix, contracts, sources)
-    return residual.total_removed
+    return compute_residual_mix(mix, contracts, sources).total_removed
 
 
-def _signal_readers(consumers: Sequence[Consumer]) -> set[str]:
-    """Regions whose public grid signal a location-based consumer reads."""
+def _counted_twice(consumers: Sequence[Consumer], public_signal_adjusted: bool) -> set[str]:
+    """The double-counting rule: contracted MWh count twice in the regions
+    whose unadjusted public signal a location-based consumer reads."""
+    if public_signal_adjusted:
+        return set()
     return {c.region for c in consumers if c.method == LOCATION_BASED}
 
 
@@ -318,8 +328,7 @@ def build_report(
             )
         )
 
-    # As detect_double_counting, from the residuals already allocated.
-    readers = _signal_readers(consumers)
+    counted_twice = _counted_twice(consumers, public_signal_adjusted)
     regions = []
     double_counted = 0.0
     for region, mix in sorted(mixes.items()):
@@ -327,15 +336,15 @@ def build_report(
         regions.append(
             RegionSummary(
                 region=region,
-                ci_loc_g_per_kwh=float(compute_average_ci(mix, sources)),
-                ci_res_g_per_kwh=float(compute_average_ci(residual.mix, sources)),
+                ci_loc_g_per_kwh=compute_average_ci(mix, sources),
+                ci_res_g_per_kwh=compute_average_ci(residual.mix, sources),
                 total_energy_mwh=mix.total_energy,
                 carbon_free_energy_mwh=mix.carbon_free_energy(sources),
                 contracted_cfe_mwh=residual.total_removed,
                 over_contracted=residual.over_contracted,
             )
         )
-        if not public_signal_adjusted and mix.region in readers:
+        if mix.region in counted_twice:
             double_counted += residual.total_removed
 
     return AttributionReport(

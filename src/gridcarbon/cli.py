@@ -105,6 +105,19 @@ def _load_dataset(args, path=None):
     )
 
 
+def _option(name: str, raw: str, parse, expected: str):
+    """``parse(raw)``; a malformed value is one error naming the option."""
+    try:
+        return parse(raw)
+    except ValueError:
+        raise GridCarbonError(f"{name}: expected {expected}, got {raw!r}") from None
+
+
+def _start_window(raw: str) -> tuple[int, int]:
+    lo, hi = raw.split(":")
+    return int(lo), int(hi)
+
+
 def _parse_contracts_arg(spec: str, dataset, sources: SourceRegistry):
     """Parse --contracts (none | all-solar-wind | solar-wind:<f> | YAML path)
     into None or the dataset's contracts. YAML entries default to
@@ -113,7 +126,8 @@ def _parse_contracts_arg(spec: str, dataset, sources: SourceRegistry):
     if spec == "none":
         return None
     if spec == "all-solar-wind" or spec.startswith("solar-wind:"):
-        fraction = 1.0 if spec == "all-solar-wind" else float(spec.split(":", 1)[1])
+        raw = "1.0" if spec == "all-solar-wind" else spec.partition(":")[2]
+        fraction = _option("--contracts", raw, float, "a number after 'solar-wind:'")
         return contracts_for_fraction(dataset, fraction, sources=sources)
     with open(spec, encoding="utf-8") as handle:
         data = _load_yaml(handle)
@@ -152,7 +166,7 @@ def cmd_ci(args) -> list[dict]:
     aggregate = {
         "timestamp": "aggregate",
         "region": dataset.region,
-        "ci_g_per_kwh": float(period_ci(dataset, sources)),
+        "ci_g_per_kwh": period_ci(dataset, sources),
     }
     if contracts is not None:
         residual = _residual_dataset(dataset, contracts, sources)
@@ -297,8 +311,8 @@ def cmd_inflation(args) -> list[dict]:
     sources = _registry(args)
     dataset = _load_dataset(args)
     categories = args.categories.split(",")
-    ci_loc = float(period_ci(dataset, sources, args.basis))
-    ci_res = float(period_residual_ci(dataset, args.fraction, categories, sources, args.basis))
+    ci_loc = period_ci(dataset, sources, args.basis)
+    ci_res = period_residual_ci(dataset, args.fraction, categories, sources, args.basis)
     return [
         {
             "region": dataset.region,
@@ -339,8 +353,7 @@ def cmd_schedule(args) -> list[dict]:
         actual = reported
     window = None
     if args.window:
-        lo, _, hi = args.window.partition(":")
-        window = (int(lo), int(hi))
+        window = _option("--window", args.window, _start_window, "LO:HI, two integer start indices")
     load = FlexibleLoad(
         energy_per_hour_kwh=args.energy_per_hour,
         duration_hours=args.duration,

@@ -7,23 +7,27 @@ intensity is the residual carbon intensity, the signal that uncontracted
 consumers should see under market-based accounting.
 
 One rule allocates contracts, :func:`_remove_contracted`, over the steps
-of a series; a single mix is its one-step case. Per source and step, the
-claims of the contracts sourced there are summed in contract order and
+of one region's generation columns. Per source and step, the claims of
+the contracts sourced there are summed in contract order and
 min(claim, generation) is removed. Over-contracted claims (more than the
 generation) are prorated by contracted amount and the source id is
 flagged in ``over_contracted`` rather than raised, so the accounting
-invariants stay intact. :func:`compute_residual_mix` and
-:func:`residual_mixes` are its residual mixes, and the residual columns
-of a dataset feed the residual CI signal and the period aggregates.
+invariants stay intact.
+
+A series is a :class:`RegionDataset`, whose residual columns feed the
+residual CI signal and the period aggregates. A single mix is the rule's
+one-step case, :func:`compute_residual_mix`, which alone reports each
+contract's granted MWh; its residual CI is
+``compute_average_ci(compute_residual_mix(mix, contracts).mix)``.
 :func:`allocate_contracts` allocates each region once and sums every
 buyer's grants; a contract sourced from a region with no mix is
-unsourced. :func:`contracts_for_fraction` builds the contracts covering a
-fraction of generation, one per source for a whole series.
+unsourced. :func:`contracts_for_fraction` builds the contracts covering
+a fraction of generation, one per source for a whole series.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
+from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass, field, replace
 from functools import partial
 from itertools import repeat
@@ -31,9 +35,9 @@ from math import isfinite
 from operator import gt, mul, sub
 from typing import NamedTuple
 
-from .errors import ContractNotCarbonFree, EmptyMix, EmptyResidual, UnknownRegion
+from .errors import ContractNotCarbonFree, EmptyResidual, UnknownRegion
 from .factors import check_categories
-from .grid import CarbonIntensity, GridMix, SourceRegistry, _columns, compute_average_ci
+from .grid import GridMix, SourceRegistry
 from .ingest import LoadSummary, RegionDataset
 
 PHYSICAL_KINDS = frozenset({"physical_onsite", "physical_offsite"})
@@ -135,7 +139,10 @@ def compute_residual_mix(
 
     Only contracts whose ``source_region`` matches the mix's region
     apply. This is the one-step case of :func:`_remove_contracted`: each
-    contract's energy is ``energy_at(step)``.
+    contract's energy is ``energy_at(step)``. A contract is granted its
+    energy, or at an over-contracted source its energy times
+    removed / claimed; contracts sharing an id share one ``allocated``
+    entry.
 
     Raises:
         ContractNotCarbonFree: if an applicable contract targets a
@@ -143,12 +150,30 @@ def compute_residual_mix(
         ValueError: if ``step`` does not index a contract's energy series.
     """
     sources = SourceRegistry.default() if sources is None else sources
-
-    def column(source_id: str) -> tuple[float]:
-        return (mix.generation.get(source_id, 0.0),)
-
-    removals = _remove_contracted(mix.region, None, column, contracts, sources, step=step)
-    return _residual_at(mix, removals, 0)
+    removals = _remove_contracted(
+        mix.region, None, lambda s: (mix.generation.get(s, 0.0),), contracts, sources, step=step
+    )
+    generation = dict(mix.generation)
+    removed: dict[str, float] = {}
+    allocated: dict[str, float] = {}
+    over_contracted = set()
+    for source_id, removal in removals.items():
+        (claimed,), (amount,) = removal.claimed, removal.removed
+        over = claimed > amount
+        if over:
+            over_contracted.add(source_id)
+        for contract, (energy,) in removal.claims:
+            granted = energy * (amount / claimed) if over else energy
+            allocated[contract.id] = allocated.get(contract.id, 0.0) + granted
+        if amount > 0:
+            removed[source_id] = amount
+            generation[source_id] = removal.residual[0]
+    return ResidualMix(
+        mix=GridMix(region=mix.region, generation=generation, timestamp=mix.timestamp),
+        removed=removed,
+        over_contracted=frozenset(over_contracted),
+        allocated=allocated,
+    )
 
 
 @dataclass(frozen=True)
@@ -234,33 +259,8 @@ def allocate_contracts(
     return Allocation(residuals=residuals, claims_mwh=claims, unsourced=unsourced)
 
 
-def compute_residual_ci(
-    mix: GridMix,
-    contracts: Sequence[Contract],
-    sources: SourceRegistry | None = None,
-) -> CarbonIntensity:
-    """Average carbon intensity of the residual mix, g/kWh.
-
-    With no contracts this equals the plain average carbon intensity;
-    contracting carbon-free energy out can only raise it.
-
-    Raises:
-        EmptyMix: if the original mix has zero generation.
-        EmptyResidual: if every MWh of generation is under contract.
-    """
-    sources = SourceRegistry.default() if sources is None else sources
-    if mix.total_energy <= 0:
-        raise EmptyMix(f"carbon intensity undefined for empty mix in region {mix.region!r}")
-    residual = compute_residual_mix(mix, contracts, sources)
-    if residual.total_energy <= 0:
-        raise EmptyResidual(
-            f"all generation in region {mix.region!r} is under contract; residual mix is empty"
-        )
-    return compute_average_ci(residual.mix, sources)
-
-
 def contracts_for_fraction(
-    mixes: GridMix | Sequence[GridMix] | RegionDataset,
+    mixes: GridMix | RegionDataset,
     fraction: float | Mapping[str, float],
     categories: Sequence[str] = ("solar", "wind"),
     sources: SourceRegistry | None = None,
@@ -274,15 +274,14 @@ def contracts_for_fraction(
     what-if analyses such as "all solar and wind is contracted out".
 
     Given one mix, each contract's ``energy_mwh`` is a number. Given a
-    dataset or a sequence of one region's mixes, each contract covers the
-    whole series: its ``energy_mwh`` holds ``generation * fraction`` per
-    step. A source gets a contract when that energy is positive in at
-    least one step.
+    dataset, each contract covers the whole series: its ``energy_mwh``
+    holds ``generation * fraction`` per step. A source gets a contract
+    when that energy is positive in at least one step.
 
     Raises:
-        ValueError: if a category is unknown, a fraction is outside
-            [0, 1] (both checked even for an empty series) or the mixes
-            span several regions.
+        ValueError: if a category is unknown or a fraction is outside
+            [0, 1] (both checked even for an empty dataset).
+        TypeError: if ``mixes`` is neither a mix nor a dataset.
     """
     sources = SourceRegistry.default() if sources is None else sources
     if isinstance(fraction, Mapping):
@@ -293,13 +292,13 @@ def contracts_for_fraction(
     for cat, f in per_category.items():
         if not 0.0 <= f <= 1.0:
             raise ValueError(f"contract fraction for {cat!r} must be in [0, 1], got {f}")
-    series = not isinstance(mixes, GridMix)
-    if isinstance(mixes, RegionDataset):
-        region, source_ids, columns = mixes.region, mixes.source_ids, mixes.columns
+    series = isinstance(mixes, RegionDataset)
+    if series:
+        source_ids, columns = mixes.source_ids, mixes.columns
+    elif isinstance(mixes, GridMix):
+        source_ids, columns = tuple(mixes.generation), [(g,) for g in mixes.generation.values()]
     else:
-        steps = tuple(mixes) if series else (mixes,)
-        region = _one_region(steps, "contracts_for_fraction")
-        source_ids, columns = _columns(steps)
+        raise TypeError(f"contracts_for_fraction takes a GridMix or a RegionDataset, not {type(mixes).__name__}")
     contracts = []
     for source_id, column in sorted(zip(source_ids, columns)):
         f = per_category.get(sources.get(source_id).category, 0.0)
@@ -311,35 +310,26 @@ def contracts_for_fraction(
                     buyer=buyer,
                     kind="financial",
                     source_id=source_id,
-                    source_region=region,
+                    source_region=mixes.region,
                     energy_mwh=energy if series else energy[0],
                 )
             )
     return tuple(contracts)
 
 
-def _one_region(mixes: Sequence[GridMix], caller: str) -> str | None:
-    """The region of a run of mixes (``None`` for no mixes); several raise ValueError."""
-    regions = {mix.region for mix in mixes}
-    if len(regions) > 1:
-        raise ValueError(f"{caller} needs one region's mixes, got {sorted(regions)}")
-    return mixes[0].region if mixes else None
-
-
 class _Removal(NamedTuple):
     """One contracted source along a series: its contracts in input order,
-    the MWh granted to each contract per step, and the MWh claimed, removed
-    and left over at each step."""
+    each with its energy per step, and the MWh claimed, removed and left
+    over at each step."""
 
-    contracts: tuple[Contract, ...]
-    granted: tuple[tuple[float, ...], ...]
+    claims: list[tuple[Contract, tuple[float, ...]]]
     claimed: tuple[float, ...]
     removed: tuple[float, ...]
     residual: tuple[float, ...]
 
 
 def _remove_contracted(
-    region: str | None,
+    region: str,
     steps: int | None,
     column: Callable[[str], Sequence[float]],
     contracts: Sequence[Contract],
@@ -360,9 +350,8 @@ def _remove_contracted(
     claim of a step sums its contracts' energy in input order.
     ``removed`` is the claim when it is at most the generation, and
     otherwise the generation: the source is over-contracted at that step
-    (claimed > removed), and each contract is granted its energy times
-    removed / claimed. The residual is ``g - removed``, which keeps ``g``
-    when nothing is removed.
+    (claimed > removed). The residual is ``g - removed``, which keeps
+    ``g`` when nothing is removed.
 
     Raises:
         ContractNotCarbonFree: if a contract of the region targets a
@@ -396,41 +385,12 @@ def _remove_contracted(
     removals: dict[str, _Removal] = {}
     for source_id, claims in by_source.items():
         generation = column(source_id)
-        source_contracts, energies = zip(*claims)
-        claimed = tuple(map(sum, zip(*energies)))
+        claimed = tuple(map(sum, zip(*(energy for _, energy in claims))))
         removed = tuple(map(min, claimed, generation))
-        granted = energies  # each energy * 1.0 when no step is over-contracted
-        if claimed != removed:
-            scales = tuple(r / c if c > r else 1.0 for c, r in zip(claimed, removed))
-            granted = tuple(tuple(map(mul, energy, scales)) for energy in energies)
         # max(g - removed, 0.0) is g - removed bit for bit, as removed <= g.
         residual = tuple(map(sub, generation, removed))
-        removals[source_id] = _Removal(source_contracts, granted, claimed, removed, residual)
+        removals[source_id] = _Removal(claims, claimed, removed, residual)
     return removals
-
-
-def _residual_at(mix: GridMix, removals: Mapping[str, _Removal], step: int) -> ResidualMix:
-    """The :class:`ResidualMix` of ``mix``, step ``step`` of ``removals``;
-    contracts sharing an id share one ``allocated`` entry."""
-    generation = dict(mix.generation)
-    removed: dict[str, float] = {}
-    allocated: dict[str, float] = {}
-    over_contracted = set()
-    for source_id, removal in removals.items():
-        amount = removal.removed[step]
-        if removal.claimed[step] > amount:
-            over_contracted.add(source_id)
-        for contract, granted in zip(removal.contracts, removal.granted):
-            allocated[contract.id] = allocated.get(contract.id, 0.0) + granted[step]
-        if amount > 0:
-            removed[source_id] = amount
-            generation[source_id] = removal.residual[step]
-    return ResidualMix(
-        mix=GridMix(region=mix.region, generation=generation, timestamp=mix.timestamp),
-        removed=removed,
-        over_contracted=frozenset(over_contracted),
-        allocated=allocated,
-    )
 
 
 def _residual_dataset(
@@ -448,45 +408,6 @@ def _residual_dataset(
     return replace(dataset, columns=columns, published_ci=None)
 
 
-def _fully_contracted(region: str | None, step: int) -> EmptyResidual:
+def _fully_contracted(region: str, step: int) -> EmptyResidual:
     """The error for a step with generation and an empty residual."""
     return EmptyResidual(f"step {step} of region {region!r} is fully contracted")
-
-
-def residual_mixes(
-    mixes: Iterable[GridMix],
-    contracts: Sequence[Contract],
-    sources: SourceRegistry | None = None,
-    require_residual: bool = False,
-) -> Iterator[ResidualMix]:
-    """Yield the residual mix of every step of one region's series, with the same contracts.
-
-    Step ``t`` allocates each contract's energy at step ``t`` (a scalar
-    energy applies at every step); the whole series is allocated once,
-    when the first step is consumed.
-
-    With ``require_residual``, a step that has generation but is fully
-    contracted stops the loop there, as a residual CI is needed at every
-    step.
-
-    Raises:
-        ContractNotCarbonFree: if a contract of the mixes' region targets
-            a source with a nonzero emission factor.
-        ValueError: if the mixes span several regions, or a per-step
-            contract series does not have one entry per mix.
-        EmptyResidual: with ``require_residual``, if a step with
-            generation is fully contracted.
-    """
-    sources = SourceRegistry.default() if sources is None else sources
-    mixes = tuple(mixes)
-    region = _one_region(mixes, "residual_mixes")
-
-    def column(source_id: str) -> tuple[float, ...]:
-        return tuple(mix.generation.get(source_id, 0.0) for mix in mixes)
-
-    removals = _remove_contracted(region, len(mixes), column, contracts, sources)
-    for step, mix in enumerate(mixes):
-        residual = _residual_at(mix, removals, step)
-        if require_residual and residual.total_energy <= 0 < mix.total_energy:
-            raise _fully_contracted(region, step)
-        yield residual

@@ -61,7 +61,7 @@ def _dataset(region: str, generations: list[dict[str, float]]) -> RegionDataset:
         GridMix(region=region, generation=generation, timestamp=_hour(h))
         for h, generation in enumerate(generations)
     )
-    published = tuple(float(compute_average_ci(mix, sources)) for mix in mixes)
+    published = tuple(compute_average_ci(mix, sources) for mix in mixes)
     return RegionDataset(region=region, mixes=mixes, published_ci=published)
 
 

@@ -4,7 +4,8 @@ Units are fixed package-wide:
 
 - generation energy in MWh,
 - consumer demand in kWh (converted at the API edge where the two meet),
-- carbon intensity and emission factors in g CO2-eq per kWh,
+- carbon intensity and emission factors in g CO2-eq per kWh; a carbon
+  intensity is a plain ``float``, from inputs checked where they enter,
 - absolute emissions in grams.
 
 All types are immutable values; all operations are pure functions, so
@@ -138,20 +139,6 @@ class GridMix:
         )
 
 
-@dataclass(frozen=True)
-class CarbonIntensity:
-    """Carbon intensity in g CO2-eq per kWh."""
-
-    value: float
-
-    def __post_init__(self) -> None:
-        if self.value < 0:
-            raise ValueError(f"carbon intensity must be >= 0, got {self.value}")
-
-    def __float__(self) -> float:
-        return self.value
-
-
 def total_emissions(mix: GridMix, sources: SourceRegistry | None = None) -> float:
     """Total emissions of a mix in grams CO2-eq.
 
@@ -164,7 +151,7 @@ def total_emissions(mix: GridMix, sources: SourceRegistry | None = None) -> floa
     )
 
 
-def compute_average_ci(mix: GridMix, sources: SourceRegistry | None = None) -> CarbonIntensity:
+def compute_average_ci(mix: GridMix, sources: SourceRegistry | None = None) -> float:
     """Generation-weighted average carbon intensity of a mix, g/kWh.
 
     This is the grid-level (location-based) carbon intensity when the mix
@@ -181,7 +168,7 @@ def compute_average_ci(mix: GridMix, sources: SourceRegistry | None = None) -> C
     weighted = sum(
         mwh * sources.get(source_id).cef for source_id, mwh in mix.generation.items()
     )
-    return CarbonIntensity(weighted / total)
+    return weighted / total
 
 
 # Per-step helpers over generation columns: one float tuple per source id,
@@ -190,14 +177,6 @@ def compute_average_ci(mix: GridMix, sources: SourceRegistry | None = None) -> C
 # same floats as the same mixes computed one by one.
 
 _Row = tuple[float, ...]
-
-
-def _columns(mixes: Sequence[GridMix]) -> tuple[tuple[str, ...], tuple[_Row, ...]]:
-    """The source ids of a run of mixes, in order of first appearance, and
-    one generation column per id, with 0.0 where a mix lacks the id."""
-    source_ids = tuple(dict.fromkeys(s for mix in mixes for s in mix.generation))
-    columns = tuple(tuple(mix.generation.get(s, 0.0) for mix in mixes) for s in source_ids)
-    return source_ids, columns
 
 
 def _rows(columns: Sequence[Iterable[float]], steps: int) -> Iterator[_Row]:

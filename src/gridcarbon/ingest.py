@@ -28,7 +28,7 @@ from pathlib import Path
 
 from .errors import GapError, ParseError, SchemaError
 from .factors import SOURCE_CATEGORIES
-from .grid import GridMix, _columns, _rows
+from .grid import GridMix, _rows
 
 TIMESTAMP_FORMAT = "%Y-%m-%dT%H:%M:%SZ"
 TIMESTAMP_COLUMN = "timestamp"
@@ -60,7 +60,8 @@ class RegionDataset:
     tuple of MWh per source, aligned with the timestamps.
 
     ``published_ci`` is the operator's own carbon-intensity signal,
-    aligned step-for-step with the timestamps when present.
+    aligned step-for-step with the timestamps when present. Every
+    generation value and every published CI must be finite and >= 0.
 
     ``RegionDataset(region, mixes=...)`` builds the columns from one
     :class:`GridMix` per step: the union of their source ids in order of
@@ -96,7 +97,8 @@ class RegionDataset:
                 if mix.timestamp is None:
                     raise ValueError(f"step {i} is missing a timestamp")
             timestamps = tuple(mix.timestamp for mix in mixes)
-            source_ids, columns = _columns(mixes)
+            source_ids = tuple(dict.fromkeys(s for mix in mixes for s in mix.generation))
+            columns = tuple(tuple(mix.generation.get(s, 0.0) for mix in mixes) for s in source_ids)
         timestamps = tuple(timestamps)
         source_ids = tuple(source_ids)
         columns = tuple(tuple(column) for column in columns)
@@ -108,20 +110,10 @@ class RegionDataset:
         if len(source_ids) != len(columns) or len(set(source_ids)) != len(source_ids):
             raise ValueError("a dataset needs one column per distinct source id")
         for source_id, column in zip(source_ids, columns):
-            if len(column) != len(timestamps):
-                raise ValueError(
-                    f"column {source_id!r} has {len(column)} values "
-                    f"for {len(timestamps)} timestamps"
-                )
-            if column and min(column) < 0:
-                raise ValueError(f"generation for {source_id!r} must be >= 0, got {min(column)}")
+            _check_series(f"column {source_id!r}", column, len(timestamps))
         if published_ci is not None:
             published_ci = tuple(published_ci)
-            if len(published_ci) != len(timestamps):
-                raise ValueError(
-                    f"published_ci has {len(published_ci)} values "
-                    f"for {len(timestamps)} series steps"
-                )
+            _check_series("published_ci", published_ci, len(timestamps))
         for name, value in (
             ("region", region),
             ("timestamps", timestamps),
@@ -158,6 +150,19 @@ class RegionDataset:
         """True when consecutive timestamps are evenly spaced."""
         timestamps = self.timestamps
         return len({b - a for a, b in zip(timestamps, timestamps[1:])}) <= 1
+
+
+def _check_series(name: str, values: tuple[float, ...], steps: int) -> None:
+    """Raise ValueError unless there is one value per step, finite and >= 0."""
+    if len(values) != steps:
+        raise ValueError(f"{name} has {len(values)} values for {steps} timestamps")
+    # A NaN or inf makes the sum NaN or inf; so can huge finite values.
+    if values and not (min(values) >= 0 and sum(values) < math.inf):
+        for value in values:
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
+        if min(values) < 0:
+            raise ValueError(f"{name} must be >= 0, got {min(values)}")
 
 
 def check_basis(dataset: RegionDataset, basis: str) -> None:

@@ -16,7 +16,7 @@ from operator import mul
 from .contracts import _fully_contracted, _residual_dataset, contracts_for_fraction
 from .errors import EmptyFleet, EmptyMix, ZeroBaseline
 from .factors import check_categories
-from .grid import CarbonIntensity, SourceRegistry, _cefs, _step_emissions
+from .grid import SourceRegistry, _cefs, _step_emissions
 from .ingest import RegionDataset, check_basis
 
 SOLAR_WIND = ("solar", "wind")
@@ -135,18 +135,18 @@ def energy_weighted_ci(
     return _weighted_ci(zip(*_step_emissions(dataset.columns, cefs, len(dataset))))
 
 
-def _period(dataset: RegionDataset, ci: float | None) -> CarbonIntensity:
+def _period(dataset: RegionDataset, ci: float | None) -> float:
     if ci is None:
         raise EmptyMix(f"dataset for region {dataset.region!r} has no generation")
-    return CarbonIntensity(ci)
+    return ci
 
 
 def period_ci(
     dataset: RegionDataset,
     sources: SourceRegistry | None = None,
     basis: str = "cef",
-) -> CarbonIntensity:
-    """Energy-weighted average carbon intensity over a whole series.
+) -> float:
+    """Energy-weighted average carbon intensity over a whole series, g/kWh.
 
     ``basis="cef"`` computes emissions from per-source factors;
     ``basis="published"`` trusts the dataset's published CI signal.
@@ -164,8 +164,8 @@ def period_residual_ci(
     categories: Sequence[str] = SOLAR_WIND,
     sources: SourceRegistry | None = None,
     basis: str = "cef",
-) -> CarbonIntensity:
-    """Energy-weighted residual CI with a fraction of selected generation contracted.
+) -> float:
+    """Energy-weighted residual CI, g/kWh, with a fraction of selected generation contracted.
 
     Under ``basis="published"`` residual emissions per step are taken as
     published CI times total energy — exact when everything removed is
@@ -212,6 +212,6 @@ def residual_inflation(
     Raises:
         ZeroBaseline: if the period CI is zero (an all carbon-free series).
     """
-    ci_loc = float(period_ci(dataset, sources, basis))
-    ci_res = float(period_residual_ci(dataset, contract_fraction, categories, sources, basis))
+    ci_loc = period_ci(dataset, sources, basis)
+    ci_res = period_residual_ci(dataset, contract_fraction, categories, sources, basis)
     return inflation_pct(ci_loc, ci_res)

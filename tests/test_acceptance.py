@@ -27,7 +27,6 @@ from gridcarbon import (
     attribute_market_based,
     best_window,
     compute_average_ci,
-    compute_residual_ci,
     compute_residual_mix,
     contracts_for_fraction,
     detect_double_counting,
@@ -61,6 +60,10 @@ def _criterion(number: int, label: str, checks: Callable[[], None]) -> None:
         print(f"criterion {number} ({label}): FAIL")
         raise
     print(f"criterion {number} ({label}): PASS")
+
+
+def _residual_ci(mix: GridMix, contracts) -> float:
+    return compute_average_ci(compute_residual_mix(mix, contracts, SOURCES).mix, SOURCES)
 
 
 def _random_mix(rng: random.Random, region: str = "r") -> GridMix:
@@ -167,8 +170,8 @@ def test_criterion_3_closed_form_residual() -> None:
             contracts = contracts_for_fraction(
                 mix, fraction / cf_share, cf_categories, SOURCES
             )
-            ci_loc = float(compute_average_ci(mix, SOURCES))
-            ci_res = float(compute_residual_ci(mix, contracts, SOURCES))
+            ci_loc = compute_average_ci(mix, SOURCES)
+            ci_res = _residual_ci(mix, contracts)
             assert ci_res == pytest.approx(ci_loc / (1.0 - fraction), rel=1e-9)
 
     _criterion(3, "closed-form residual-CI oracle, 1000 mixes", checks)
@@ -223,12 +226,8 @@ def test_criterion_6_invariants() -> None:
             mix = _random_mix(rng)
             lo = rng.uniform(0.0, 0.9)
             hi = rng.uniform(lo, 0.9)
-            ci_lo = float(
-                compute_residual_ci(mix, contracts_for_fraction(mix, lo, sources=SOURCES), SOURCES)
-            )
-            ci_hi = float(
-                compute_residual_ci(mix, contracts_for_fraction(mix, hi, sources=SOURCES), SOURCES)
-            )
+            ci_lo = _residual_ci(mix, contracts_for_fraction(mix, lo, sources=SOURCES))
+            ci_hi = _residual_ci(mix, contracts_for_fraction(mix, hi, sources=SOURCES))
             assert ci_hi >= ci_lo - 1e-9  # residual CI monotone in contracting
 
             residual = compute_residual_mix(

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import re
 from collections.abc import Mapping, Sequence
 
 import pytest
@@ -25,7 +26,7 @@ from gridcarbon import (
     build_report,
     compute_average_ci,
     compute_market_ci,
-    compute_residual_ci,
+    compute_residual_mix,
     detect_double_counting,
     total_emissions,
 )
@@ -106,6 +107,23 @@ def test_market_ci_rejects_over_claim() -> None:
 def test_market_ci_rejects_zero_demand() -> None:
     with pytest.raises(ZeroDemand):
         compute_market_ci(0.0, 0.0, 500.0)
+
+
+@pytest.mark.parametrize(
+    ("demand", "claim", "ci_res", "message"),
+    [
+        (100.0, float("nan"), 100.0, "carbon-free claim must be finite, got nan"),
+        (float("inf"), 1.0, 1.0, "demand must be finite, got inf"),
+        (float("nan"), 0.0, 1.0, "demand must be finite, got nan"),
+        (100.0, 10.0, float("inf"), "residual CI must be finite, got inf"),
+        (100.0, 10.0, float("-inf"), "residual CI must be finite, got -inf"),
+        (100.0, 10.0, -5.0, "residual CI must be >= 0, got -5.0"),
+        (100.0, 0.0, -5.0, "residual CI must be >= 0, got -5.0"),
+    ],
+)
+def test_market_ci_rejects_non_finite_numbers_and_a_negative_ci(demand, claim, ci_res, message) -> None:
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        compute_market_ci(demand, claim, ci_res)
 
 
 # --- market-based attribution ---------------------------------------------
@@ -312,7 +330,7 @@ def test_adding_contract_never_helps_bystander(wind, coal, claim) -> None:
 
 def test_ci_ordering_for_claimants() -> None:
     mix = _case2_mix()
-    ci_res = float(compute_residual_ci(mix, [_case2_contract()]))
+    ci_res = compute_average_ci(compute_residual_mix(mix, [_case2_contract()]).mix)
     consumers = [
         Consumer(id="C1", region="local", demand_kwh=20_000.0, method="market_based"),
         Consumer(id="H1", region="local", demand_kwh=20.0, method="market_based"),

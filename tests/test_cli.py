@@ -525,6 +525,24 @@ def test_schedule_unknown_policy(capsys, tmp_path: Path) -> None:
     assert "policy must be 'best_window', 'worst_window' or a start index" in err
 
 
+@pytest.mark.parametrize("window", ["5", "1:2:3", "a:1", ":"])
+def test_schedule_malformed_window_names_the_option(capsys, tmp_path: Path, window: str) -> None:
+    signal = tmp_path / "signal.csv"
+    signal.write_text(SIGNAL_CSV, encoding="utf-8")
+    err = _single_error_line(
+        capsys, "schedule", "--signal", str(signal), "--duration", "1", "--window", window
+    )
+    assert err == f"error: --window: expected LO:HI, two integer start indices, got {window!r}\n"
+
+
+@pytest.mark.parametrize("fraction", ["x", "", "0.5:1"])
+def test_ci_malformed_contract_fraction_names_the_option(capsys, toy_csv: Path, fraction: str) -> None:
+    err = _single_error_line(
+        capsys, "ci", "--mix", str(toy_csv), "--contracts", f"solar-wind:{fraction}"
+    )
+    assert err == f"error: --contracts: expected a number after 'solar-wind:', got {fraction!r}\n"
+
+
 # --- CEF overrides ------------------------------------------------------------------------
 
 def test_cef_flag(capsys, tmp_path: Path, toy_csv: Path) -> None:

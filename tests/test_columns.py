@@ -22,7 +22,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gridcarbon import (
-    CarbonIntensity,
     Contract,
     EmptyMix,
     EmptyResidual,
@@ -32,12 +31,11 @@ from gridcarbon import (
     RegionDataset,
     SourceRegistry,
     compute_average_ci,
-    residual_mixes,
     total_emissions,
 )
 from gridcarbon import grid
 from gridcarbon.cli import main
-from gridcarbon.contracts import _residual_dataset
+from gridcarbon.contracts import _remove_contracted, _residual_dataset
 from gridcarbon.errors import SchemaError
 from gridcarbon.factors import SOURCE_CATEGORIES, check_categories
 from gridcarbon.ingest import (
@@ -253,7 +251,7 @@ def _reference_energy_weighted_ci(mixes: Iterable[GridMix], sources=None) -> flo
 def _reference_period(dataset, ci):
     if ci is None:
         raise EmptyMix(f"dataset for region {dataset.region!r} has no generation")
-    return CarbonIntensity(ci)
+    return ci
 
 
 def _reference_period_ci(dataset, sources=None, basis="cef"):
@@ -331,8 +329,6 @@ def _penetration(dataset, categories=("solar", "wind"), sources=None, per_hour_m
 
 
 def _hex(value):
-    if isinstance(value, CarbonIntensity):
-        return ("ci", value.value.hex())
     if isinstance(value, float):
         return value.hex()
     if isinstance(value, (tuple, list)):
@@ -477,21 +473,44 @@ def test_ci_residual_column_matches_per_mix_code(uniform, data, fraction) -> Non
         assert _outcome(_ci_residual_column, dataset, contracts, sources) == _outcome(
             _reference_ci_residual_column, view, contracts, sources
         )
-        assert _outcome(_residual_bits, residual_mixes, view.mixes, contracts) == _outcome(
-            _residual_bits, _reference_residual_mixes, view.mixes, contracts
+        assert _outcome(_kernel_bits, dataset, view.mixes, contracts) == _outcome(
+            _residual_bits, view.mixes, contracts
         )
 
 
-def _residual_bits(compute, mixes, contracts) -> list:
+def _residual_bits(mixes, contracts) -> list:
+    """Each step's residual, removed and over-contracted MWh, allocated one step at a time."""
     return [
         (
             [(source, value.hex()) for source, value in residual.generation.items()],
             [(source, value.hex()) for source, value in residual.removed.items()],
-            [(contract, value.hex()) for contract, value in residual.allocated.items()],
             residual.over_contracted,
         )
-        for residual in compute(mixes, contracts)
+        for residual in _reference_residual_mixes(mixes, contracts)
     ]
+
+
+def _kernel_bits(dataset, mixes, contracts) -> list:
+    """:func:`_residual_bits` from one ``_remove_contracted`` call over the dataset."""
+    removals = _remove_contracted(
+        dataset.region, len(dataset), dataset.column, contracts, SourceRegistry.default()
+    )
+    bits = []
+    for step, mix in enumerate(mixes):
+        generation = dict(mix.generation)
+        removed = {}
+        for source_id, removal in removals.items():
+            if removal.removed[step] > 0:
+                generation[source_id] = removal.residual[step]
+                removed[source_id] = removal.removed[step]
+        bits.append(
+            (
+                [(source, value.hex()) for source, value in generation.items()],
+                [(source, value.hex()) for source, value in removed.items()],
+                frozenset(s for s, r in removals.items() if r.claimed[step] > r.removed[step]),
+            )
+        )
+    return bits
 
 
 # --- the timestamp fast path --------------------------------------------------------

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+from datetime import datetime, timedelta, timezone
 from math import inf, nan
 
 import pytest
@@ -12,18 +13,36 @@ from gridcarbon import (
     EmptyResidual,
     GridCarbonError,
     GridMix,
+    RegionDataset,
+    ResidualMix,
     SourceRegistry,
     UnknownRegion,
     allocate_contracts,
     compute_average_ci,
-    compute_residual_ci,
     compute_residual_mix,
     contracts_for_fraction,
-    residual_mixes,
+    period_residual_ci,
     total_emissions,
 )
+from gridcarbon.contracts import _remove_contracted, _residual_dataset
 
 import reference_allocation
+
+
+def _residual_ci(mix: GridMix, contracts: list[Contract]) -> float:
+    return compute_average_ci(compute_residual_mix(mix, contracts).mix)
+
+
+def _dataset(mixes) -> RegionDataset:
+    """The dataset of one region's mixes, one hour apart."""
+    start = datetime(2022, 6, 1, tzinfo=timezone.utc)
+    return RegionDataset(
+        region="r",
+        mixes=[
+            GridMix(region="r", generation=mix.generation, timestamp=start + timedelta(hours=h))
+            for h, mix in enumerate(mixes)
+        ],
+    )
 
 
 def _solar_contract(energy: float, buyer: str = "C1", contract_id: str = "ppa") -> Contract:
@@ -75,7 +94,6 @@ def test_series_contract_needs_a_step() -> None:
     for call in (
         series.energy_at,
         lambda: compute_residual_mix(mix, [series]),
-        lambda: compute_residual_ci(mix, [series]),
         lambda: allocate_contracts(mix, [series]).claim_mwh("C1"),
     ):
         with pytest.raises(ValueError, match="per-step energy series"):
@@ -125,21 +143,18 @@ def test_residual_mix_rejects_fossil_contract(toy: GridMix) -> None:
 
 
 def test_residual_ci_case_2(displaced_coal_mix: GridMix) -> None:
-    ci = compute_residual_ci(displaced_coal_mix, [_solar_contract(20.0)])
-    assert float(ci) == pytest.approx(480_000.0 / 980.0, rel=1e-12)
-    # cross-check against the plain average of the residual mix
-    residual = compute_residual_mix(displaced_coal_mix, [_solar_contract(20.0)])
-    assert float(ci) == float(compute_average_ci(residual.mix))
+    ci = _residual_ci(displaced_coal_mix, [_solar_contract(20.0)])
+    assert ci == pytest.approx(480_000.0 / 980.0, rel=1e-12)
 
 
 def test_residual_ci_no_contracts_equals_average(toy: GridMix) -> None:
-    assert float(compute_residual_ci(toy, [])) == float(compute_average_ci(toy))
+    assert _residual_ci(toy, []) == compute_average_ci(toy)
 
 
 def test_residual_ci_fully_contracted() -> None:
     mix = GridMix(region="local", generation={"solar": 10.0})
     with pytest.raises(EmptyResidual):
-        compute_residual_ci(mix, [_solar_contract(10.0)])
+        allocate_contracts(mix, [_solar_contract(10.0)], require_residual=True)
 
 
 def test_contracted_cfe_simple(displaced_coal_mix: GridMix) -> None:
@@ -184,7 +199,7 @@ def test_contracts_for_fraction_rejects_out_of_range(toy: GridMix) -> None:
     with pytest.raises(ValueError):
         contracts_for_fraction(toy, 1.5)
     with pytest.raises(ValueError, match="must be in"):
-        contracts_for_fraction((), 1.5)
+        contracts_for_fraction(RegionDataset(region="r"), 1.5)
 
 
 def test_contracts_for_fraction_series() -> None:
@@ -193,42 +208,43 @@ def test_contracts_for_fraction_series() -> None:
         GridMix(region="r", generation={"solar": 4.0, "coal": 5.0}),
         GridMix(region="r", generation={"wind": 0.0, "solar": 2.0, "hydro": 0.0}),
     )
-    contracts = contracts_for_fraction(mixes, 0.5, ("solar", "wind", "hydro"))
+    contracts = contracts_for_fraction(_dataset(mixes), 0.5, ("solar", "wind", "hydro"))
     assert [(c.source_id, c.energy_mwh) for c in contracts] == [
         ("solar", (0.0, 2.0, 1.0)),
         ("wind", (5.0, 0.0, 0.0)),
     ]
     assert {c.source_region for c in contracts} == {"r"}
-    with pytest.raises(ValueError, match="one region"):
-        contracts_for_fraction((*mixes, GridMix(region="s", generation={"wind": 1.0})), 0.5)
+    with pytest.raises(TypeError, match="takes a GridMix or a RegionDataset"):
+        contracts_for_fraction(mixes, 0.5)
 
 
 def test_residual_mixes_require_residual() -> None:
-    mixes = (
-        GridMix(region="r", generation={}),
-        GridMix(region="r", generation={"wind": 5.0, "coal": 1.0}),
-        GridMix(region="r", generation={"wind": 5.0}),
+    """A series' residual may be empty where its generation is; a fully
+    contracted step with generation stops the period aggregate there."""
+    dataset = _dataset(
+        (
+            GridMix(region="r", generation={}),
+            GridMix(region="r", generation={"wind": 5.0, "coal": 1.0}),
+            GridMix(region="r", generation={"wind": 5.0}),
+        )
     )
-    contracts = contracts_for_fraction(mixes, 1.0)
-    residuals = residual_mixes(mixes, contracts)
-    assert [r.total_energy for r in residuals] == [0.0, 1.0, 0.0]
+    contracts = contracts_for_fraction(dataset, 1.0)
+    residual = _residual_dataset(dataset, contracts, SourceRegistry.default())
+    assert [sum(row) for row in residual.rows()] == [0.0, 1.0, 0.0]
     with pytest.raises(EmptyResidual, match="step 2 of region 'r' is fully contracted"):
-        list(residual_mixes(mixes, contracts, require_residual=True))
+        period_residual_ci(dataset, 1.0)
 
 
 def test_residual_mixes_need_one_entry_per_step() -> None:
-    mixes = (
-        GridMix(region="r", generation={"wind": 5.0, "coal": 1.0}),
-        GridMix(region="r", generation={"wind": 5.0, "coal": 1.0}),
-    )
+    """A per-step contract on a series has exactly one entry per step."""
+    mix = GridMix(region="r", generation={"wind": 5.0, "coal": 1.0})
+    dataset = _dataset((mix, mix))
     for energy in ((1.0,), (1.0, 2.0, 3.0)):
         contract = Contract(id="w", buyer="b", kind="rec", source_id="wind",
                             source_region="r", energy_mwh=energy)
         message = f"has {len(energy)} per-step energy_mwh values for a series of 2 steps$"
         with pytest.raises(ValueError, match=message):
-            list(residual_mixes(mixes, [contract]))
-    with pytest.raises(ValueError, match="one region's mixes"):
-        list(residual_mixes((*mixes, GridMix(region="s", generation={"wind": 1.0})), []))
+            _residual_dataset(dataset, [contract], SourceRegistry.default())
 
 
 def test_residual_mixes_sum_claims_in_contract_order() -> None:
@@ -239,9 +255,10 @@ def test_residual_mixes_sum_claims_in_contract_order() -> None:
                  source_region="r", energy_mwh=e)
         for i, e in enumerate((0.1, 0.2, 0.3))
     ]
-    (residual,) = residual_mixes([mix], contracts)
-    assert residual.removed["wind"] == (0.1 + 0.2) + 0.3 != (0.3 + 0.2) + 0.1
-    assert residual.removed == compute_residual_mix(mix, contracts).removed
+    (removed,) = _series_bits([mix], contracts)[0][1]
+    assert removed == ("wind", ((0.1 + 0.2) + 0.3).hex())
+    assert (0.1 + 0.2) + 0.3 != (0.3 + 0.2) + 0.1
+    assert [removed] == _bits(compute_residual_mix(mix, contracts))[1]
 
 
 SERIES_SOURCES = ("solar", "wind", "hydro", "coal", "gas")
@@ -279,6 +296,26 @@ def _bits(residual) -> tuple:
     )
 
 
+def _series_bits(mixes, contracts) -> list:
+    """:func:`_bits` of each step's residual mix, from one
+    ``_remove_contracted`` call over the dataset of the mixes."""
+    dataset = _dataset(mixes)
+    removals = _remove_contracted(
+        dataset.region, len(dataset), dataset.column, contracts, SourceRegistry.default()
+    )
+    bits = []
+    for step, mix in enumerate(mixes):
+        generation = dict(mix.generation)
+        removed = {}
+        for source_id, removal in removals.items():
+            if removal.removed[step] > 0:
+                generation[source_id] = removal.residual[step]
+                removed[source_id] = removal.removed[step]
+        over = frozenset(s for s, r in removals.items() if r.claimed[step] > r.removed[step])
+        bits.append(_bits(ResidualMix(GridMix(region="r", generation=generation), removed, over)))
+    return bits
+
+
 @settings(max_examples=300)
 @given(
     steps=st.lists(
@@ -290,8 +327,9 @@ def _bits(residual) -> tuple:
     categories=st.sampled_from([("solar", "wind"), ("wind",), ("hydro", "solar")]),
 )
 def test_series_contracts_match_per_step_contracts(steps, fraction, categories) -> None:
-    """Contracting a series once gives bit-identical residual mixes to
-    contracting every step on its own, or the same error."""
+    """Contracting a series once gives bit-identical residual, removed and
+    over-contracted MWh to contracting every step on its own, or the same
+    error."""
     mixes = [GridMix(region="r", generation=generation) for generation in steps]
 
     def per_step():
@@ -301,8 +339,7 @@ def test_series_contracts_match_per_step_contracts(steps, fraction, categories) 
         ]
 
     def series():
-        contracts = contracts_for_fraction(mixes, fraction, categories)
-        return [_bits(residual) for residual in residual_mixes(mixes, contracts)]
+        return _series_bits(mixes, contracts_for_fraction(_dataset(mixes), fraction, categories))
 
     assert _outcome(series) == _outcome(per_step)
 
@@ -425,8 +462,8 @@ def test_conservation_under_clamping(wind, coal, claim) -> None:
 def test_residual_ci_monotone(wind, coal, fraction) -> None:
     mix = GridMix(region="r", generation={"wind": wind, "coal": coal})
     contracts = contracts_for_fraction(mix, fraction, categories=("wind",))
-    ci_loc = float(compute_average_ci(mix))
-    ci_res = float(compute_residual_ci(mix, contracts))
+    ci_loc = compute_average_ci(mix)
+    ci_res = _residual_ci(mix, contracts)
     assert ci_res >= ci_loc - 1e-9
     if not contracts:
         assert ci_res == ci_loc
@@ -457,7 +494,7 @@ def test_residual_ci_closed_form(wind, coal, fraction) -> None:
     removed = fraction * wind
     f = removed / mix.total_energy
     expected = float(compute_average_ci(mix)) / (1.0 - f)
-    assert float(compute_residual_ci(mix, contracts)) == pytest.approx(expected, rel=1e-9)
+    assert _residual_ci(mix, contracts) == pytest.approx(expected, rel=1e-9)
 
 
 def test_residual_order_independent() -> None:

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from gridcarbon import (
     DEFAULT_CEF,
-    CarbonIntensity,
     EmptyMix,
     EnergySource,
     GridMix,
@@ -119,11 +118,8 @@ def test_total_emissions_unit_conversion(toy: GridMix, sources: SourceRegistry) 
     assert total_emissions(toy, sources) == 500_000_000.0
 
 
-def test_carbon_intensity_value_object() -> None:
-    ci = CarbonIntensity(123.4)
-    assert float(ci) == 123.4
-    with pytest.raises(ValueError):
-        CarbonIntensity(-0.1)
+def test_carbon_intensity_is_a_float(toy: GridMix) -> None:
+    assert type(compute_average_ci(toy)) is float
 
 
 def _series(hours: int, region: str = "r") -> RegionDataset:

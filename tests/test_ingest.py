@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import tempfile
 from datetime import datetime, timedelta, timezone
+from math import inf, nan
 from pathlib import Path
 
 import pytest
@@ -91,6 +92,13 @@ def test_dataset_from_mixes_fills_absent_sources() -> None:
         ({"source_ids": ("wind",), "columns": ((1.0,),)}, "'wind' has 1 values for 2 timestamps"),
         ({"source_ids": ("wind", "wind"), "columns": ((1.0, 2.0),) * 2}, "one column per distinct"),
         ({"source_ids": ("wind",), "columns": ((1.0, -2.0),)}, "must be >= 0"),
+        ({"source_ids": ("wind",), "columns": ((inf, 1.0),)}, "^column 'wind' must be finite, got inf$"),
+        ({"source_ids": ("wind",), "columns": ((nan, 1.0),)}, "^column 'wind' must be finite, got nan$"),
+        ({"source_ids": ("coal", "wind"), "columns": ((1.0, 1.0), (1.0, -inf))}, "finite, got -inf"),
+        ({"published_ci": [1.0]}, "^published_ci has 1 values for 2 timestamps$"),
+        ({"published_ci": [-5.0, 10.0]}, "^published_ci must be >= 0, got -5.0$"),
+        ({"published_ci": [5.0, nan]}, "^published_ci must be finite, got nan$"),
+        ({"published_ci": [inf, 10.0]}, "^published_ci must be finite, got inf$"),
     ],
 )
 def test_dataset_checks_columns(columns, message: str) -> None:
@@ -99,6 +107,18 @@ def test_dataset_checks_columns(columns, message: str) -> None:
         RegionDataset(region="r", timestamps=(start, start + timedelta(hours=1)), **columns)
     with pytest.raises(ValueError, match="strictly increasing"):
         RegionDataset(region="r", timestamps=(start, start))
+
+
+def test_dataset_accepts_huge_finite_values(tmp_path: Path) -> None:
+    """Two 1e308 cells overflow a column's sum, yet both are finite."""
+    text = (
+        "timestamp,wind,ci_g_per_kwh\n"
+        "2022-06-01T00:00:00Z,1e308,1e308\n"
+        "2022-06-01T01:00:00Z,1e308,1e308\n"
+    )
+    dataset = load_region_csv(_write(tmp_path, text))
+    assert dataset.columns == ((1e308, 1e308),)
+    assert dataset.published_ci == (1e308, 1e308)
 
 
 def test_region_override(tmp_path: Path) -> None:
