@@ -50,8 +50,8 @@ class EnergySource:
     def __post_init__(self) -> None:
         if self.category not in SOURCE_CATEGORIES:
             raise ValueError(f"unknown source category {self.category!r}")
-        if self.cef < 0:
-            raise ValueError(f"source {self.id!r}: cef must be >= 0, got {self.cef}")
+        if not 0 <= self.cef < inf:
+            raise ValueError(f"source {self.id!r}: cef must be a finite number >= 0, got {self.cef}")
         if self.carbon_free and self.cef != 0:
             raise ValueError(
                 f"source {self.id!r}: carbon-free sources must have cef = 0, got {self.cef}"

@@ -11,8 +11,11 @@ differs from the one that actually prices their residual demand.
 from __future__ import annotations
 
 import math
+import sys
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
+from itertools import accumulate, compress, repeat
+from operator import ge, le, sub
 
 from .contracts import _fully_contracted, _residual_dataset, contracts_for_fraction
 from .errors import EmptyMix, SignalMismatch, WindowTooShort, ZeroBaseline
@@ -20,6 +23,10 @@ from .grid import SourceRegistry, _cefs, _step_cis
 from .ingest import RegionDataset, check_basis
 
 Signal = Sequence[float]
+
+# Below this sum of absolute values no prefix or window sum can overflow;
+# at or above it every start of a contiguous load is summed.
+_MAX_SCALE = sys.float_info.max / 4
 
 
 @dataclass(frozen=True)
@@ -39,10 +46,17 @@ class FlexibleLoad:
     def __post_init__(self) -> None:
         if not 0 <= self.energy_per_hour_kwh < math.inf:
             raise ValueError("energy_per_hour_kwh must be a finite number >= 0")
-        if not isinstance(self.duration_hours, int) or self.duration_hours < 1:
+        if not _is_int(self.duration_hours) or self.duration_hours < 1:
             raise ValueError(f"duration_hours must be an integer >= 1, got {self.duration_hours}")
         if self.window is not None:
-            object.__setattr__(self, "window", (int(self.window[0]), int(self.window[1])))
+            window = tuple(self.window) if isinstance(self.window, (tuple, list)) else ()
+            if len(window) != 2 or not all(map(_is_int, window)):
+                raise ValueError(f"window must be a pair of integer start hours, got {self.window!r}")
+            object.__setattr__(self, "window", window)
+
+
+def _is_int(value: object) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _start_bounds(signal: Signal, load: FlexibleLoad) -> tuple[int, int]:
@@ -58,21 +72,57 @@ def _start_bounds(signal: Signal, load: FlexibleLoad) -> tuple[int, int]:
     return lo, hi
 
 
+def _finite_scale(span: Signal, first_hour: int) -> float:
+    """The sum of ``|value|`` over a signal slice, ``inf`` if it overflows.
+
+    Raises:
+        ValueError: naming the first hour of the slice, counted from
+            ``first_hour``, whose value is not finite.
+    """
+    try:
+        scale = math.fsum(map(abs, span))
+    except OverflowError:  # finite values whose sum exceeds the float range
+        scale = math.inf
+    if not math.isfinite(scale):
+        for hour, value in enumerate(span, first_hour):
+            if not math.isfinite(value):
+                raise ValueError(f"signal value at hour {hour} is not finite: {value}")
+    return scale
+
+
 def _extreme_window(signal: Signal, load: FlexibleLoad, worst: bool) -> tuple[int, ...]:
     lo, hi = _start_bounds(signal, load)
     duration = load.duration_hours
-    if load.contiguous:
-        best_start = None
-        best_sum = None
-        for start in range(lo, hi + 1):
-            cost = sum(signal[start : start + duration])
-            better = best_sum is None or (cost > best_sum if worst else cost < best_sum)
-            if better:
-                best_start, best_sum = start, cost
-        return tuple(range(best_start, best_start + duration))
-    hours = range(lo, hi + duration)
-    ranked = sorted(hours, key=lambda h: (-signal[h], h) if worst else (signal[h], h))
-    return tuple(sorted(ranked[:duration]))
+    span = signal[lo : hi + duration]
+    scale = _finite_scale(span, lo)
+    if not load.contiguous:
+        ranked = sorted(range(lo, hi + duration), key=signal.__getitem__, reverse=worst)
+        return tuple(sorted(ranked[:duration]))
+    # Every window sum from one prefix pass over the n = len(span) hours.
+    # A prefix difference rounds off by at most about 2n·2⁻⁵³·scale and
+    # the sum() of the same slice by d·2⁻⁵³·scale, so the two differ by
+    # less than (2n + d + 1)·2⁻⁵³·scale, and the start that sum() ranks
+    # first lies within twice that (tol) of the prefix extreme. Only the
+    # starts that close are summed again, in start order, and compared as
+    # a scan of every start compares them, so ties go to the earliest.
+    starts = range(lo, hi + 1)
+    if scale < _MAX_SCALE:
+        prefix = list(accumulate(span, initial=0.0))
+        sums = list(map(sub, prefix[duration:], prefix))
+        tol = 2 * (2 * len(span) + duration + 1) * 2.0**-53 * scale
+        if worst:
+            close = map(ge, sums, repeat(max(sums) - tol))
+        else:
+            close = map(le, sums, repeat(min(sums) + tol))
+        starts = compress(starts, close)
+    best_start = None
+    best_sum = None
+    for start in starts:
+        cost = sum(signal[start : start + duration])
+        better = best_sum is None or (cost > best_sum if worst else cost < best_sum)
+        if better:
+            best_start, best_sum = start, cost
+    return tuple(range(best_start, best_start + duration))
 
 
 def best_window(signal: Signal, load: FlexibleLoad) -> tuple[int, ...]:
@@ -80,16 +130,24 @@ def best_window(signal: Signal, load: FlexibleLoad) -> tuple[int, ...]:
 
     Contiguous loads get the minimum-sum start (ties go to the earliest
     start); non-contiguous loads get the individually cheapest hours
-    (ties go to the earlier hour).
+    (ties go to the earlier hour). For a contiguous load the search is
+    O(T) in the T allowed hours: one prefix-sum pass, then ``sum`` over
+    only the starts within rounding error of the minimum. It picks the
+    same hours as summing every window and keeping the first minimum.
 
     Raises:
         WindowTooShort: if the window cannot fit the load.
+        ValueError: if a value in the hours the load may use is not
+            finite; the message names the first such hour.
     """
     return _extreme_window(signal, load, worst=False)
 
 
 def worst_window(signal: Signal, load: FlexibleLoad) -> tuple[int, ...]:
-    """Hours maximizing total CI for the load (the shift-from baseline)."""
+    """Hours maximizing total CI for the load (the shift-from baseline).
+
+    The mirror of :func:`best_window`, with the same ties, cost and errors.
+    """
     return _extreme_window(signal, load, worst=True)
 
 
@@ -155,7 +213,7 @@ def _policy_hours(signal: Signal, load: FlexibleLoad, policy: str | int) -> tupl
         return best_window(signal, load)
     if policy == "worst_window":
         return worst_window(signal, load)
-    if isinstance(policy, int) and not isinstance(policy, bool):
+    if _is_int(policy):
         start = policy
         if start < 0 or start + load.duration_hours > len(signal):
             raise WindowTooShort(
@@ -168,6 +226,7 @@ def _policy_hours(signal: Signal, load: FlexibleLoad, policy: str | int) -> tupl
                 raise WindowTooShort(f"fixed start {start} outside start window ({lo}, {hi})")
         if not load.contiguous:
             raise ValueError(f"fixed start {start} needs a contiguous load")
+        _finite_scale(signal[start : start + load.duration_hours], start)
         return tuple(range(start, start + load.duration_hours))
     raise ValueError(f"policy must be 'best_window', 'worst_window' or a start index, got {policy!r}")
 
@@ -191,7 +250,8 @@ def shift_savings(
         ZeroBaseline: if the from-placement has zero emissions.
         WindowTooShort: if a placement does not fit the signal or a fixed
             start lies outside the window.
-        ValueError: if a fixed start is given for a non-contiguous load.
+        ValueError: if a fixed start is given for a non-contiguous load,
+            or a value in the hours a placement may use is not finite.
     """
     from_hours = _policy_hours(signal, load, from_policy)
     to_hours = _policy_hours(signal, load, to_policy)

@@ -32,6 +32,12 @@ def test_energy_source_rejects_negative_cef() -> None:
         EnergySource(id="x", category="coal", cef=-1.0, carbon_free=False)
 
 
+@pytest.mark.parametrize("cef", [float("nan"), float("inf")])
+def test_energy_source_rejects_non_finite_cef(cef: float) -> None:
+    with pytest.raises(ValueError, match="cef must be a finite number >= 0"):
+        EnergySource(id="x", category="coal", cef=cef, carbon_free=False)
+
+
 def test_carbon_free_source_must_have_zero_cef() -> None:
     with pytest.raises(ValueError):
         EnergySource(id="x", category="wind", cef=12.0, carbon_free=True)

@@ -4,7 +4,7 @@ import itertools
 from datetime import datetime, timedelta, timezone
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gridcarbon import (
@@ -24,6 +24,8 @@ from gridcarbon import (
     worst_window,
 )
 
+import reference_scheduler
+
 
 def _load(duration: int = 1, energy: float = 1000.0, window=None,
           contiguous: bool = True) -> FlexibleLoad:
@@ -39,8 +41,13 @@ def test_load_validation() -> None:
             FlexibleLoad(energy_per_hour_kwh=energy, duration_hours=1)
     with pytest.raises(ValueError):
         FlexibleLoad(energy_per_hour_kwh=1.0, duration_hours=0)
-    with pytest.raises(ValueError):
-        FlexibleLoad(energy_per_hour_kwh=1.0, duration_hours=2.5)  # type: ignore[arg-type]
+    for duration in (2.5, True):
+        with pytest.raises(ValueError, match="duration_hours must be an integer"):
+            FlexibleLoad(energy_per_hour_kwh=1.0, duration_hours=duration)  # type: ignore[arg-type]
+    for window in ((0.5, 3.7), (1,), (0, 1, 2), (True, 3), (0, False), "03", 3):
+        with pytest.raises(ValueError, match="window must be a pair of integer start hours"):
+            FlexibleLoad(energy_per_hour_kwh=1.0, duration_hours=1, window=window)  # type: ignore[arg-type]
+    assert FlexibleLoad(energy_per_hour_kwh=1.0, duration_hours=1, window=[0, 3]).window == (0, 3)
 
 
 # --- window selection ---------------------------------------------------------
@@ -141,6 +148,65 @@ def test_best_never_beaten(signal, duration) -> None:
     chosen_cost = sum(signal[h] for h in chosen)
     for start in range(len(signal) - duration + 1):
         assert chosen_cost <= sum(signal[start : start + duration]) + 1e-9
+
+
+@st.composite
+def _search_cases(draw):
+    """A signal, a load duration and a start window (``None``: any start).
+
+    Signals mix magnitudes from 1e-6 to 1e16, so prefix sums lose the small
+    values; or come near the float limit, so window sums overflow; or draw
+    from a small alphabet, or repeat one value, so many windows tie
+    exactly or nearly.
+    """
+    rng = draw(st.randoms(use_true_random=False))
+    length = draw(st.integers(min_value=1, max_value=500))
+    kind = draw(st.sampled_from(["magnitudes", "huge", "alphabet", "constant"]))
+    if kind == "magnitudes":
+        signal = [rng.uniform(1.0, 10.0) * 10.0 ** rng.randint(-6, 15) for _ in range(length)]
+    elif kind == "huge":
+        signal = [rng.uniform(0.0, 1.5e308) for _ in range(length)]
+    elif kind == "alphabet":
+        alphabet = draw(st.lists(st.sampled_from([0.0, 1.0, 2.0, 3.0, 0.1, 0.2, 0.7]),
+                                 min_size=1, max_size=4))
+        signal = [rng.choice(alphabet) for _ in range(length)]
+    else:
+        signal = [draw(st.sampled_from([0.0, 0.1, 1.0, 1e16]))] * length
+    duration = draw(st.integers(min_value=1, max_value=length))
+    window = None
+    if draw(st.booleans()):
+        lo = draw(st.integers(min_value=0, max_value=length - duration))
+        window = (lo, draw(st.integers(min_value=lo, max_value=length - duration)))
+    return signal, duration, window
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_search_cases())
+def test_search_matches_reference(case) -> None:
+    signal, duration, window = case
+    for contiguous in (True, False):
+        load = _load(duration, window=window, contiguous=contiguous)
+        for search, worst in ((best_window, False), (worst_window, True)):
+            expected = reference_scheduler._extreme_window(signal, load, worst)
+            assert search(signal, load) == expected, (search.__name__, contiguous)
+
+
+@pytest.mark.parametrize("contiguous", [True, False])
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_non_finite_signal_rejected(contiguous, bad) -> None:
+    signal = [1.0, 2.0, bad, 3.0, bad]
+    load = _load(1, contiguous=contiguous)
+    for search in (best_window, worst_window, shift_savings):
+        with pytest.raises(ValueError, match="signal value at hour 2 is not finite"):
+            search(signal, load)
+    # Only the hours a placement may use are read.
+    assert best_window(signal, _load(1, window=(0, 1), contiguous=contiguous)) == (0,)
+
+
+def test_non_finite_fixed_start_rejected() -> None:
+    signal = [1.0, 2.0, float("nan")]
+    with pytest.raises(ValueError, match="signal value at hour 2 is not finite"):
+        shift_savings(signal, _load(2), from_policy=1, to_policy=0)
 
 
 # --- schedule evaluation --------------------------------------------------------
