@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import gc
 import io
 import json
 import math
@@ -507,6 +508,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # A run builds large acyclic data (YAML nodes, 8760-row columns, output
+    # records) that reference counting frees; the cyclic collector would
+    # only walk it again and again as it grows.
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         records = args.handler(args)
         _emit(records, args.format, args.out)
@@ -514,6 +520,9 @@ def main(argv=None) -> int:
         return _fail(exc, 1)
     except OSError as exc:
         return _fail(exc, 2)
+    finally:
+        if collecting:
+            gc.enable()
     return 0
 
 

@@ -21,6 +21,7 @@ from math import inf, isfinite
 from pathlib import Path
 
 import yaml
+from yaml.nodes import MappingNode, ScalarNode, SequenceNode
 
 from .errors import SchemaError
 
@@ -65,14 +66,94 @@ DEFAULT_CEF: dict[str, float] = {
 }
 
 
-# libyaml's parser with PyYAML's SafeConstructor and resolver: the same
-# objects as yaml.SafeLoader, decoded several times faster.
+# libyaml's parser with PyYAML's resolver composes the nodes (as
+# yaml.SafeLoader does, several times faster); _load_yaml builds the common
+# nodes itself and leaves the rest to this loader's SafeConstructor.
 _YAML_LOADER = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
+
+_STR, _NULL, _BOOL, _INT, _FLOAT, _SEQ, _MAP, _MERGE, _VALUE = (
+    "tag:yaml.org,2002:" + name
+    for name in ("str", "null", "bool", "int", "float", "seq", "map", "merge", "value")
+)
+
+
+class _ConstructorOnly(Exception):
+    """A collection node that only the loader's constructor builds."""
 
 
 def _load_yaml(stream):
-    """Decode one YAML document from a stream or string with the safe loader."""
-    return yaml.load(stream, Loader=_YAML_LOADER)
+    """Decode one YAML document from a stream or string: the object, or the
+    error, that ``yaml.load(stream, Loader=_YAML_LOADER)`` gives.
+
+    The loader composes the document into nodes. Strings, nulls, booleans,
+    decimal ints without a leading 0, floats that ``float()`` reads, and
+    sequence and mapping nodes (scalar keys, no ``<<`` or ``=`` key) are
+    built here, memoised by node so that aliases and recursive anchors
+    resolve. Any other scalar goes to the loader's ``construct_document``.
+    Any other collection, and any error, sends the whole document to
+    ``construct_document``: SafeConstructor rewrites merge and ``=`` keys
+    in the nodes as it builds a mapping, so a collection built on its own
+    could leave the document decoding differently from ``yaml.load``.
+    Scalar constructors read only their node and change nothing.
+    """
+    loader = _YAML_LOADER(stream)
+    try:
+        root = loader.get_single_node()
+        if root is None:
+            return None
+        try:
+            return _construct(root, loader)
+        except Exception:  # the constructor raises it too, or builds what was left to it
+            loader.constructed_objects, loader.recursive_objects = {}, {}
+            loader.state_generators, loader.deep_construct = [], False
+            return loader.construct_document(root)
+    finally:
+        loader.dispose()
+
+
+def _construct(root, loader):
+    """The object SafeConstructor builds from ``root``, for the nodes
+    :func:`_load_yaml` lists; raises for any other collection."""
+    memo = {}  # collection node -> its list or dict, filled or being filled
+    bool_values = loader.bool_values
+
+    def build(node):
+        tag = node.tag
+        if node.__class__ is ScalarNode:
+            value = node.value
+            if tag == _STR:
+                return value
+            if tag == _FLOAT:
+                try:
+                    return float(value)  # the same number as the constructor's
+                except ValueError:  # .inf, .nan, 1:30.5, ...
+                    return loader.construct_document(node)
+            if tag == _INT:
+                digits = value[1:] if value.startswith(("+", "-")) else value
+                if digits.isascii() and digits.isdigit() and (digits[0] != "0" or digits == "0"):
+                    return int(value)
+                return loader.construct_document(node)  # 0x1F, 017, 1_000, 1:30, ...
+            if tag == _BOOL:
+                return bool_values[value.lower()]
+            if tag == _NULL:
+                return None
+            return loader.construct_document(node)
+        if node in memo:
+            return memo[node]
+        if tag == _SEQ and node.__class__ is SequenceNode:
+            data = memo[node] = []
+            data.extend(map(build, node.value))
+            return data
+        if tag == _MAP and node.__class__ is MappingNode:
+            data = memo[node] = {}
+            for key_node, value_node in node.value:
+                if key_node.__class__ is not ScalarNode or key_node.tag in (_MERGE, _VALUE):
+                    raise _ConstructorOnly(key_node.tag)
+                data[build(key_node)] = build(value_node)
+            return data
+        raise _ConstructorOnly(tag)
+
+    return build(root)
 
 
 def is_carbon_free_category(category: str) -> bool:

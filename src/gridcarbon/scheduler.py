@@ -178,6 +178,8 @@ def evaluate_schedule(
     Raises:
         SignalMismatch: if the signals differ in length or do not cover
             every chosen hour.
+        ValueError: if a signal value at a chosen hour is not finite; the
+            message names the first such hour.
     """
     if len(reported_signal) != len(actual_signal):
         raise SignalMismatch(
@@ -190,6 +192,11 @@ def evaluate_schedule(
             raise SignalMismatch(f"hour {hour} outside signal of length {len(reported_signal)}")
     reported_sum = sum(reported_signal[h] for h in hours)
     actual_sum = sum(actual_signal[h] for h in hours)
+    if not math.isfinite(reported_sum + actual_sum):  # finite sums need no scan
+        for hour in hours:
+            for value in (reported_signal[hour], actual_signal[hour]):
+                if not math.isfinite(value):
+                    raise ValueError(f"signal value at hour {hour} is not finite: {value}")
     reported_avg = reported_sum / len(hours)
     actual_avg = actual_sum / len(hours)
     if reported_avg > 0:

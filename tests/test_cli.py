@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import gc
 import io
 import json
 import tempfile
@@ -13,7 +14,7 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gridcarbon import factors
+from gridcarbon import cli, factors
 from gridcarbon.cli import CEF_TABLE_ENV, main
 
 TOY_CSV = "timestamp,wind,coal\n2022-06-01T00:00:00Z,500,500\n"
@@ -612,6 +613,30 @@ def test_missing_file_exits_2(capsys, tmp_path: Path) -> None:
     captured = capsys.readouterr()
     assert code == 2
     assert "error:" in captured.err
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["scenario", "residential-case-1"], 0),
+        (["scenario", "does-not-exist"], 1),
+        (["scenario", "--file", "does-not-exist.yaml"], 2),
+    ],
+)
+def test_main_restores_the_collector(capsys, monkeypatch, enabled, argv, code) -> None:
+    seen = []
+    emit = cli._emit
+    monkeypatch.setattr(cli, "_emit", lambda *a: (seen.append(gc.isenabled()), emit(*a)))
+    was_enabled = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        assert main(argv) == code
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+    assert seen == ([False] if code == 0 else [])
+    capsys.readouterr()
 
 
 def test_unknown_builtin_exits_1(capsys) -> None:

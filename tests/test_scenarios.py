@@ -4,6 +4,8 @@ import io
 
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gridcarbon import factors
 from gridcarbon import (
@@ -155,6 +157,123 @@ def test_load_from_stream() -> None:
     scenario = load_scenario(stream)
     assert scenario.name == "streamed"
     assert run_scenario(scenario).consumer("a").selected.ci_g_per_kwh == 0.0
+
+
+# --- YAML decoding -------------------------------------------------------------
+
+# YAML 1.1 scalars whose tags, values or errors differ between plain
+# readings and what SafeConstructor does, and scalars the decoder builds itself.
+_SCALARS = (
+    "0x1F", "-0x1F", "017", "-017", "0o17", "0b101", "1_000", "+5", "-7", "0", "-0", "00",
+    "12", "123456789012345678901234567890", "-0.0", "1.5e+3", "1.5E-3", "3.25", "1_000.5",
+    ".5", "1e5", ".inf", "-.Inf", ".NaN", "1:30", "-1:30", "1:30.5", "yes", "No", "on", "OFF",
+    "true", "False", "~", "null", "Null", "''", '"quoted"', "plain text", "=", "<<",
+    "2001-12-14", "2001-12-14t21:59:43.10-05:00", "2001-12-14 21:59:43.10",
+    "!!binary aGVsbG8=", "!!binary '!!'", "!!int 12", "!!int +-5", "!!int x", "!!int ''",
+    "!!float 1", "!!float +-1", "!!float x", "!!bool maybe", "!!bool yes", "!!str 5",
+    "!!null x", "!!timestamp x", "!local x", "!!python/name:os.system", "!!value x",
+    "!!map x", "!!seq x", "!!set x",
+)
+_BAD = ("!!int x", "!!float y", "!!bool maybe", "!!timestamp t", "!local z", "!!binary '!!'", "=")
+_KEYS = ("a", "b", "1", "1.0", "true", "~", "017", "2001-12-14", "!!binary aGVsbG8=", "!local k")
+_COLLECTION_TAGS = ("",) * 6 + ("!!seq ", "!!map ", "!!set ", "!!omap ", "!!pairs ", "!local ")
+
+
+@st.composite
+def yaml_documents(draw) -> str:
+    """One flow-style YAML document: edge-case scalars, tagged
+    collections, anchors and aliases (recursive ones too), merge and ``=``
+    keys, collection and duplicate keys; sometimes two bad nodes, cut
+    short, or followed by a second document."""
+    anchors: list[str] = []
+
+    def node(depth: int) -> str:
+        kinds = ["scalar", "scalar", "alias", "seq", "map"] if depth < 3 else ["scalar", "alias"]
+        kind = draw(st.sampled_from(kinds))
+        if kind == "alias" and anchors:
+            return "*" + draw(st.sampled_from(anchors))
+        anchor = ""
+        if draw(st.integers(0, 3)) == 0:
+            anchor = f"a{len(anchors)}"
+        if kind in ("scalar", "alias"):
+            text = draw(st.sampled_from(_SCALARS))
+            anchors.extend([anchor] if anchor else [])
+            return f"&{anchor} {text}" if anchor else text
+        anchors.extend([anchor] if anchor else [])  # its own entries may refer to it
+        prefix = (f"&{anchor} " if anchor else "") + draw(st.sampled_from(_COLLECTION_TAGS))
+        count = draw(st.integers(0, 3))
+        if kind == "seq":
+            return prefix + "[" + ", ".join(node(depth + 1) for _ in range(count)) + "]"
+        entries = []
+        for _ in range(count):
+            key = draw(st.sampled_from(["plain", "plain", "plain", "<<", "=", "node"]))
+            if key == "plain":
+                key = draw(st.sampled_from(_KEYS))
+            elif key == "node":
+                key = "? " + node(depth + 1)
+            entries.append(key if draw(st.integers(0, 5)) == 0 else f"{key} : {node(depth + 1)}")
+        return prefix + "{" + ", ".join(entries) + "}"
+
+    text = node(0)
+    if draw(st.integers(0, 5)) == 0:  # two bad nodes, the first one nested deeper
+        first, second = draw(st.sampled_from(_BAD)), draw(st.sampled_from(_BAD))
+        forms = (f"[[{first}], {second}]", f"{{a: {{b: {first}}}, c: {second}}}", f"[{text}, {second}]")
+        text = draw(st.sampled_from(forms))
+    if draw(st.integers(0, 9)) == 0:
+        text = text[: draw(st.integers(0, len(text)))]
+    if draw(st.integers(0, 9)) == 0:
+        text += "\n---\n" + node(0)
+    return text + "\n"
+
+
+def _decode(load, text: str, source: str):
+    """``load``'s result on ``text`` given as ``source``, or its error as
+    (type, message)."""
+    if source == "string":
+        stream = text
+    else:  # read from where the stream stands
+        stream = io.StringIO("skipped line\n" + text)
+        stream.readline()
+    try:
+        return load(stream)
+    except Exception as exc:  # the error is the result compared
+        return (type(exc), str(exc))
+
+
+def _same(a, b, paired: dict, seen: set) -> bool:
+    """Equal values of equal types, NaN and -0.0 included, with the same
+    containers shared: each container of ``a`` pairs with one of ``b``."""
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, (list, dict, set)):
+        if id(a) in paired:
+            return paired[id(a)] is b
+        if id(b) in seen:
+            return False
+        paired[id(a)] = b
+        seen.add(id(b))
+        if isinstance(a, set):
+            return sorted(map(repr, a)) == sorted(map(repr, b))
+        if isinstance(a, dict):
+            a, b = list(a.items()), list(b.items())
+    if isinstance(a, (list, tuple)):
+        return len(a) == len(b) and all(_same(x, y, paired, seen) for x, y in zip(a, b))
+    if isinstance(a, float):
+        return repr(a) == repr(b)
+    return a == b
+
+
+@pytest.mark.parametrize("loader", [yaml.SafeLoader, factors._YAML_LOADER])
+@settings(max_examples=500, deadline=None)
+@given(text=yaml_documents(), source=st.sampled_from(["string", "stream"]))
+def test_load_yaml_matches_yaml_load(loader, text: str, source: str) -> None:
+    """``_load_yaml`` gives the value (type, aliasing and all) or the
+    error (type and message) that ``yaml.load`` gives, with either loader."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(factors, "_YAML_LOADER", loader)
+        got = _decode(factors._load_yaml, text, source)
+    expected = _decode(lambda stream: yaml.load(stream, Loader=loader), text, source)
+    assert _same(got, expected, {}, set()), (text, got, expected)
 
 
 def test_cef_override_changes_ci() -> None:

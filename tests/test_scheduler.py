@@ -251,6 +251,20 @@ def test_no_hours() -> None:
         evaluate_schedule((), _load(1), [1.0], [1.0])
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+@pytest.mark.parametrize("which", ["reported", "actual"])
+def test_evaluate_rejects_non_finite_chosen_hour(bad, which) -> None:
+    signals = {"reported": [1.0, 2.0, 3.0, 4.0], "actual": [5.0, 6.0, 7.0, 8.0]}
+    signals[which][1] = signals[which][3] = bad
+    with pytest.raises(ValueError, match=f"signal value at hour 3 is not finite: {bad}"):
+        evaluate_schedule((0, 3, 1), _load(3), signals["reported"], signals["actual"])
+    # Only the chosen hours are read.
+    result = evaluate_schedule((0, 2), _load(2), signals["reported"], signals["actual"])
+    assert result.reported_ci_avg == 2.0 and result.actual_ci_avg == 6.0
+    with pytest.raises(ValueError, match="hour 0 is not finite: nan"):
+        evaluate_schedule((0,), _load(1), [float("nan"), 1.0], [5.0, 1.0])
+
+
 def test_zero_reported_average() -> None:
     assert evaluate_schedule((0,), _load(1), [0.0], [0.0]).discrepancy_pct == 0.0
     assert evaluate_schedule((0,), _load(1), [0.0], [5.0]).discrepancy_pct == float("inf")
