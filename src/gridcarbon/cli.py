@@ -24,7 +24,7 @@ import yaml
 
 from .contracts import _residual_dataset, contracts_for_fraction
 from .errors import GridCarbonError, ScenarioInvalid
-from .factors import _load_yaml, load_cef_table
+from .factors import _read_yaml, load_cef_table
 from .fixtures import fixture_datasets, write_fixture_csvs
 from .grid import SourceRegistry
 from .ingest import BASES, FILL_POLICIES, TIMESTAMP_FORMAT, load_region_csv, load_signal_csv
@@ -131,7 +131,7 @@ def _parse_contracts_arg(spec: str, dataset, sources: SourceRegistry):
         fraction = _option("--contracts", raw, float, "a number after 'solar-wind:'")
         return contracts_for_fraction(dataset, fraction, sources=sources)
     with open(spec, encoding="utf-8") as handle:
-        data = _load_yaml(handle)
+        data = _read_yaml(handle, spec)
     if not isinstance(data, list):
         raise GridCarbonError(f"{spec}: expected a YAML list of contracts")
     defaults = {"buyer": "unnamed", "kind": "financial", "region": dataset.region}

@@ -111,6 +111,19 @@ def _load_yaml(stream):
         loader.dispose()
 
 
+def _read_yaml(stream, name: str):
+    """:func:`_load_yaml` of an input called ``name``. A value that its
+    tag's constructor cannot build (``!!bool maybe`` raises ``KeyError``,
+    ``!!int ""`` ``IndexError``) is one :class:`SchemaError` naming the
+    input; YAML syntax errors and I/O errors pass through unchanged."""
+    try:
+        return _load_yaml(stream)
+    except (yaml.YAMLError, OSError):
+        raise
+    except Exception as exc:
+        raise SchemaError(f"{name}: cannot decode a YAML value: {type(exc).__name__}: {exc}") from exc
+
+
 def _construct(root, loader):
     """The object SafeConstructor builds from ``root``, for the nodes
     :func:`_load_yaml` lists; raises for any other collection."""
@@ -183,7 +196,7 @@ def load_cef_table(path: str | Path) -> dict[str, float]:
     default in place.
     """
     with open(path, encoding="utf-8") as fh:
-        raw = _load_yaml(fh)
+        raw = _read_yaml(fh, f"CEF table {path}")
     if not isinstance(raw, Mapping):
         raise SchemaError(f"CEF table {path} must be a mapping of category -> g/kWh")
     table: dict[str, float] = {}

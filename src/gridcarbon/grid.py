@@ -129,15 +129,6 @@ class GridMix:
             mwh for source_id, mwh in self.generation.items() if sources.get(source_id).carbon_free
         )
 
-    def energy_for_categories(self, categories: Iterable[str], sources: SourceRegistry) -> float:
-        """Generation from sources in the given categories, in MWh."""
-        wanted = set(categories)
-        return sum(
-            mwh
-            for source_id, mwh in self.generation.items()
-            if sources.get(source_id).category in wanted
-        )
-
 
 def total_emissions(mix: GridMix, sources: SourceRegistry | None = None) -> float:
     """Total emissions of a mix in grams CO2-eq.

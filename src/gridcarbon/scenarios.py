@@ -38,7 +38,7 @@ from typing import Any, IO
 from .attribution import METHODS, AttributionReport, Consumer, build_report
 from .contracts import CONTRACT_KINDS, PHYSICAL_KINDS, Contract
 from .errors import ScenarioInvalid
-from .factors import _float, _load_yaml
+from .factors import _float, _read_yaml
 from .grid import GridMix, SourceRegistry
 
 _SCENARIO_DIR = "data/scenarios"
@@ -189,6 +189,9 @@ def parse_scenario(data: Any, name_hint: str = "<scenario>") -> Scenario:
             generation[source_id] = _number(
                 mwh, f"{prefix}.generation.{source_id}", minimum=0.0
             )
+        weighted = sum(mwh * sources.get(source_id).cef for source_id, mwh in generation.items())
+        if not isfinite(sum(generation.values())) or not isfinite(weighted):
+            _fail(f"{prefix}.generation", "total generation or its MWh times CEF overflows")
         mixes[region] = GridMix(region=region, generation=generation)
         if "demand_mwh" in body:
             demand = _number(body["demand_mwh"], f"{prefix}.demand_mwh", minimum=0.0)
@@ -269,9 +272,9 @@ def load_scenario(source: str | Path | IO[str]) -> Scenario:
     if isinstance(source, (str, Path)):
         path = Path(source)
         with path.open("r", encoding="utf-8") as handle:
-            data = _load_yaml(handle)
+            data = _read_yaml(handle, str(path))
         return parse_scenario(data, name_hint=path.stem)
-    return parse_scenario(_load_yaml(source))
+    return parse_scenario(_read_yaml(source, getattr(source, "name", "<stream>")))
 
 
 def run_scenario(scenario: Scenario) -> AttributionReport:
@@ -301,4 +304,4 @@ def load_builtin_scenario(name: str) -> Scenario:
             "name", f"no builtin scenario {name!r}; available: {', '.join(builtin_scenario_names())}"
         )
     with candidate.open("r", encoding="utf-8") as handle:
-        return parse_scenario(_load_yaml(handle), name_hint=name)
+        return parse_scenario(_read_yaml(handle, f"builtin scenario {name}"), name_hint=name)

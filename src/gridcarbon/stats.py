@@ -3,7 +3,8 @@
 Period aggregates are energy-weighted (total over total) rather than
 means of per-hour ratios, so splitting an hour into two half-hours with
 halved energies changes nothing. A per-hour-mean variant of penetration
-is available behind a flag for comparison.
+is available behind a flag for comparison. The inflation of a period's
+residual CI is ``inflation_pct(period_ci(d), period_residual_ci(d, f))``.
 """
 
 from __future__ import annotations
@@ -196,22 +197,3 @@ def inflation_pct(ci_loc: float, ci_res: float) -> float:
     if ci_loc <= 0:
         raise ZeroBaseline("period CI is zero; inflation undefined")
     return 100.0 * (ci_res - ci_loc) / ci_loc
-
-
-def residual_inflation(
-    dataset: RegionDataset,
-    contract_fraction: float | Mapping[str, float],
-    categories: Sequence[str] = SOLAR_WIND,
-    sources: SourceRegistry | None = None,
-    basis: str = "cef",
-) -> float:
-    """Percentage increase of period CI when generation is contracted out.
-
-    Returns 100 · (CI_res − CI_loc) / CI_loc over the whole series.
-
-    Raises:
-        ZeroBaseline: if the period CI is zero (an all carbon-free series).
-    """
-    ci_loc = period_ci(dataset, sources, basis)
-    ci_res = period_residual_ci(dataset, contract_fraction, categories, sources, basis)
-    return inflation_pct(ci_loc, ci_res)

@@ -1,8 +1,13 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import settings
 
 from gridcarbon import GridMix, SourceRegistry
+
+# ``--hypothesis-profile=thorough``: ten times the default examples, for the
+# differential tests that guard a refactor.
+settings.register_profile("thorough", max_examples=1000, deadline=None)
 
 
 @pytest.fixture(scope="session")

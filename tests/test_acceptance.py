@@ -23,8 +23,7 @@ from gridcarbon import (
     GridMix,
     RegionDataset,
     SourceRegistry,
-    attribute_location_based,
-    attribute_market_based,
+    build_report,
     best_window,
     compute_average_ci,
     compute_residual_mix,
@@ -39,7 +38,6 @@ from gridcarbon import (
     penetration_fleet,
     period_ci,
     period_residual_ci,
-    residual_inflation,
     residual_signal,
     run_scenario,
     shift_savings,
@@ -49,6 +47,7 @@ from gridcarbon import (
     write_region_csv,
 )
 from gridcarbon.cli import main as cli_main
+from gridcarbon.stats import inflation_pct
 
 SOURCES = SourceRegistry.default()
 
@@ -137,7 +136,8 @@ def test_criterion_2_high_renewables_aggregate() -> None:
         assert penetration(dataset).solar_wind_pct == pytest.approx(66.07, rel=1e-9)
         assert float(period_ci(dataset)) == pytest.approx(125.67, rel=1e-9)
         assert float(period_residual_ci(dataset, 1.0)) == pytest.approx(370.22, rel=0.01)
-        assert residual_inflation(dataset, 1.0) == pytest.approx(194.0, abs=2.0)
+        inflation = inflation_pct(period_ci(dataset), period_residual_ci(dataset, 1.0))
+        assert inflation == pytest.approx(194.0, abs=2.0)
         assert time.perf_counter() - started < 1.0
 
     _criterion(2, "high-renewables aggregate fixture", checks)
@@ -242,11 +242,10 @@ def test_criterion_6_invariants() -> None:
                 Consumer(id="b", region="r", demand_kwh=rng.uniform(1.0, 1e4),
                          method="market_based"),
             ]
-            location = attribute_location_based(mix, consumers, SOURCES)
-            market = attribute_market_based(mix, [], consumers, SOURCES)
-            for cid in ("a", "b"):
-                assert market[cid].ci_g_per_kwh == pytest.approx(
-                    location[cid].ci_g_per_kwh, rel=1e-12
+            report = build_report(mix, [], consumers, SOURCES)
+            for entry in report.consumers:
+                assert entry.market_based.ci_g_per_kwh == pytest.approx(
+                    entry.location_based.ci_g_per_kwh, rel=1e-12
                 )  # methods agree at zero contracts
 
             wind = mix.generation["wind"]

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import re
+from collections import Counter
 from collections.abc import Mapping, Sequence
 
 import pytest
@@ -21,7 +22,6 @@ from gridcarbon import (
     SourceRegistry,
     UnknownRegion,
     ZeroDemand,
-    attribute_location_based,
     attribute_market_based,
     build_report,
     compute_average_ci,
@@ -30,6 +30,7 @@ from gridcarbon import (
     detect_double_counting,
     total_emissions,
 )
+from gridcarbon import attribution as attribution_module
 from gridcarbon import contracts as contracts_module
 from gridcarbon.attribution import _cfe_fraction
 from gridcarbon.grid import KWH_PER_MWH
@@ -53,8 +54,8 @@ def test_consumer_validation() -> None:
 # --- location-based -------------------------------------------------------
 
 def test_location_based_toy_grid(toy: GridMix) -> None:
-    results = attribute_location_based(toy, [_home("H1"), _home("H2")])
-    for result in results.values():
+    report = build_report(toy, [], [_home("H1"), _home("H2")])
+    for result in (entry.location_based for entry in report.consumers):
         assert result.attributed_cfe_kwh == pytest.approx(10.0)
         assert result.attributed_fossil_kwh == pytest.approx(10.0)
         assert result.ci_g_per_kwh == 500.0
@@ -63,7 +64,7 @@ def test_location_based_toy_grid(toy: GridMix) -> None:
 
 def test_location_based_all_coal() -> None:
     mix = GridMix(region="r", generation={"coal": 100.0})
-    result = attribute_location_based(mix, [_home("H1", region="r")])["H1"]
+    result = build_report(mix, [], [_home("H1", region="r")]).consumer("H1").location_based
     assert result.attributed_cfe_kwh == 0.0
     assert result.ci_g_per_kwh == 1000.0
 
@@ -71,15 +72,16 @@ def test_location_based_all_coal() -> None:
 def test_location_based_share_uses_declared_grid_demand() -> None:
     # Rooftop surplus: generation 1000.01 MWh against 1000 MWh of demand.
     mix = GridMix(region="r", generation={"wind": 500.0, "solar": 0.01, "coal": 500.0})
-    results = attribute_location_based(
-        mix, [_home("H1", region="r")], grid_demand_mwh=1000.0
+    report = build_report(mix, [], [_home("H1", region="r")], grid_demand_mwh={"r": 1000.0})
+    assert report.consumer("H1").location_based.attributed_cfe_kwh == pytest.approx(
+        10.0002, rel=1e-12
     )
-    assert results["H1"].attributed_cfe_kwh == pytest.approx(10.0002, rel=1e-12)
 
 
 def test_location_based_identical_ci_for_everyone(toy: GridMix) -> None:
-    results = attribute_location_based(toy, [_home("a", 5.0), _home("b", 50000.0)])
-    assert results["a"].ci_g_per_kwh == results["b"].ci_g_per_kwh
+    report = build_report(toy, [], [_home("a", 5.0), _home("b", 50000.0)])
+    a, b = (entry.location_based for entry in report.consumers)
+    assert a.ci_g_per_kwh == b.ci_g_per_kwh
 
 
 # --- market CI (per consumer) ---------------------------------------------
@@ -273,11 +275,11 @@ def test_methods_agree_without_contracts(wind, coal, demand_a, demand_b) -> None
         Consumer(id="a", region="r", demand_kwh=demand_a),
         Consumer(id="b", region="r", demand_kwh=demand_b, method="market_based"),
     ]
-    location = attribute_location_based(mix, consumers)
-    market = attribute_market_based(mix, [], consumers)
+    report = build_report(mix, [], consumers)
     for cid in ("a", "b"):
-        assert market[cid].ci_g_per_kwh == pytest.approx(
-            location[cid].ci_g_per_kwh, rel=1e-12
+        entry = report.consumer(cid)
+        assert entry.market_based.ci_g_per_kwh == pytest.approx(
+            entry.location_based.ci_g_per_kwh, rel=1e-12
         )
 
 
@@ -342,13 +344,40 @@ def test_ci_ordering_for_claimants() -> None:
 
 # --- differential: build_report against the quadratic reference ------------
 #
-# The three functions below are verbatim copies of build_report and the two
+# The four functions below are verbatim copies of build_report and the three
 # functions it called before allocation was shared, with their calls renamed
-# to each other. They re-allocate every region for every consumer, twice, so
+# to each other; the market-based one also has the library's duplicate-id
+# guard, at the same point. They re-allocate every region for every consumer, twice, so
 # they are the reference the linear build_report must match exactly: equal
 # reports (bit-exact floats), or the same exception with the same message.
 # They allocate through reference_allocation, the single-step allocation as
 # it was before the kernel, so they do not share code with what they check.
+
+
+def _reference_attribute_location_based(
+    mix: GridMix,
+    consumers: Sequence[Consumer],
+    sources: SourceRegistry | None = None,
+    grid_demand_mwh: float | None = None,
+) -> dict[str, MethodResult]:
+    """Location-based attribution: one CI and CFE share for everyone.
+
+    Raises:
+        EmptyMix: if the mix has zero generation.
+    """
+    sources = SourceRegistry.default() if sources is None else sources
+    ci_loc = compute_average_ci(mix, sources)
+    fraction = _cfe_fraction(mix, sources, grid_demand_mwh)
+    results: dict[str, MethodResult] = {}
+    for consumer in consumers:
+        cfe = consumer.demand_kwh * fraction
+        results[consumer.id] = MethodResult(
+            attributed_cfe_kwh=cfe,
+            attributed_fossil_kwh=consumer.demand_kwh - cfe,
+            ci_g_per_kwh=ci_loc,
+            emissions_g=consumer.demand_kwh * ci_loc,
+        )
+    return results
 
 
 def _reference_contracted_cfe_for_buyer(
@@ -422,6 +451,8 @@ def _reference_attribute_market_based(
 
     results: dict[str, MethodResult] = {}
     for consumer in consumers:
+        if consumer.id in results:
+            raise ValueError(f"duplicate consumer id {consumer.id!r}")
         if consumer.region not in mixes:
             raise UnknownRegion(f"no mix provided for region {consumer.region!r}")
         claim_kwh = KWH_PER_MWH * _reference_contracted_cfe_for_buyer(
@@ -460,7 +491,7 @@ def _reference_build_report(
 
     ``grid_demand_mwh`` optionally declares total grid demand per region
     for quoting the location-based carbon-free share (see
-    :func:`attribute_location_based`).
+    :func:`_reference_attribute_location_based`).
     """
     sources = sources or SourceRegistry.default()
     if isinstance(mixes, GridMix):
@@ -471,7 +502,7 @@ def _reference_build_report(
     for region, mix in mixes.items():
         in_region = [c for c in consumers if c.region == region]
         location.update(
-            attribute_location_based(mix, in_region, sources, grid_demand_mwh.get(region))
+            _reference_attribute_location_based(mix, in_region, sources, grid_demand_mwh.get(region))
         )
     market = _reference_attribute_market_based(mixes, contracts, consumers, sources, step)
 
@@ -624,3 +655,50 @@ def test_build_report_allocates_each_region_once(monkeypatch) -> None:
     report = build_report(mixes, contracts, consumers)
     assert sorted(calls) == regions
     assert len(report.consumers) == size
+
+
+def test_build_report_prices_each_region_once(monkeypatch) -> None:
+    """A report computes a region's location CI once and its residual CI
+    twice: in attribute_market_based and for the region summary."""
+    mixes = {
+        region: GridMix(region=region, generation={"solar": 50.0, "wind": 20.0, "coal": 50.0})
+        for region in ("a", "b", "c")
+    }
+    consumers = [
+        Consumer(id=f"{region}{i}", region=region, demand_kwh=10.0 + i,
+                 method="market_based" if i % 2 else "location_based")
+        for region in mixes
+        for i in range(3)
+    ]
+    contracts = [
+        Contract(id=f"k-{region}", buyer=f"{region}1", kind="financial", source_id="solar",
+                 source_region=region, energy_mwh=5.0)
+        for region in mixes
+    ]
+    calls = Counter()
+    price = attribution_module.compute_average_ci
+
+    def counting(mix, *args, **kwargs):
+        calls[mix.region] += 1
+        return price(mix, *args, **kwargs)
+
+    monkeypatch.setattr(attribution_module, "compute_average_ci", counting)
+    build_report(mixes, contracts, consumers)
+    assert set(calls) == set(mixes)
+    assert max(calls.values()) <= 3, calls
+
+
+def test_duplicate_consumer_ids_rejected() -> None:
+    """Results and claims are keyed by consumer id, so a repeated id would
+    hand one consumer another's results; it is an error instead."""
+    mixes = {
+        "a": GridMix(region="a", generation={"solar": 50.0, "coal": 50.0}),
+        "b": GridMix(region="b", generation={"coal": 100.0}),
+    }
+    consumers = [
+        Consumer(id="c", region="a", demand_kwh=10.0),
+        Consumer(id="c", region="b", demand_kwh=20.0, method="market_based"),
+    ]
+    for attribute in (build_report, attribute_market_based):
+        with pytest.raises(ValueError, match="^duplicate consumer id 'c'$"):
+            attribute(mixes, [], consumers)

@@ -17,6 +17,8 @@ from hypothesis import strategies as st
 from gridcarbon import cli, factors
 from gridcarbon.cli import CEF_TABLE_ENV, main
 
+from test_scenarios import _BAD as YAML_BAD_SCALARS, yaml_documents
+
 TOY_CSV = "timestamp,wind,coal\n2022-06-01T00:00:00Z,500,500\n"
 
 SIGNAL_CSV = (
@@ -670,6 +672,41 @@ def test_malformed_yaml_is_one_error_line(
     assert "line 1, column 6" in err
 
 
+@pytest.mark.parametrize(
+    ("command", "text", "exception"),
+    [
+        ("scenario", "name: !!bool maybe\n", "KeyError: 'maybe'"),
+        ("attribute", "name: !!timestamp x\n", "AttributeError: "),
+        ("cef", 'coal: !!int ""\n', "IndexError: "),
+        ("contracts", "- {source: wind, energy_mwh: !!bool maybe}\n", "KeyError: 'maybe'"),
+    ],
+)
+def test_tagged_yaml_scalar_is_one_error_line(
+    capsys, tmp_path: Path, toy_csv: Path, command, text, exception
+) -> None:
+    bad = tmp_path / "tagged.yaml"
+    bad.write_text(text, encoding="utf-8")
+    argv = {
+        "scenario": ("scenario", "--file", str(bad)),
+        "attribute": ("attribute", "--file", str(bad)),
+        "cef": ("ci", "--mix", str(toy_csv), "--cef", str(bad)),
+        "contracts": ("ci", "--mix", str(toy_csv), "--contracts", str(bad)),
+    }[command]
+    err = _single_error_line(capsys, *argv)
+    assert f"{bad}: cannot decode a YAML value: {exception}" in err
+
+
+def test_scenario_generation_overflow_names_the_input(capsys, tmp_path: Path) -> None:
+    scenario = tmp_path / "huge.yaml"
+    scenario.write_text(
+        "regions: {r: {generation: {coal: 1.0e+308, wind: 1}}}\n"
+        "consumers: [{id: H1, region: r, demand_kwh: 20}]\n",
+        encoding="utf-8",
+    )
+    err = _single_error_line(capsys, "scenario", "--file", str(scenario))
+    assert err == "error: regions.r.generation: total generation or its MWh times CEF overflows\n"
+
+
 @pytest.mark.parametrize("field", ["source", "energy_mwh"])
 def test_contracts_yaml_missing_field(capsys, tmp_path: Path, toy_csv: Path, field) -> None:
     body = {"id": "w", "buyer": "c", "source": "wind", "energy_mwh": 250}
@@ -847,27 +884,72 @@ def list_contracts(draw) -> str:
     return "\n".join(lines) + "\n"
 
 
+# Numbers for YAML values: mostly ordinary ones, some near or past the
+# float limit, and tagged scalars that their constructor cannot build.
+YAML_NUMBER = st.one_of(
+    *[st.sampled_from(["0", "5", "20", "480", "500.5", "1e3"])] * 4,
+    st.sampled_from(["1.0e+308", "-1.0e+308", "1.7976931348623157e+308", "1e309", "9" * 320]),
+    st.sampled_from(YAML_BAD_SCALARS),
+)
+
+
+@st.composite
+def scenario_documents(draw) -> str:
+    """A scenario-shaped YAML document whose names and numbers are drawn
+    from ``YAML_NUMBER``, with a tagged or valid name."""
+    def v() -> str:
+        return draw(YAML_NUMBER)
+
+    name = draw(st.sampled_from(["t", "t", "t", *YAML_BAD_SCALARS]))
+    return (
+        f"name: {name}\n"
+        f"regions:\n"
+        f"  a: {{generation: {{wind: {v()}, coal: {v()}, solar: {v()}}}, demand_mwh: {v()}}}\n"
+        f"  b: {{generation: {{gas: {v()}, hydro: {v()}}}}}\n"
+        f"consumers:\n"
+        f"  - {{id: C1, region: a, demand_kwh: {v()}, method: market_based}}\n"
+        f"  - {{id: H1, region: b, demand_kwh: {v()}}}\n"
+        f"contracts:\n"
+        f"  - {{id: k, buyer: C1, kind: financial, source: solar, region: a, energy_mwh: {v()}}}\n"
+        f"cef_g_per_kwh: {{gas: {v()}}}\n"
+    )
+
+
 @st.composite
 def cli_calls(draw) -> tuple[dict[str, str], list[str]]:
-    """Files to write and the argv of one ``schedule``, ``residual`` or
-    ``ci`` invocation over them."""
+    """Files to write and the argv of one ``schedule``, ``residual``, ``ci``,
+    ``scenario --file`` or ``attribute --file`` invocation over them; the
+    CSV commands sometimes take a ``--cef`` table. Every YAML input is
+    sometimes any document ``yaml_documents`` draws."""
     files = {
         "mix.csv": draw(csv_texts(draw(MIX_COLUMNS))),
         "bare.csv": draw(csv_texts(("ci_g_per_kwh",))),
         "actual.csv": draw(csv_texts(("ci_g_per_kwh",))),
     }
-    command = draw(st.sampled_from(["schedule", "residual", "ci"]))
+    command = draw(st.sampled_from(["schedule", "residual", "ci", "schedule", "residual", "ci",
+                                    "scenario", "attribute"]))
+    if command in ("scenario", "attribute"):
+        files["scenario.yaml"] = draw(st.one_of(scenario_documents(), yaml_documents()))
+        return files, [command, "--file", "scenario.yaml"]
+    cef = []
+    if draw(st.integers(0, 3)) == 0:
+        cef_table = st.builds("{{coal: {}, gas: {}}}\n".format, YAML_NUMBER, YAML_NUMBER)
+        files["cef.yaml"] = draw(st.one_of(cef_table, yaml_documents()))
+        cef = ["--cef", "cef.yaml"]
     if command == "residual":
-        return files, ["residual", "--mix", "mix.csv", "--fraction", draw(FRACTIONS)]
+        return files, ["residual", "--mix", "mix.csv", "--fraction", draw(FRACTIONS), *cef]
     if command == "ci":
         fraction = FRACTIONS.map("solar-wind:{}".format)
         contracts = draw(
             st.one_of(st.sampled_from(["none", "all-solar-wind", "contracts.yaml"]), fraction)
         )
-        files["contracts.yaml"] = draw(list_contracts())
+        tagged = st.builds("- {{source: wind, energy_mwh: {}}}\n".format, YAML_NUMBER)
+        files["contracts.yaml"] = draw(
+            st.one_of(*[list_contracts()] * 4, tagged, yaml_documents())
+        )
         policy = draw(st.sampled_from(["drop-row", "zero-fill"]))
-        return files, ["ci", "--mix", "mix.csv", "--contracts", contracts, "--fill-policy", policy]
-    argv = ["schedule", "--signal", draw(st.sampled_from(["mix.csv", "bare.csv"]))]
+        return files, ["ci", "--mix", "mix.csv", "--contracts", contracts, "--fill-policy", policy, *cef]
+    argv = ["schedule", "--signal", draw(st.sampled_from(["mix.csv", "bare.csv"])), *cef]
     argv += ["--duration", draw(st.sampled_from(["1", "2", "4", "0"]))]
     actual = draw(st.sampled_from([None, "actual", "fraction"]))
     if actual == "actual":
@@ -887,7 +969,7 @@ def cli_calls(draw) -> tuple[dict[str, str], list[str]]:
     return files, [*argv, "--policy", policy]
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=500, deadline=None)
 @given(call=cli_calls())
 def test_cli_error_contract(call) -> None:
     """Whatever the files and option values, the CLI exits 0, 1 or 2

@@ -280,6 +280,16 @@ def _reference_period_residual_ci(
     )
 
 
+def _reference_energy_for_categories(mix: GridMix, categories: Iterable[str], sources: SourceRegistry) -> float:
+    """Generation from sources in the given categories, in MWh."""
+    wanted = set(categories)
+    return sum(
+        mwh
+        for source_id, mwh in mix.generation.items()
+        if sources.get(source_id).category in wanted
+    )
+
+
 def _reference_penetration(dataset, categories=("solar", "wind"), sources=None, per_hour_mean=False):
     check_categories(categories)
     sources = sources or SourceRegistry.default()
@@ -288,7 +298,7 @@ def _reference_penetration(dataset, categories=("solar", "wind"), sources=None, 
     ratios = []
     for mix in dataset.mixes:
         step_total = mix.total_energy
-        step_selected = mix.energy_for_categories(categories, sources)
+        step_selected = _reference_energy_for_categories(mix, categories, sources)
         total += step_total
         selected += step_selected
         if step_total > 0:

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from gridcarbon import factors
 from gridcarbon import (
     ScenarioInvalid,
+    SchemaError,
     builtin_scenario_names,
     load_builtin_scenario,
     load_scenario,
@@ -280,6 +281,26 @@ def test_cef_override_changes_ci() -> None:
     scenario = parse_scenario(_minimal(cef_g_per_kwh={"coal": 800.0}))
     report = run_scenario(scenario)
     assert report.consumer("H1").selected.ci_g_per_kwh == pytest.approx(400.0)
+
+
+@pytest.mark.parametrize(
+    "generation",
+    [{"coal": 1.0e308, "wind": 1.0}, {"wind": 1.0e308, "solar": 1.0e308}],
+    ids=["emissions", "total"],
+)
+def test_generation_overflow_is_a_region_error(generation) -> None:
+    """A generation whose total or MWh times CEF overflows is named at its
+    input, not later as an infinite carbon intensity."""
+    with pytest.raises(ScenarioInvalid) as exc:
+        parse_scenario(_minimal(regions={"r": {"generation": generation}}))
+    assert exc.value.field == "regions.r.generation"
+
+
+def test_tagged_scalar_is_a_schema_error() -> None:
+    """A value its tag's constructor cannot build is one error naming the input."""
+    text = "name: !!bool maybe\nregions: {r: {generation: {wind: 1}}}\n"
+    with pytest.raises(SchemaError, match=r"^<stream>: cannot decode a YAML value: KeyError: 'maybe'$"):
+        load_scenario(io.StringIO(text))
 
 
 def test_energy_series_contract() -> None:

@@ -17,10 +17,10 @@ from gridcarbon import (
     penetration_fleet,
     period_ci,
     period_residual_ci,
-    residual_inflation,
     south_australia_fixture,
     total_signal,
 )
+from gridcarbon.stats import inflation_pct
 
 
 def _dataset(generations: list[dict[str, float]], region: str = "r",
@@ -197,14 +197,19 @@ def test_period_residual_fraction_mapping() -> None:
 
 # --- inflation ------------------------------------------------------------------
 
+def _inflation(dataset: RegionDataset, fraction: float) -> float:
+    """The period CI's increase, in percent, with ``fraction`` of solar and wind contracted."""
+    return inflation_pct(period_ci(dataset), period_residual_ci(dataset, fraction))
+
+
 def test_inflation_half_green_fully_contracted() -> None:
     dataset = _dataset([{"wind": 50.0, "coal": 50.0}])
-    assert residual_inflation(dataset, 1.0) == pytest.approx(100.0, rel=1e-9)
+    assert _inflation(dataset, 1.0) == pytest.approx(100.0, rel=1e-9)
 
 
 def test_inflation_zero_fraction() -> None:
     dataset = _dataset([{"wind": 50.0, "coal": 50.0}])
-    assert residual_inflation(dataset, 0.0) == pytest.approx(0.0, abs=1e-12)
+    assert _inflation(dataset, 0.0) == pytest.approx(0.0, abs=1e-12)
 
 
 @given(
@@ -217,7 +222,7 @@ def test_inflation_closed_form(wind: float, coal: float, fraction: float) -> Non
     dataset = _dataset([{"wind": wind, "coal": coal}])
     share = wind / (wind + coal)
     expected = 100.0 * fraction * share / (1.0 - fraction * share)
-    assert residual_inflation(dataset, fraction) == pytest.approx(expected, rel=1e-9, abs=1e-9)
+    assert _inflation(dataset, fraction) == pytest.approx(expected, rel=1e-9, abs=1e-9)
 
 
 @given(
@@ -230,7 +235,7 @@ def test_inflation_monotone_in_fraction(wind: float, coal: float, lo: float, hi:
     if lo > hi:
         lo, hi = hi, lo
     dataset = _dataset([{"wind": wind, "coal": coal}])
-    assert residual_inflation(dataset, hi) >= residual_inflation(dataset, lo) - 1e-9
+    assert _inflation(dataset, hi) >= _inflation(dataset, lo) - 1e-9
 
 
 # --- high-renewables aggregate fixture -------------------------------------------
@@ -244,7 +249,7 @@ def test_aggregate_fixture_targets() -> None:
 
     ci_res = float(period_residual_ci(dataset, 1.0))
     assert ci_res == pytest.approx(370.22, rel=0.01)
-    inflation = residual_inflation(dataset, 1.0)
+    inflation = _inflation(dataset, 1.0)
     assert inflation == pytest.approx(194.0, abs=2.0)
 
 
