@@ -276,7 +276,8 @@ def build_report(
 
     Raises:
         EmptyMix: if a region has zero generation.
-        ValueError: if two consumers share an id or a declared demand is not positive.
+        ValueError: if two consumers share an id, a declared demand is not positive,
+            or a consumer's emissions overflow (naming ``consumers[i].demand_kwh``).
     """
     sources = SourceRegistry.default() if sources is None else sources
     if isinstance(mixes, GridMix):
@@ -294,9 +295,11 @@ def build_report(
     market = attribute_market_based(mixes, contracts, consumers, sources, allocation=allocation)
 
     entries = []
-    for consumer in consumers:
+    for i, consumer in enumerate(consumers):
         demand = consumer.demand_kwh
         ci_loc, fraction = location[consumer.region]
+        if not (isfinite(demand * ci_loc) and isfinite(market[consumer.id].emissions_g)):
+            raise ValueError(f"consumers[{i}].demand_kwh: emissions of consumer {consumer.id!r} overflow")
         cfe = demand * fraction
         claim_kwh = KWH_PER_MWH * allocation.claim_mwh(consumer.id)
         entries.append(

@@ -113,10 +113,6 @@ class ResidualMix:
         object.__setattr__(self, "allocated", dict(self.allocated))
 
     @property
-    def region(self) -> str:
-        return self.mix.region
-
-    @property
     def generation(self) -> Mapping[str, float]:
         return self.mix.generation
 
@@ -264,7 +260,6 @@ def contracts_for_fraction(
     fraction: float | Mapping[str, float],
     categories: Sequence[str] = ("solar", "wind"),
     sources: SourceRegistry | None = None,
-    buyer: str = "__contracted__",
 ) -> tuple[Contract, ...]:
     """Synthesize contracts covering a fraction of selected generation.
 
@@ -306,8 +301,8 @@ def contracts_for_fraction(
         if max(energy, default=0.0) > 0:
             contracts.append(
                 Contract(
-                    id=f"{buyer}:{source_id}",
-                    buyer=buyer,
+                    id=f"__contracted__:{source_id}",
+                    buyer="__contracted__",
                     kind="financial",
                     source_id=source_id,
                     source_region=mixes.region,
@@ -347,11 +342,11 @@ def _remove_contracted(
     ``energy_at(step)``, read after its carbon-free check.
 
     For each contracted source, in order of its first contract, the
-    claim of a step sums its contracts' energy in input order.
-    ``removed`` is the claim when it is at most the generation, and
-    otherwise the generation: the source is over-contracted at that step
-    (claimed > removed). The residual is ``g - removed``, which keeps
-    ``g`` when nothing is removed.
+    claim of a step is its contracts' energy summed with the built-in
+    ``sum``, in contract order. ``removed`` is the claim when it is at
+    most the generation, and otherwise the generation: the source is
+    over-contracted at that step (claimed > removed). The residual is
+    ``g - removed``, which keeps ``g`` when nothing is removed.
 
     Raises:
         ContractNotCarbonFree: if a contract of the region targets a

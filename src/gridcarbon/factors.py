@@ -169,10 +169,6 @@ def _construct(root, loader):
     return build(root)
 
 
-def is_carbon_free_category(category: str) -> bool:
-    return category in CARBON_FREE_CATEGORIES
-
-
 def check_categories(categories: Iterable[str]) -> None:
     """Raise ValueError for a name that is not a source category."""
     for category in categories:

@@ -23,7 +23,7 @@ from math import inf
 from operator import mul, truediv
 
 from .errors import EmptyMix, UnknownSource
-from .factors import DEFAULT_CEF, SOURCE_CATEGORIES, is_carbon_free_category
+from .factors import CARBON_FREE_CATEGORIES, DEFAULT_CEF, SOURCE_CATEGORIES, check_categories
 
 KWH_PER_MWH = 1000.0
 
@@ -57,13 +57,6 @@ class EnergySource:
                 f"source {self.id!r}: carbon-free sources must have cef = 0, got {self.cef}"
             )
 
-    @classmethod
-    def from_category(cls, category: str, *, cef: float | None = None, source_id: str | None = None) -> EnergySource:
-        """Build a source from its category using the default CEF table."""
-        resolved_cef = DEFAULT_CEF[category] if cef is None else float(cef)
-        carbon_free = is_carbon_free_category(category) and resolved_cef == 0
-        return cls(id=source_id or category, category=category, cef=resolved_cef, carbon_free=carbon_free)
-
 
 class SourceRegistry:
     """Lookup table from source id to :class:`EnergySource`."""
@@ -77,10 +70,18 @@ class SourceRegistry:
 
     @classmethod
     def default(cls, cef_overrides: Mapping[str, float] | None = None) -> SourceRegistry:
-        """One source per category, id = category name, CEFs from the default table."""
-        overrides = dict(cef_overrides or {})
+        """One source per category, id = category name, CEFs from the default
+        table with ``cef_overrides`` in place. A carbon-free category stays
+        carbon-free only while its CEF is 0.
+
+        Raises:
+            ValueError: naming an override whose category is unknown, or
+                whose CEF is not a finite number >= 0.
+        """
+        cefs = {**DEFAULT_CEF, **(cef_overrides or {})}
+        check_categories(cefs)
         return cls(
-            EnergySource.from_category(cat, cef=overrides.get(cat))
+            EnergySource(cat, cat, float(cefs[cat]), cat in CARBON_FREE_CATEGORIES and cefs[cat] == 0)
             for cat in sorted(SOURCE_CATEGORIES)
         )
 
@@ -92,9 +93,6 @@ class SourceRegistry:
 
     def __contains__(self, source_id: str) -> bool:
         return source_id in self._sources
-
-    def __iter__(self):
-        return iter(self._sources.values())
 
     def __len__(self) -> int:
         return len(self._sources)
@@ -188,13 +186,6 @@ def _weighted(
     if scale is not None:
         terms = [map(mul, column, repeat(scale)) for column in terms]
     return map(sum, _rows(terms, steps))
-
-
-def _step_cis(columns: Sequence[_Row], cefs: _Row, steps: int) -> tuple[float | None, ...]:
-    """:func:`compute_average_ci` of each step, or ``None`` for a step without energy."""
-    totals = map(sum, _rows(columns, steps))
-    weighted = _weighted(columns, cefs, steps)
-    return tuple(w / total if total > 0 else None for w, total in zip(weighted, totals))
 
 
 def _step_emissions(columns: Sequence[_Row], cefs: _Row, steps: int) -> tuple[_Row, _Row]:

@@ -173,6 +173,18 @@ def check_basis(dataset: RegionDataset, basis: str) -> None:
         raise ValueError(f"dataset for region {dataset.region!r} has no published CI series")
 
 
+def check_overflow(dataset: RegionDataset, total: float, sums: Iterable[float]) -> None:
+    """Unless ``total`` is finite, raise ValueError naming the region and the
+    timestamp of the first step whose value in ``sums`` (a total at or up to
+    that step) is infinite."""
+    if total < math.inf:
+        return
+    for step, value in enumerate(sums):
+        if value == math.inf:
+            when = dataset.timestamps[step].strftime(TIMESTAMP_FORMAT)
+            raise ValueError(f"region {dataset.region!r}: total generation or its emissions overflow at {when}")
+
+
 # The canonical timestamp shape, ASCII digits only. ``datetime.fromisoformat``
 # reads it, with ``Z`` as timezone.utc, many times faster than ``strptime``
 # and to the same datetime; every other value goes to ``strptime``, so the
@@ -197,7 +209,7 @@ def _parse_timestamp(raw: str, row: int) -> datetime:
         ) from None
 
 
-def _parse_cell(raw: str, row: int, column: str, minimum: float | None = 0.0) -> float:
+def _parse_cell(raw: str, row: int, column: str) -> float:
     try:
         value = float(raw)
     except ValueError:
@@ -206,8 +218,8 @@ def _parse_cell(raw: str, row: int, column: str, minimum: float | None = 0.0) ->
         raise ParseError("NaN is not a valid value", row=row, column=column)
     if math.isinf(value):
         raise ParseError(f"value must be finite, got {value}", row=row, column=column)
-    if minimum is not None and value < minimum:
-        raise ParseError(f"value must be >= {minimum}, got {value}", row=row, column=column)
+    if value < 0:
+        raise ParseError(f"value must be >= 0.0, got {value}", row=row, column=column)
     return value
 
 
@@ -385,7 +397,7 @@ def load_region_csv(
 ) -> RegionDataset:
     """Load an hourly generation CSV into a :class:`RegionDataset`.
 
-    ``region`` defaults to the file's stem. Rows are sorted by timestamp.
+    ``region`` (not empty) defaults to the file's stem. Rows are sorted by timestamp.
 
     Raises:
         SchemaError: missing timestamp column or no source columns.
@@ -394,10 +406,12 @@ def load_region_csv(
     """
     if fill_policy not in FILL_POLICIES:
         raise ValueError(f"fill_policy must be one of {FILL_POLICIES}, got {fill_policy!r}")
+    if region == "":
+        raise ValueError("region must not be empty")
     path = Path(path)
     timestamps, source_ids, columns, published_ci, summary = _read_csv(path, fill_policy)
     dataset = RegionDataset(
-        region=region or path.stem,
+        region=path.stem if region is None else region,
         timestamps=timestamps,
         source_ids=source_ids,
         columns=columns,

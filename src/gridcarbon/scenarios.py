@@ -38,7 +38,7 @@ from typing import Any, IO
 from .attribution import METHODS, AttributionReport, Consumer, build_report
 from .contracts import CONTRACT_KINDS, PHYSICAL_KINDS, Contract
 from .errors import ScenarioInvalid
-from .factors import _float, _read_yaml
+from .factors import SOURCE_CATEGORIES, _float, _read_yaml
 from .grid import GridMix, SourceRegistry
 
 _SCENARIO_DIR = "data/scenarios"
@@ -159,14 +159,12 @@ def parse_scenario(data: Any, name_hint: str = "<scenario>") -> Scenario:
     overrides_raw = data.get("cef_g_per_kwh", {})
     if not isinstance(overrides_raw, Mapping):
         _fail("cef_g_per_kwh", "expected a mapping of category to g/kWh")
-    overrides = {
-        str(cat): _number(value, f"cef_g_per_kwh.{cat}", minimum=0.0)
-        for cat, value in overrides_raw.items()
-    }
-    try:
-        sources = SourceRegistry.default(overrides)
-    except (ValueError, KeyError) as exc:
-        _fail("cef_g_per_kwh", str(exc))
+    overrides: dict[str, float] = {}
+    for cat, value in overrides_raw.items():
+        if cat not in SOURCE_CATEGORIES:
+            _fail(f"cef_g_per_kwh.{cat}", "unknown source category")
+        overrides[cat] = _number(value, f"cef_g_per_kwh.{cat}", minimum=0.0)
+    sources = SourceRegistry.default(overrides)
 
     regions_raw = data.get("regions")
     if not isinstance(regions_raw, Mapping) or not regions_raw:

@@ -19,8 +19,8 @@ from operator import ge, le, sub
 
 from .contracts import _fully_contracted, _residual_dataset, contracts_for_fraction
 from .errors import EmptyMix, SignalMismatch, WindowTooShort, ZeroBaseline
-from .grid import SourceRegistry, _cefs, _step_cis
-from .ingest import RegionDataset, check_basis
+from .grid import SourceRegistry, _cefs, _weighted
+from .ingest import RegionDataset, check_basis, check_overflow
 
 Signal = Sequence[float]
 
@@ -271,8 +271,12 @@ def shift_savings(
 
 
 def _ci_steps(dataset: RegionDataset, sources: SourceRegistry) -> tuple[float | None, ...]:
-    """The average CI of each step of a dataset, ``None`` for a step without energy."""
-    return _step_cis(dataset.columns, _cefs(dataset.source_ids, sources), len(dataset))
+    """:func:`~gridcarbon.grid.compute_average_ci` of each step, ``None`` for a step
+    without energy; a ValueError names the first step whose sums overflow."""
+    totals = tuple(map(sum, dataset.rows()))
+    weighted = tuple(_weighted(dataset.columns, _cefs(dataset.source_ids, sources), len(dataset)))
+    check_overflow(dataset, sum(totals) + sum(weighted), map(max, totals, weighted))
+    return tuple(w / total if total > 0 else None for w, total in zip(weighted, totals))
 
 
 def _signal(

@@ -9,16 +9,16 @@ residual CI is ``inflation_pct(period_ci(d), period_residual_ci(d, f))``.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
-from itertools import compress
+from itertools import accumulate, compress
 from operator import mul
 
 from .contracts import _fully_contracted, _residual_dataset, contracts_for_fraction
 from .errors import EmptyFleet, EmptyMix, ZeroBaseline
 from .factors import check_categories
 from .grid import SourceRegistry, _cefs, _step_emissions
-from .ingest import RegionDataset, check_basis
+from .ingest import RegionDataset, check_basis, check_overflow
 
 SOLAR_WIND = ("solar", "wind")
 
@@ -115,15 +115,17 @@ def penetration_fleet(
     return FleetPenetration(stats=stats, cdf=tuple(cdf))
 
 
-def _weighted_ci(steps: Iterable[tuple[float, float]]) -> float | None:
-    """The one period reduction: total emissions over total energy of
-    (MWh · g/kWh, MWh) steps, or ``None`` when they hold no energy."""
-    emissions = 0.0
-    energy = 0.0
-    for step_emissions, step_energy in steps:
-        emissions += step_emissions
-        energy += step_energy
-    return emissions / energy if energy > 0 else None
+def _weighted_ci(dataset: RegionDataset, emissions: Sequence[float], energy: Sequence[float]) -> float | None:
+    """The one period reduction: total emissions over total energy of the dataset's steps
+    (MWh · g/kWh, MWh), or ``None`` without energy; a ValueError names where one overflows."""
+    total_emissions = 0.0
+    total_energy = 0.0
+    for step_emissions, step_energy in zip(emissions, energy):
+        total_emissions += step_emissions
+        total_energy += step_energy
+    running = map(max, accumulate(emissions), accumulate(energy))
+    check_overflow(dataset, total_emissions + total_energy, running)
+    return total_emissions / total_energy if total_energy > 0 else None
 
 
 def energy_weighted_ci(
@@ -133,7 +135,7 @@ def energy_weighted_ci(
     when it holds no energy (a fully contracted residual)."""
     sources = SourceRegistry.default() if sources is None else sources
     cefs = _cefs(dataset.source_ids, sources)
-    return _weighted_ci(zip(*_step_emissions(dataset.columns, cefs, len(dataset))))
+    return _weighted_ci(dataset, *_step_emissions(dataset.columns, cefs, len(dataset)))
 
 
 def _period(dataset: RegionDataset, ci: float | None) -> float:
@@ -156,7 +158,8 @@ def period_ci(
     if basis == "cef":
         return _period(dataset, energy_weighted_ci(dataset, sources))
     totals = tuple(map(sum, dataset.rows()))
-    return _period(dataset, _weighted_ci(zip(map(mul, totals, dataset.published_ci), totals)))
+    emissions = tuple(map(mul, totals, dataset.published_ci))
+    return _period(dataset, _weighted_ci(dataset, emissions, totals))
 
 
 def period_residual_ci(
@@ -189,7 +192,7 @@ def period_residual_ci(
         for step, step_energy in enumerate(energy):
             if step_energy <= 0 and sum(column[step] for column in dataset.columns) > 0:
                 raise _fully_contracted(dataset.region, step)
-    return _period(dataset, _weighted_ci(zip(emissions, energy)))
+    return _period(dataset, _weighted_ci(dataset, emissions, energy))
 
 
 def inflation_pct(ci_loc: float, ci_res: float) -> float:

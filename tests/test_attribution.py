@@ -194,6 +194,17 @@ def test_market_based_fully_contracted_region() -> None:
         attribute_market_based(mix, [contract], consumers)
 
 
+def test_build_report_names_a_consumer_whose_emissions_overflow() -> None:
+    """Location emissions (500 g/kWh) fit a float, market emissions at the
+    residual CI (1000 g/kWh, the wind is contracted) do not."""
+    mix = GridMix(region="r", generation={"wind": 500.0, "coal": 500.0})
+    contract = Contract(id="all", buyer="B", kind="financial", source_id="wind",
+                        source_region="r", energy_mwh=500.0)
+    consumers = [_home("B", region="r"), _home("H1", demand=2e305, region="r")]
+    with pytest.raises(ValueError, match=re.escape("consumers[1].demand_kwh: emissions of consumer 'H1'")):
+        build_report(mix, [contract], consumers)
+
+
 # --- double counting -------------------------------------------------------
 
 def test_double_counting_mixed_methods() -> None:

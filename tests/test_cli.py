@@ -707,6 +707,63 @@ def test_scenario_generation_overflow_names_the_input(capsys, tmp_path: Path) ->
     assert err == "error: regions.r.generation: total generation or its MWh times CEF overflows\n"
 
 
+@pytest.mark.parametrize("row", ["500,0,1e308", "1e308,1e308,1"], ids=["emissions", "total"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("ci", "--mix"),
+        ("residual", "--fraction", "0.5", "--mix"),
+        ("inflation", "--fraction", "0.5", "--mix"),
+        ("schedule", "--duration", "1", "--signal"),
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_csv_overflow_names_the_input(capsys, tmp_path: Path, argv, row: str) -> None:
+    """A row whose total generation or MWh times CEF overflows is named by
+    region and timestamp, not later as an infinite output field."""
+    mix = tmp_path / "huge.csv"
+    mix.write_text(
+        "timestamp,wind,solar,coal\n"
+        "2022-06-01T00:00:00Z,500,0,500\n"
+        f"2022-06-01T01:00:00Z,{row}\n",
+        encoding="utf-8",
+    )
+    err = _single_error_line(capsys, *argv, str(mix))
+    assert err == "error: region 'huge': total generation or its emissions overflow at 2022-06-01T01:00:00Z\n"
+
+
+def test_scenario_consumer_emissions_overflow_names_the_demand(capsys, tmp_path: Path) -> None:
+    scenario = tmp_path / "huge.yaml"
+    scenario.write_text(
+        "regions: {r: {generation: {coal: 500, wind: 500}}}\n"
+        "consumers: [{id: H1, region: r, demand_kwh: 20}, {id: C1, region: r, demand_kwh: 1.0e+308}]\n",
+        encoding="utf-8",
+    )
+    err = _single_error_line(capsys, "scenario", "--file", str(scenario))
+    assert err == "error: consumers[1].demand_kwh: emissions of consumer 'C1' overflow\n"
+
+
+def test_empty_region_is_an_error(capsys, toy_csv: Path) -> None:
+    """``--region ""`` is not read as "use the file stem"."""
+    err = _single_error_line(capsys, "ci", "--mix", str(toy_csv), "--region", "")
+    assert err == "error: region must not be empty\n"
+
+
+@pytest.mark.parametrize("key", ["coall", "1"])
+def test_scenario_unknown_cef_override_is_an_error(capsys, tmp_path: Path, key: str) -> None:
+    """A scenario override is checked like a ``--cef`` table: a key that is
+    not a category is an error, not a run on the default factor."""
+    scenario = tmp_path / "typo.yaml"
+    scenario.write_text(
+        "regions: {r: {generation: {coal: 500, wind: 500}}}\n"
+        "consumers: [{id: H1, region: r, demand_kwh: 20}]\n"
+        f"cef_g_per_kwh: {{{key}: 5}}\n",
+        encoding="utf-8",
+    )
+    err = _single_error_line(capsys, "scenario", "--file", str(scenario))
+    assert err == f"error: cef_g_per_kwh.{key}: unknown source category\n"
+
+
 @pytest.mark.parametrize("field", ["source", "energy_mwh"])
 def test_contracts_yaml_missing_field(capsys, tmp_path: Path, toy_csv: Path, field) -> None:
     body = {"id": "w", "buyer": "c", "source": "wind", "energy_mwh": 250}
@@ -893,10 +950,15 @@ YAML_NUMBER = st.one_of(
 )
 
 
+# Override keys: mostly a category, sometimes a misspelt one or an int.
+CEF_KEYS = st.sampled_from(["gas", "gas", "gas", "coall", "1"])
+
+
 @st.composite
 def scenario_documents(draw) -> str:
     """A scenario-shaped YAML document whose names and numbers are drawn
-    from ``YAML_NUMBER``, with a tagged or valid name."""
+    from ``YAML_NUMBER``, with a tagged or valid name and a valid or
+    unknown override category."""
     def v() -> str:
         return draw(YAML_NUMBER)
 
@@ -911,7 +973,7 @@ def scenario_documents(draw) -> str:
         f"  - {{id: H1, region: b, demand_kwh: {v()}}}\n"
         f"contracts:\n"
         f"  - {{id: k, buyer: C1, kind: financial, source: solar, region: a, energy_mwh: {v()}}}\n"
-        f"cef_g_per_kwh: {{gas: {v()}}}\n"
+        f"cef_g_per_kwh: {{{draw(CEF_KEYS)}: {v()}}}\n"
     )
 
 

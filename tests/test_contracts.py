@@ -248,7 +248,8 @@ def test_residual_mixes_need_one_entry_per_step() -> None:
 
 
 def test_residual_mixes_sum_claims_in_contract_order() -> None:
-    """A source's claims add up in contract order, as compute_residual_mix does."""
+    """A source's claims add up with the built-in ``sum`` in contract order,
+    as compute_residual_mix does (``sum`` compensates from Python 3.12 on)."""
     mix = GridMix(region="r", generation={"wind": 10.0, "coal": 1.0})
     contracts = [
         Contract(id=f"c{i}", buyer="b", kind="rec", source_id="wind",
@@ -256,7 +257,7 @@ def test_residual_mixes_sum_claims_in_contract_order() -> None:
         for i, e in enumerate((0.1, 0.2, 0.3))
     ]
     (removed,) = _series_bits([mix], contracts)[0][1]
-    assert removed == ("wind", ((0.1 + 0.2) + 0.3).hex())
+    assert removed == ("wind", sum((0.1, 0.2, 0.3)).hex())
     assert (0.1 + 0.2) + 0.3 != (0.3 + 0.2) + 0.1
     assert [removed] == _bits(compute_residual_mix(mix, contracts))[1]
 

@@ -57,6 +57,12 @@ def test_registry_override_changes_cef() -> None:
     assert registry.get("coal").cef == 1000.0
 
 
+def test_registry_rejects_unknown_override_category() -> None:
+    """A misspelt category is an error, not an override that prices nothing."""
+    with pytest.raises(ValueError, match="unknown source category 'coall'"):
+        SourceRegistry.default({"coall": 5.0})
+
+
 def test_registry_unknown_source() -> None:
     with pytest.raises(UnknownSource):
         SourceRegistry.default().get("diesel-farm")
