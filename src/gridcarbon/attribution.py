@@ -193,7 +193,8 @@ def attribute_market_based(
         EmptyResidual: if a region's generation is fully contracted.
         UnknownRegion: if a consumer's region has no mix, or one of its
             contracts sources from a region with no mix.
-        ValueError: if two consumers share an id (results and claims are keyed by it).
+        ValueError: if two consumers share an id (results and claims are keyed
+            by it), or a consumer's emissions overflow (naming ``consumers[i].demand_kwh``).
     """
     sources = SourceRegistry.default() if sources is None else sources
     if isinstance(mixes, GridMix):
@@ -208,7 +209,7 @@ def attribute_market_based(
         residual_fraction[region] = _cfe_fraction(residual.mix, sources)
 
     results: dict[str, MethodResult] = {}
-    for consumer in consumers:
+    for i, consumer in enumerate(consumers):
         if consumer.id in results:
             raise ValueError(f"duplicate consumer id {consumer.id!r}")
         if consumer.region not in mixes:
@@ -222,12 +223,15 @@ def attribute_market_based(
         # zero demand, where the ratio form is undefined).
         if residual_demand != consumer.demand_kwh:
             ci = compute_market_ci(consumer.demand_kwh, claim_kwh, ci)
+        emissions = consumer.demand_kwh * ci
+        if not isfinite(emissions):
+            raise ValueError(f"consumers[{i}].demand_kwh: emissions of consumer {consumer.id!r} overflow")
         cfe = claim_kwh + residual_demand * residual_fraction[consumer.region]
         results[consumer.id] = MethodResult(
             attributed_cfe_kwh=cfe,
             attributed_fossil_kwh=consumer.demand_kwh - cfe,
             ci_g_per_kwh=ci,
-            emissions_g=consumer.demand_kwh * ci,
+            emissions_g=emissions,
         )
     return results
 
@@ -298,7 +302,7 @@ def build_report(
     for i, consumer in enumerate(consumers):
         demand = consumer.demand_kwh
         ci_loc, fraction = location[consumer.region]
-        if not (isfinite(demand * ci_loc) and isfinite(market[consumer.id].emissions_g)):
+        if not isfinite(demand * ci_loc):  # attribute_market_based checks the market side
             raise ValueError(f"consumers[{i}].demand_kwh: emissions of consumer {consumer.id!r} overflow")
         cfe = demand * fraction
         claim_kwh = KWH_PER_MWH * allocation.claim_mwh(consumer.id)

@@ -24,13 +24,14 @@ import yaml
 
 from .contracts import _residual_dataset, contracts_for_fraction
 from .errors import GridCarbonError, ScenarioInvalid
-from .factors import _read_yaml, load_cef_table
+from .factors import _read_yaml
 from .fixtures import fixture_datasets, write_fixture_csvs
 from .grid import SourceRegistry
 from .ingest import BASES, FILL_POLICIES, TIMESTAMP_FORMAT, load_region_csv, load_signal_csv
 from .scenarios import (
     builtin_scenario_names,
     load_builtin_scenario,
+    load_cef_table,
     load_scenario,
     parse_contract,
     run_scenario,

@@ -5,8 +5,8 @@ per kWh of generation. Coal is pinned at 1000 g/kWh (the conventional
 round number for a coal plant); the remaining non-zero values are typical
 published figures for operational (combustion-only) emissions. They are
 stand-ins, not ground truth: every value can be overridden per run via a
-small YAML table (see :func:`load_cef_table`) or per source in a scenario
-file.
+small YAML table (see :func:`gridcarbon.scenarios.load_cef_table`) or per
+category in a scenario file.
 
 Under the operational-emissions model used throughout this package,
 renewables and nuclear are carbon-free (CEF exactly 0). Biomass burns
@@ -16,11 +16,13 @@ even though it is often classed as renewable.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping
-from math import inf, isfinite
-from pathlib import Path
+import io
+from collections.abc import Iterable
+from itertools import accumulate
+from operator import sub
 
 import yaml
+from yaml.events import CollectionEndEvent, CollectionStartEvent
 from yaml.nodes import MappingNode, ScalarNode, SequenceNode
 
 from .errors import SchemaError
@@ -115,13 +117,63 @@ def _read_yaml(stream, name: str):
     """:func:`_load_yaml` of an input called ``name``. A value that its
     tag's constructor cannot build (``!!bool maybe`` raises ``KeyError``,
     ``!!int ""`` ``IndexError``) is one :class:`SchemaError` naming the
-    input; YAML syntax errors and I/O errors pass through unchanged."""
+    input; YAML syntax errors and I/O errors pass through unchanged. A
+    document that could nest more than ``_C_NESTING`` levels deep goes to
+    the pure-Python loader, whose RecursionError becomes this SchemaError.
+    """
     try:
-        return _load_yaml(stream)
+        text = stream.read()
+        source = io.StringIO(text)
+        source.name = getattr(stream, "name", "<file>")  # which YAML error marks name
+        if _could_nest_deeper(text, _C_NESTING):
+            return yaml.load(source, Loader=yaml.SafeLoader)
+        return _load_yaml(source)
     except (yaml.YAMLError, OSError):
         raise
     except Exception as exc:
         raise SchemaError(f"{name}: cannot decode a YAML value: {type(exc).__name__}: {exc}") from exc
+
+
+# libyaml's composer recurses on the C stack, which overflows (SIGSEGV) some
+# 25 000 levels deep; PyYAML's pure-Python composer raises RecursionError.
+_C_NESTING = 1000
+_NOT_BRACKETS = bytes(set(range(256)) - set(b"[]{}"))
+_BRACKET_STEPS = bytes.maketrans(b"[{]}", b"\x01\x01\xff\xff")  # +1 and -1 as signed bytes
+_BLANK_OR_INDICATOR = bytes(32 if byte in b"-?: \t" else 120 for byte in range(256))  # to " " or "x"
+
+
+def _could_nest_deeper(text: str, levels: int) -> bool:
+    """Whether a YAML document could nest collections more than ``levels``
+    deep, over-approximated from its text.
+
+    Block collections nest by indentation, or on one line after ``- ``,
+    ``? `` or ``: ``: at most twice as deep as the longest run of blanks and
+    those indicators. Flow collections nest at most as deep as the brackets
+    open at once, where a closing one with none open counts for nothing (a
+    scalar outside them may hold one). A quoted scalar, comment or tag
+    could hide a closing bracket, so a text with ``"``, ``'``, ``#`` or
+    ``!`` is measured from libyaml's parse events, which do not recurse.
+    """
+    if any(mark in text for mark in "\"'#!"):
+        depth = 0
+        try:
+            for event in yaml.parse(text, Loader=_YAML_LOADER):
+                if isinstance(event, CollectionStartEvent):
+                    depth += 1
+                    if depth > levels:
+                        return True
+                elif isinstance(event, CollectionEndEvent):
+                    depth -= 1
+        except yaml.YAMLError:  # the loader stops at the same error
+            pass
+        return False
+    raw = text.encode("utf-8", "surrogatepass")
+    if b" " * (levels // 4) in raw.translate(_BLANK_OR_INDICATOR):
+        return True
+    # Dropping each adjacent open-close pair lowers the deepest point by at most one.
+    steps = raw.translate(_BRACKET_STEPS, _NOT_BRACKETS).replace(b"\x01\xff", b"")
+    depths = list(accumulate(memoryview(steps).cast("b"), initial=0))
+    return 1 + max(map(sub, depths, accumulate(depths, min))) > levels // 2
 
 
 def _construct(root, loader):
@@ -174,37 +226,3 @@ def check_categories(categories: Iterable[str]) -> None:
     for category in categories:
         if category not in SOURCE_CATEGORIES:
             raise ValueError(f"unknown source category {category!r}")
-
-
-def _float(value: int | float) -> float:
-    """``float(value)``, with an int beyond the float range read as infinite."""
-    try:
-        return float(value)
-    except OverflowError:
-        return inf if value > 0 else -inf
-
-
-def load_cef_table(path: str | Path) -> dict[str, float]:
-    """Load a CEF override table: a YAML mapping of category -> g/kWh.
-
-    Unknown categories and non-numeric, non-finite or negative values are
-    rejected so a typo in an override file cannot silently leave the
-    default in place.
-    """
-    with open(path, encoding="utf-8") as fh:
-        raw = _read_yaml(fh, f"CEF table {path}")
-    if not isinstance(raw, Mapping):
-        raise SchemaError(f"CEF table {path} must be a mapping of category -> g/kWh")
-    table: dict[str, float] = {}
-    for key, value in raw.items():
-        if key not in SOURCE_CATEGORIES:
-            raise SchemaError(f"CEF table {path}: unknown category {key!r}")
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            raise SchemaError(f"CEF table {path}: value for {key!r} must be a number")
-        number = _float(value)
-        if not isfinite(number):
-            raise SchemaError(f"CEF table {path}: value for {key!r} must be finite, got {number}")
-        if number < 0:
-            raise SchemaError(f"CEF table {path}: value for {key!r} must be >= 0")
-        table[key] = number
-    return table

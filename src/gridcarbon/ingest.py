@@ -19,7 +19,7 @@ import csv
 import math
 import re
 import warnings
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from functools import cached_property
@@ -223,80 +223,59 @@ def _parse_cell(raw: str, row: int, column: str) -> float:
     return value
 
 
-def _picker(indexes: Sequence[int]) -> Callable[[list[str]], tuple[str, ...]]:
-    """A function from a row's cells to the cells at ``indexes``, as a tuple."""
-    if len(indexes) > 1:
-        return itemgetter(*indexes)
-    return lambda cells: tuple(cells[i] for i in indexes)
+# A data row as read: its number, and its cells or the reader's error on it.
+_RawRow = tuple[int, "tuple[str, ...] | csv.Error"]
 
 
 def _parse_row(
-    raw: Sequence[str], row: int, names: Sequence[str], zero_fill: bool
-) -> tuple[tuple[float, ...] | None, int]:
-    """A row's values, one per named raw cell, under the blank-cell policy,
-    and the cells filled; ``None`` when a blank cell drops the row."""
+    row: int, cells: tuple[str, ...] | csv.Error, header: Sequence[str], names: Sequence[str], zero_fill: bool
+) -> tuple[datetime, tuple[float, ...] | None, int]:
+    """Every check of one data row: that the reader could read it, its cell
+    count, its timestamp, and its cells under ``names`` (a header's source
+    columns, then the published CI) under the blank-cell policy. Returns
+    the timestamp, the values (``None`` when a blank cell drops the row)
+    and the cells filled."""
+    if isinstance(cells, csv.Error):
+        raise ParseError(f"unreadable row: {cells}", row=row)
+    if len(cells) != len(header):
+        raise ParseError(f"expected {len(header)} cells, got {len(cells)}", row=row)
+    raw_timestamp = cells[header.index(TIMESTAMP_COLUMN)].strip()
+    if not raw_timestamp:
+        raise ParseError("missing timestamp", row=row, column=TIMESTAMP_COLUMN)
+    timestamp = _parse_timestamp(raw_timestamp, row)
     values = []
     filled = 0
-    for name, cell in zip(names, raw):
-        cell = cell.strip()
+    for name in names:
+        cell = cells[header.index(name)].strip()
         if cell:
             values.append(_parse_cell(cell, row, name))
         elif zero_fill:
             values.append(0.0)
             filled += 1
         else:
-            return None, 0
-    return tuple(values), filled
-
-
-# A row read but not yet parsed: its number, stripped timestamp and raw cells.
-_RawRow = tuple[int, str, tuple[str, ...]]
+            return timestamp, None, 0
+    return timestamp, tuple(values), filled
 
 
 def _parse_columns(
-    rows: Sequence[_RawRow],
+    rows: Sequence[_RawRow], indexes: Sequence[int]
 ) -> tuple[list[datetime], list[tuple[float, ...]]] | None:
-    """Parse rows a column at a time: their timestamps and values, or
-    ``None`` when a cell or timestamp fails a check. A value passes when
-    it is a number >= 0; a NaN or inf makes its column's sum NaN or inf."""
+    """Parse clean rows a column at a time: their timestamps and values, or
+    ``None`` when a cell or timestamp fails a check. ``indexes`` locates the
+    timestamp and then each parsed cell. A value passes when it is a number
+    >= 0; a NaN or inf makes its column's sum NaN or inf."""
     if not rows:
         return [], []
-    _, raw_timestamps, raw_rows = zip(*rows)
+    _, cells = zip(*rows)
+    raw_timestamps, *raw_columns = (map(itemgetter(i), cells) for i in indexes)
     try:
-        timestamps = list(map(_timestamp, raw_timestamps))
-        columns = [tuple(map(float, column)) for column in zip(*raw_rows)]
+        timestamps = list(map(_timestamp, map(str.strip, raw_timestamps)))
+        columns = [tuple(map(float, column)) for column in raw_columns]
     except ValueError:
         return None
     if not all(min(column) >= 0.0 and sum(column) < math.inf for column in columns):
         return None
     return timestamps, list(zip(*columns))
-
-
-def _parse_rows(
-    clean: list[_RawRow], blank: list[_RawRow], names: Sequence[str], zero_fill: bool
-) -> tuple[list[datetime], list[tuple[float, ...]], int, int]:
-    """Parse the rows read: the kept timestamps and values (in no set
-    order), the rows dropped and the cells filled.
-
-    ``clean`` rows have no empty cell and ``blank`` rows have one. When
-    every clean row passes the checks, they parse a column at a time and
-    only blank rows go one by one through the timestamp check, the
-    blank-cell policy and :func:`_parse_cell`. Otherwise every row does,
-    in file order, so the first bad row raises its error.
-    """
-    parsed = _parse_columns(clean)
-    timestamps, rows = parsed if parsed is not None else ([], [])
-    dropped = filled = 0
-    for row, raw_timestamp, raw in blank if parsed is not None else sorted(clean + blank):
-        timestamp = _parse_timestamp(raw_timestamp, row)
-        values, row_filled = _parse_row(raw, row, names, zero_fill)
-        if values is None:
-            dropped += 1
-            continue
-        filled += row_filled
-        timestamps.append(timestamp)
-        rows.append(values)
-    return timestamps, rows, dropped, filled
 
 
 def _read_csv(path: Path, fill_policy: str, bare_signal: bool = False) -> tuple | None:
@@ -315,6 +294,8 @@ def _read_csv(path: Path, fill_policy: str, bare_signal: bool = False) -> tuple 
             header = next(reader)
         except StopIteration:
             raise SchemaError(f"{path}: file is empty") from None
+        except csv.Error as exc:
+            raise ParseError(f"unreadable row: {exc}", row=1) from None
         header = [name.strip() for name in header]
         if bare_signal and not (
             PUBLISHED_CI_COLUMN in header
@@ -341,31 +322,43 @@ def _read_csv(path: Path, fill_policy: str, bare_signal: bool = False) -> tuple 
         has_published = PUBLISHED_CI_COLUMN in header
         # Every parsed cell of a row: the source columns, then the published CI.
         names = [*source_columns, *([PUBLISHED_CI_COLUMN] if has_published else [])]
-        pick = _picker([header.index(name) for name in names])
-        timestamp_at = header.index(TIMESTAMP_COLUMN)
+        # Where a row's timestamp and parsed cells are; pick gives them as a tuple.
+        indexes = [header.index(TIMESTAMP_COLUMN), *map(header.index, names)]
+        pick = itemgetter(*indexes)
         zero_fill = fill_policy == "zero-fill"
 
+        # Sort the rows into clean ones (the header's cell count and no empty
+        # cell under pick) and other ones.
         clean: list[_RawRow] = []
-        blank: list[_RawRow] = []
+        other: list[_RawRow] = []
         rows_read = 0
+        row_number = 1
         try:
             for row_number, cells in enumerate(reader, start=2):
                 if not (cells and (cells[0].strip() or any(map(str.strip, cells)))):
                     continue
                 rows_read += 1
-                if len(cells) != len(header):
-                    raise ParseError(
-                        f"expected {len(header)} cells, got {len(cells)}", row=row_number
-                    )
-                raw_timestamp = cells[timestamp_at].strip()
-                if not raw_timestamp:
-                    raise ParseError("missing timestamp", row=row_number, column=TIMESTAMP_COLUMN)
-                raw = pick(cells)
-                (clean if all(raw) else blank).append((row_number, raw_timestamp, raw))
-        except ParseError:
-            _parse_rows(clean, blank, names, zero_fill)  # a bad row before this one comes first
-            raise
-    timestamps, rows, rows_dropped, cells_filled = _parse_rows(clean, blank, names, zero_fill)
+                cells = tuple(cells)  # unlike the reader's list, the cyclic GC stops tracking it
+                if len(cells) == len(header) and all(pick(cells)):
+                    clean.append((row_number, cells))
+                else:
+                    other.append((row_number, cells))
+        except csv.Error as exc:  # the reader stops here: this row is the last one checked
+            other.append((row_number + 1, exc))
+    # When every clean row passes the checks, they parse a column at a time
+    # and only the other rows go one by one through _parse_row. Otherwise
+    # every row does, in file order, so the first bad row raises its error.
+    parsed = _parse_columns(clean, indexes)
+    timestamps, rows = parsed if parsed is not None else ([], [])
+    rows_dropped = cells_filled = 0
+    for row, cells in other if parsed is not None else sorted(clean + other):
+        timestamp, values, filled = _parse_row(row, cells, header, names, zero_fill)
+        if values is None:
+            rows_dropped += 1
+            continue
+        cells_filled += filled
+        timestamps.append(timestamp)
+        rows.append(values)
 
     if not all(map(lt, timestamps, timestamps[1:])):
         order = sorted(range(len(timestamps)), key=timestamps.__getitem__)

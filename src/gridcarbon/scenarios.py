@@ -23,7 +23,8 @@ Schema::
 Source ids in ``generation`` default to the built-in one-source-per-
 category registry; ``cef_g_per_kwh`` can override category factors.
 Validation failures raise :class:`ScenarioInvalid` carrying the exact
-field path.
+field path. The same validators check a ``--contracts`` YAML
+(:func:`parse_contract`) and a ``--cef`` table (:func:`load_cef_table`).
 """
 
 from __future__ import annotations
@@ -31,14 +32,14 @@ from __future__ import annotations
 from collections.abc import Collection, Mapping, Sequence
 from dataclasses import dataclass, field
 from importlib import resources
-from math import isfinite
+from math import inf, isfinite
 from pathlib import Path
 from typing import Any, IO
 
 from .attribution import METHODS, AttributionReport, Consumer, build_report
 from .contracts import CONTRACT_KINDS, PHYSICAL_KINDS, Contract
-from .errors import ScenarioInvalid
-from .factors import SOURCE_CATEGORIES, _float, _read_yaml
+from .errors import ScenarioInvalid, SchemaError
+from .factors import SOURCE_CATEGORIES, _read_yaml
 from .grid import GridMix, SourceRegistry
 
 _SCENARIO_DIR = "data/scenarios"
@@ -71,7 +72,10 @@ def _fail(field_path: str, reason: str) -> None:
 def _number(value: Any, field_path: str, minimum: float | None = None) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         _fail(field_path, f"expected a number, got {value!r}")
-    result = _float(value)
+    try:
+        result = float(value)
+    except OverflowError:  # an int beyond the float range
+        result = inf if value > 0 else -inf
     if not isfinite(result):
         _fail(field_path, f"must not be NaN or infinite, got {result}")
     if minimum is not None and result < minimum:
@@ -130,6 +134,34 @@ def parse_contract(
     )
 
 
+def parse_cef_overrides(raw: Any, prefix: str) -> dict[str, float]:
+    """Validate CEF overrides, wherever declared: a mapping of source category
+    to a finite g/kWh >= 0. Raises :class:`ScenarioInvalid` naming the field:
+    ``<prefix>.<category>``, or the category alone for an empty ``prefix``
+    (a whole document)."""
+    if not isinstance(raw, Mapping):
+        _fail(prefix or "<root>", "expected a mapping of category to g/kWh")
+    overrides: dict[str, float] = {}
+    for category, value in raw.items():
+        field_path = f"{prefix}.{category}" if prefix else str(category)
+        if category not in SOURCE_CATEGORIES:
+            _fail(field_path, "unknown source category")
+        overrides[category] = _number(value, field_path, minimum=0.0)
+    return overrides
+
+
+def load_cef_table(path: str | Path) -> dict[str, float]:
+    """Load a ``--cef`` table, a YAML mapping of category -> g/kWh checked by
+    :func:`parse_cef_overrides`; an error is a SchemaError reading
+    ``CEF table <path>: <category>: <reason>``."""
+    with open(path, encoding="utf-8") as handle:
+        raw = _read_yaml(handle, f"CEF table {path}")
+    try:
+        return parse_cef_overrides(raw, "")
+    except ScenarioInvalid as exc:
+        raise SchemaError(f"CEF table {path}: {exc}") from None
+
+
 def parse_scenario(data: Any, name_hint: str = "<scenario>") -> Scenario:
     """Validate a decoded scenario mapping and build a :class:`Scenario`.
 
@@ -156,14 +188,7 @@ def parse_scenario(data: Any, name_hint: str = "<scenario>") -> Scenario:
     if not isinstance(description, str):
         _fail("description", "expected a string")
 
-    overrides_raw = data.get("cef_g_per_kwh", {})
-    if not isinstance(overrides_raw, Mapping):
-        _fail("cef_g_per_kwh", "expected a mapping of category to g/kWh")
-    overrides: dict[str, float] = {}
-    for cat, value in overrides_raw.items():
-        if cat not in SOURCE_CATEGORIES:
-            _fail(f"cef_g_per_kwh.{cat}", "unknown source category")
-        overrides[cat] = _number(value, f"cef_g_per_kwh.{cat}", minimum=0.0)
+    overrides = parse_cef_overrides(data.get("cef_g_per_kwh", {}), "cef_g_per_kwh")
     sources = SourceRegistry.default(overrides)
 
     regions_raw = data.get("regions")

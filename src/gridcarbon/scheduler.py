@@ -178,8 +178,9 @@ def evaluate_schedule(
     Raises:
         SignalMismatch: if the signals differ in length or do not cover
             every chosen hour.
-        ValueError: if a signal value at a chosen hour is not finite; the
-            message names the first such hour.
+        ValueError: if a signal value at a chosen hour is not finite (the
+            message names the first such hour), or the load's emissions
+            overflow (naming ``energy_per_hour_kwh``).
     """
     if len(reported_signal) != len(actual_signal):
         raise SignalMismatch(
@@ -203,16 +204,27 @@ def evaluate_schedule(
         discrepancy = 100.0 * (actual_avg - reported_avg) / reported_avg
     else:
         discrepancy = 0.0 if actual_avg == 0 else float("inf")
-    energy = load.energy_per_hour_kwh
     return ScheduleResult(
         hours=tuple(hours),
         reported_ci_avg=reported_avg,
         actual_ci_avg=actual_avg,
-        reported_emissions_g=energy * reported_sum,
-        actual_emissions_g=energy * actual_sum,
+        reported_emissions_g=_emissions(load, reported_sum),
+        actual_emissions_g=_emissions(load, actual_sum),
         difference_g_per_kwh=actual_avg - reported_avg,
         discrepancy_pct=discrepancy,
     )
+
+
+def _emissions(load: FlexibleLoad, ci_sum: float) -> float:
+    """Emissions of the load over hours whose (finite) CIs sum to ``ci_sum``;
+    a ValueError when that sum overflows, or naming ``energy_per_hour_kwh``
+    when the emissions do."""
+    if not math.isfinite(ci_sum):
+        raise ValueError("the signal values at the placed hours overflow their sum")
+    emissions = load.energy_per_hour_kwh * ci_sum
+    if not math.isfinite(emissions):
+        raise ValueError("energy_per_hour_kwh: emissions of the load overflow")
+    return emissions
 
 
 def _policy_hours(signal: Signal, load: FlexibleLoad, policy: str | int) -> tuple[int, ...]:
@@ -258,13 +270,13 @@ def shift_savings(
         WindowTooShort: if a placement does not fit the signal or a fixed
             start lies outside the window.
         ValueError: if a fixed start is given for a non-contiguous load,
-            or a value in the hours a placement may use is not finite.
+            a value in the hours a placement may use is not finite, or a
+            placement's emissions overflow (naming ``energy_per_hour_kwh``).
     """
     from_hours = _policy_hours(signal, load, from_policy)
     to_hours = _policy_hours(signal, load, to_policy)
-    energy = load.energy_per_hour_kwh
-    from_emissions = energy * sum(signal[h] for h in from_hours)
-    to_emissions = energy * sum(signal[h] for h in to_hours)
+    from_emissions = _emissions(load, sum(signal[h] for h in from_hours))
+    to_emissions = _emissions(load, sum(signal[h] for h in to_hours))
     if from_emissions == 0:
         raise ZeroBaseline("baseline placement emits nothing; savings undefined")
     return 100.0 * (from_emissions - to_emissions) / from_emissions

@@ -58,7 +58,8 @@ def penetration(
     returned instead (zero-generation hours are skipped).
 
     Raises:
-        ValueError: if a category is unknown.
+        ValueError: if a category is unknown, or the total generation
+            overflows (naming the region and the first step it overflows at).
         EmptyMix: if the dataset has no generation at all.
     """
     check_categories(categories)
@@ -75,6 +76,7 @@ def penetration(
         selected += step_selected
         if step_total > 0:
             ratios.append(step_selected / step_total)
+    check_overflow(dataset, total, accumulate(map(sum, dataset.rows())))
     if total <= 0:
         raise EmptyMix(f"dataset for region {dataset.region!r} has no generation")
     if per_hour_mean:

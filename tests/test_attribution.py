@@ -128,6 +128,11 @@ def test_market_ci_rejects_non_finite_numbers_and_a_negative_ci(demand, claim, c
         compute_market_ci(demand, claim, ci_res)
 
 
+def test_market_ci_rejects_a_negative_claim() -> None:
+    with pytest.raises(ValueError, match=r"^carbon-free claim must be >= 0, got -1\.0$"):
+        compute_market_ci(100.0, -1.0, 100.0)
+
+
 # --- market-based attribution ---------------------------------------------
 
 def _case2_mix() -> GridMix:
@@ -203,6 +208,24 @@ def test_build_report_names_a_consumer_whose_emissions_overflow() -> None:
     consumers = [_home("B", region="r"), _home("H1", demand=2e305, region="r")]
     with pytest.raises(ValueError, match=re.escape("consumers[1].demand_kwh: emissions of consumer 'H1'")):
         build_report(mix, [contract], consumers)
+
+
+def test_market_based_names_a_consumer_whose_emissions_overflow() -> None:
+    """attribute_market_based on its own raises build_report's error, rather
+    than return infinite emissions at the residual CI."""
+    mix = GridMix(region="r", generation={"wind": 500.0, "coal": 500.0})
+    contract = Contract(id="all", buyer="B", kind="financial", source_id="wind",
+                        source_region="r", energy_mwh=500.0)
+    consumers = [_home("B", region="r"), _home("H1", demand=2e305, region="r")]
+    message = "^" + re.escape("consumers[1].demand_kwh: emissions of consumer 'H1' overflow") + "$"
+    with pytest.raises(ValueError, match=message):
+        attribute_market_based(mix, [contract], consumers)
+
+
+def test_build_report_rejects_a_zero_declared_grid_demand() -> None:
+    mix = GridMix(region="r", generation={"wind": 500.0, "coal": 500.0})
+    with pytest.raises(ValueError, match="^carbon-free fraction needs a positive energy total$"):
+        build_report(mix, [], [_home("H1", region="r")], grid_demand_mwh={"r": 0.0})
 
 
 # --- double counting -------------------------------------------------------

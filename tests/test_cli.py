@@ -5,6 +5,9 @@ import csv
 import gc
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 import traceback
 from pathlib import Path
@@ -586,7 +589,7 @@ def test_cef_table_rejects_non_finite(capsys, tmp_path: Path, toy_csv: Path, val
     err = _single_error_line(
         capsys, "ci", "--mix", str(toy_csv), "--cef", str(table), "--contracts", "all-solar-wind"
     )
-    assert err == f"error: CEF table {table}: value for 'solar' must be finite, got {shown}\n"
+    assert err == f"error: CEF table {table}: solar: must not be NaN or infinite, got {shown}\n"
 
 
 @pytest.mark.parametrize(
@@ -762,6 +765,125 @@ def test_scenario_unknown_cef_override_is_an_error(capsys, tmp_path: Path, key: 
     )
     err = _single_error_line(capsys, "scenario", "--file", str(scenario))
     assert err == f"error: cef_g_per_kwh.{key}: unknown source category\n"
+
+
+@pytest.mark.parametrize("command", ["ci", "schedule"])
+def test_unreadable_csv_row_is_one_error_line(capsys, tmp_path: Path, command: str) -> None:
+    """A field longer than the csv reader's limit is one ``error:`` line
+    naming the row, not a ``_csv.Error`` traceback; a bad row before it
+    still comes first."""
+    limit = csv.field_size_limit()
+    columns, cells = ("wind,coal", "500,{}") if command == "ci" else ("ci_g_per_kwh", "{}")
+    argv = ("ci", "--mix") if command == "ci" else ("schedule", "--duration", "1", "--signal")
+    data = tmp_path / "long.csv"
+    for first, error in [("5", f"unreadable row: field larger than field limit ({limit}) (row 3)"),
+                         ("x", f"invalid number 'x' (row 2, column '{columns.split(',')[-1]}')")]:
+        data.write_text(
+            f"timestamp,{columns}\n2022-06-01T00:00:00Z,{cells.format(first)}\n"
+            f"2022-06-01T01:00:00Z,{cells.format('9' * (limit + 1))}\n",
+            encoding="utf-8",
+        )
+        assert _single_error_line(capsys, *argv, str(data)) == f"error: {error}\n"
+
+
+DEEP_YAML = {"flow-sequence": "[" * 30_000, "flow-mapping": "{a: " * 30_000, "block-sequence": "- " * 30_000 + "x\n"}
+
+
+@pytest.mark.parametrize("shape", DEEP_YAML)
+@pytest.mark.parametrize("option", ["--file", "--cef", "--contracts"])
+def test_deeply_nested_yaml_is_one_error_line(tmp_path: Path, toy_csv: Path, shape: str, option: str) -> None:
+    """libyaml's composer would overflow the C stack on these (SIGSEGV, no
+    output); the pure-Python loader stops with one error. Run in a child
+    process, so that a crash fails this test rather than the test run."""
+    deep = tmp_path / "deep.yaml"
+    deep.write_text(DEEP_YAML[shape], encoding="utf-8")
+    argv = {
+        "--file": ["scenario", "--file", str(deep)],
+        "--cef": ["ci", "--mix", str(toy_csv), "--cef", str(deep)],
+        "--contracts": ["ci", "--mix", str(toy_csv), "--contracts", str(deep)],
+    }[option]
+    src = str(Path(cli.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    run = subprocess.run(
+        [sys.executable, "-m", "gridcarbon.cli", *argv], capture_output=True, text=True, env=env, timeout=120
+    )
+    name = f"CEF table {deep}" if option == "--cef" else str(deep)
+    assert (run.returncode, run.stdout) == (1, ""), run.stderr
+    assert run.stderr.startswith(f"error: {name}: cannot decode a YAML value: RecursionError: "), run.stderr
+    assert run.stderr.count("\n") == 1
+
+
+def test_penetration_overflow_names_the_input(capsys, tmp_path: Path) -> None:
+    data = tmp_path / "huge.csv"
+    data.write_text(
+        "timestamp,wind,coal\n2022-06-01T00:00:00Z,1e308,0\n2022-06-01T01:00:00Z,1e308,0\n",
+        encoding="utf-8",
+    )
+    err = _single_error_line(capsys, "penetration", "--data", str(data))
+    assert err == "error: region 'huge': total generation or its emissions overflow at 2022-06-01T01:00:00Z\n"
+
+
+def test_schedule_energy_overflow_names_the_option(capsys, tmp_path: Path) -> None:
+    signal = tmp_path / "signal.csv"
+    signal.write_text(SIGNAL_CSV, encoding="utf-8")
+    err = _single_error_line(
+        capsys, "schedule", "--signal", str(signal), "--duration", "1", "--energy-per-hour", "1e307"
+    )
+    assert err == "error: energy_per_hour_kwh: emissions of the load overflow\n"
+
+
+def test_contracts_yaml_not_a_list(capsys, tmp_path: Path, toy_csv: Path) -> None:
+    contracts = tmp_path / "contracts.yaml"
+    contracts.write_text("source: wind\nenergy_mwh: 250\n", encoding="utf-8")
+    err = _single_error_line(capsys, "ci", "--mix", str(toy_csv), "--contracts", str(contracts))
+    assert err == f"error: {contracts}: expected a YAML list of contracts\n"
+
+
+def test_penetration_directory_without_csv(capsys, tmp_path: Path) -> None:
+    err = _single_error_line(capsys, "penetration", "--data", str(tmp_path))
+    assert err == "error: no CSV files found in the given paths\n"
+
+
+@pytest.mark.parametrize(
+    ("text", "reason"),
+    [
+        ("coall: 5\n", "coall: unknown source category"),
+        ("gas: -5\n", "gas: must be >= 0.0, got -5.0"),
+        ("gas: x\n", "gas: expected a number, got 'x'"),
+        ("- gas\n", "<root>: expected a mapping of category to g/kWh"),
+    ],
+)
+def test_cef_table_errors_read_like_scenario_overrides(capsys, tmp_path: Path, toy_csv: Path, text, reason) -> None:
+    """A ``--cef`` table and a scenario's ``cef_g_per_kwh`` share one validator."""
+    table = tmp_path / "cef.yaml"
+    table.write_text(text, encoding="utf-8")
+    err = _single_error_line(capsys, "ci", "--mix", str(toy_csv), "--cef", str(table))
+    assert err == f"error: CEF table {table}: {reason}\n"
+
+
+def test_contract_unknown_source_id(capsys, tmp_path: Path, toy_csv: Path) -> None:
+    scenario = tmp_path / "typo.yaml"
+    scenario.write_text(
+        "regions: {r: {generation: {coal: 500, wind: 500}}}\n"
+        "consumers: [{id: H1, region: r, demand_kwh: 20}]\n"
+        "contracts: [{id: k, buyer: H1, kind: financial, source: sun, region: r, energy_mwh: 5}]\n",
+        encoding="utf-8",
+    )
+    err = _single_error_line(capsys, "scenario", "--file", str(scenario))
+    assert err == "error: contracts[0].source: unknown source id 'sun'\n"
+    contracts = tmp_path / "contracts.yaml"
+    contracts.write_text("- {source: sun, energy_mwh: 5}\n", encoding="utf-8")
+    err = _single_error_line(capsys, "ci", "--mix", str(toy_csv), "--contracts", str(contracts))
+    assert err == f"error: {contracts}: contracts[0].source: unknown source id 'sun'\n"
+
+
+def test_scenario_consumer_not_a_mapping(capsys, tmp_path: Path) -> None:
+    scenario = tmp_path / "consumer.yaml"
+    scenario.write_text(
+        "regions: {r: {generation: {coal: 500, wind: 500}}}\nconsumers: [H1]\n", encoding="utf-8"
+    )
+    err = _single_error_line(capsys, "scenario", "--file", str(scenario))
+    assert err == "error: consumers[0]: expected a mapping\n"
 
 
 @pytest.mark.parametrize("field", ["source", "energy_mwh"])

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import csv
 import tempfile
 from datetime import datetime, timedelta, timezone
 from math import inf, nan
@@ -226,6 +227,37 @@ def test_ragged_row(tmp_path: Path) -> None:
         load_region_csv(_write(tmp_path, "timestamp,wind,coal\n2022-06-01T00:00:00Z,10\n"))
     assert exc.value.row == 2
     assert str(exc.value) == "expected 3 cells, got 2 (row 2)"
+
+
+@pytest.mark.parametrize(
+    ("text", "row"),
+    [
+        ("timestamp,wind\n2022-06-01T00:00:00Z,10\n2022-06-01T01:00:00Z,{huge}\n", 3),
+        ("timestamp,{huge}\n2022-06-01T00:00:00Z,10\n", 1),
+    ],
+    ids=["data-row", "header"],
+)
+def test_unreadable_row_is_a_parse_error(tmp_path: Path, text: str, row: int) -> None:
+    """A field the csv reader refuses is a ParseError naming its row, not a ``csv.Error``."""
+    huge = "9" * (csv.field_size_limit() + 1)
+    with pytest.raises(ParseError) as exc:
+        load_region_csv(_write(tmp_path, text.format(huge=huge)))
+    assert str(exc.value) == f"unreadable row: field larger than field limit ({csv.field_size_limit()}) (row {row})"
+
+
+def test_bad_row_before_an_unreadable_one_comes_first(tmp_path: Path) -> None:
+    huge = "9" * (csv.field_size_limit() + 1)
+    text = f"timestamp,wind\n2022-06-01T00:00:00Z,x\n2022-06-01T01:00:00Z,{huge}\n"
+    with pytest.raises(ParseError) as exc:
+        load_region_csv(_write(tmp_path, text))
+    assert str(exc.value) == "invalid number 'x' (row 2, column 'wind')"
+
+
+def test_dataset_takes_mixes_or_columns_not_both() -> None:
+    t0 = datetime(2022, 6, 1, tzinfo=timezone.utc)
+    mix = GridMix(region="r", generation={"wind": 1.0}, timestamp=t0)
+    with pytest.raises(ValueError, match="^give a dataset either mixes or columns, not both$"):
+        RegionDataset("r", mixes=[mix], timestamps=(t0,), source_ids=("wind",), columns=((1.0,),))
 
 
 def test_duplicate_timestamps(tmp_path: Path) -> None:

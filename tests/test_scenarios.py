@@ -1,13 +1,16 @@
 from __future__ import annotations
 
 import io
+from pathlib import Path
 
 import pytest
 import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gridcarbon import factors
+import gridcarbon
+from gridcarbon import factors, scenarios
+from gridcarbon.scenarios import parse_cef_overrides
 from gridcarbon import (
     ScenarioInvalid,
     SchemaError,
@@ -301,6 +304,114 @@ def test_tagged_scalar_is_a_schema_error() -> None:
     text = "name: !!bool maybe\nregions: {r: {generation: {wind: 1}}}\n"
     with pytest.raises(SchemaError, match=r"^<stream>: cannot decode a YAML value: KeyError: 'maybe'$"):
         load_scenario(io.StringIO(text))
+
+
+def test_yaml_syntax_error_names_the_file(tmp_path) -> None:
+    bad = tmp_path / "bad.yaml"
+    bad.write_text("name: t\nregions: [unclosed\n", encoding="utf-8")
+    with pytest.raises(yaml.YAMLError, match=f'in "{bad}", line'):
+        load_scenario(bad)
+
+
+@pytest.mark.parametrize(
+    ("raw", "prefix", "field", "reason"),
+    [
+        ({"coall": 5}, "cef_g_per_kwh", "cef_g_per_kwh.coall", "unknown source category"),
+        ({"gas": float("nan")}, "", "gas", "must not be NaN or infinite, got nan"),
+        ({"gas": -(10**400)}, "x", "x.gas", "must not be NaN or infinite, got -inf"),
+        ({"gas": True}, "", "gas", "expected a number, got True"),
+        (["gas"], "", "<root>", "expected a mapping of category to g/kWh"),
+        ("gas", "cef_g_per_kwh", "cef_g_per_kwh", "expected a mapping of category to g/kWh"),
+    ],
+)
+def test_cef_overrides_name_the_field(raw, prefix: str, field: str, reason: str) -> None:
+    with pytest.raises(ScenarioInvalid) as exc:
+        parse_cef_overrides(raw, prefix)
+    assert (exc.value.field, exc.value.reason) == (field, reason)
+
+
+def test_cef_overrides_are_floats() -> None:
+    overrides = parse_cef_overrides({"gas": 520, "coal": 0.5}, "cef_g_per_kwh")
+    assert overrides == {"gas": 520.0, "coal": 0.5}
+    assert all(type(value) is float for value in overrides.values())
+    assert gridcarbon.load_cef_table is scenarios.load_cef_table
+
+
+def _nesting(text: str) -> int:
+    """The deepest collection nesting among libyaml's parse events."""
+    depth = deepest = 0
+    for event in yaml.parse(text, Loader=factors._YAML_LOADER):
+        if isinstance(event, yaml.CollectionStartEvent):
+            depth += 1
+            deepest = max(deepest, depth)
+        elif isinstance(event, yaml.CollectionEndEvent):
+            depth -= 1
+    return deepest
+
+
+# Plain words, some with a bracket, which block style writes unquoted.
+_WORDS = st.sampled_from(["a", "b c", "x]", "y}", "z]]", "-", "1"])
+_NESTED = st.recursive(
+    _WORDS | st.integers(),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.sampled_from("klm"), inner, max_size=3),
+    max_leaves=40,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=_NESTED, flow=st.sampled_from([None, True, False]), indent=st.integers(2, 5), levels=st.integers(1, 12))
+def test_nesting_scan_over_approximates(data, flow, indent: int, levels: int) -> None:
+    """A document nested deeper than ``levels`` is never let through to
+    libyaml's recursive composer."""
+    text = yaml.dump(data, default_flow_style=flow, indent=indent)
+    if _nesting(text) > levels:
+        assert factors._could_nest_deeper(text, levels), text
+
+
+@st.composite
+def flow_documents(draw) -> str:
+    """A block mapping whose values are plain scalars holding closing
+    brackets, or flow collections nested up to 40 deep whose items may be
+    empty collections, quoted scalars or comments holding closing brackets."""
+    closers = st.integers(1, 30).map(lambda n: "]" * n)
+    kinds = ["", "b", "[]", *draw(st.sampled_from([[], ["quoted"], ["comment"], ["quoted", "comment"]]))]
+
+    def flow(depth: int) -> str:
+        if depth == 0:
+            return draw(st.sampled_from(["a", "[]", "{}"]))
+        inner = flow(depth - 1)
+        item = draw(st.sampled_from(kinds))
+        if item == "quoted":
+            item = f'"{draw(closers)}"'
+        elif item == "comment":
+            item = f"c  # {draw(closers)}\n"
+        items = [inner, item] if item else [inner]
+        if draw(st.booleans()):
+            items.reverse()
+        if draw(st.booleans()):
+            return "[" + ", ".join(items) + "]"
+        return "{" + ", ".join(f"k{i}: {value}" for i, value in enumerate(items)) + "}"
+
+    lines = []
+    for i in range(draw(st.integers(1, 4))):
+        if draw(st.booleans()):
+            lines.append(f"k{i}: x{draw(closers)}")
+        else:
+            lines.append(f"k{i}: {flow(draw(st.integers(0, 40)))}")
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=flow_documents(), levels=st.integers(12, 40))
+def test_nesting_scan_over_approximates_flow(text: str, levels: int) -> None:
+    if _nesting(text) > levels:
+        assert factors._could_nest_deeper(text, levels), text
+
+
+@pytest.mark.parametrize("name", BUILTINS)
+def test_bundled_scenarios_stay_on_libyaml(name: str) -> None:
+    text = (Path(scenarios.__file__).parent / "data" / "scenarios" / f"{name}.yaml").read_text(encoding="utf-8")
+    assert not factors._could_nest_deeper(text, factors._C_NESTING)
 
 
 def test_energy_series_contract() -> None:

@@ -312,6 +312,23 @@ def test_shift_savings_zero_baseline() -> None:
         shift_savings([0.0, 0.0], _load(1))
 
 
+def test_emissions_overflow_names_the_energy() -> None:
+    """energy_per_hour_kwh times a placement's CI sum overflows: an error
+    naming the energy, not an infinite emission or a NaN saving."""
+    load = FlexibleLoad(energy_per_hour_kwh=1e307, duration_hours=1)
+    message = "^energy_per_hour_kwh: emissions of the load overflow$"
+    with pytest.raises(ValueError, match=message):
+        shift_savings([500.0, 100.0], load)
+    with pytest.raises(ValueError, match=message):
+        evaluate_schedule((1,), load, [1.0, 1.0], [5.0, 100.0])
+    # Finite values whose sum overflows are named as such, whatever the energy.
+    message = "^the signal values at the placed hours overflow their sum$"
+    with pytest.raises(ValueError, match=message):
+        evaluate_schedule((0, 1), FlexibleLoad(1.0, 2), [1e308, 1e308], [1.0, 1.0])
+    with pytest.raises(ValueError, match=message):
+        shift_savings([1e308, 1e308, 1.0], FlexibleLoad(1.0, 2))
+
+
 def test_shift_savings_bad_policy() -> None:
     with pytest.raises(ValueError):
         shift_savings([1.0, 2.0], _load(1), from_policy="vibes")

@@ -83,6 +83,19 @@ def test_penetration_split_step_invariant(solar: float, coal: float, split: floa
     )
 
 
+def test_penetration_overflow_names_the_input() -> None:
+    """Two finite 1e308 steps overflow the series total: the error names the
+    region and the step, not an infinite total_generation_mwh."""
+    t0 = datetime(2022, 6, 1, tzinfo=timezone.utc)
+    dataset = RegionDataset(
+        "huge", timestamps=(t0, t0 + timedelta(hours=1)), source_ids=("wind",), columns=((1e308, 1e308),)
+    )
+    message = "region 'huge': total generation or its emissions overflow at 2022-06-01T01:00:00Z"
+    for per_hour_mean in (False, True):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            penetration(dataset, per_hour_mean=per_hour_mean)
+
+
 def test_fleet_two_regions() -> None:
     fleet = penetration_fleet(
         [
