@@ -18,6 +18,9 @@ import json
 import math
 import os
 import sys
+from itertools import repeat
+from json.encoder import encode_basestring_ascii
+from operator import attrgetter, itemgetter
 from pathlib import Path
 
 import yaml
@@ -55,35 +58,75 @@ from .stats import (
 CEF_TABLE_ENV = "GRIDCARBON_CEF_TABLE"
 
 
-def _fmt(value):
-    """Floats at 6 significant digits; everything else unchanged."""
-    if isinstance(value, bool) or not isinstance(value, float):
-        return value
-    return float(format(value, ".6g"))
+def _size(block: dict) -> int:
+    """A block's record count: the length of its columns, or 1 without one."""
+    return next((len(value) for value in block.values() if isinstance(value, (list, tuple))), 1)
 
 
-def _emit(records: list[dict], fmt: str, out: str) -> None:
-    for record in records:
-        for key, value in record.items():
-            if isinstance(value, float) and not math.isfinite(value):
-                raise GridCarbonError(f"{key} is {value}, which the output cannot represent")
+class Records:
+    """A command's output records as blocks of one shape each, in record
+    order. A block maps each key to a column (a list or tuple, one value
+    per record) or to a constant that all of its records share; a block
+    with no column is one record. ``len()`` counts records."""
+
+    def __init__(self, *blocks: dict) -> None:
+        self.blocks = blocks
+
+    def __len__(self) -> int:
+        return sum(map(_size, self.blocks))
+
+
+def _encode(values, kind: type | None, as_json: bool):
+    """A sequence of values, all of type ``kind`` unless it is ``None``, as
+    the format writes them: floats at 6 significant digits."""
+    if kind is None:
+        return (next(iter(_encode((value,), type(value), as_json))) for value in values)
+    if issubclass(kind, float):
+        text = map(format, values, repeat(".6g"))
+        return map(float.__repr__, map(float, text)) if as_json else text
+    if kind is str:
+        return map(encode_basestring_ascii, values) if as_json else values
+    return map(json.dumps, values) if as_json else values
+
+
+def _first_nonfinite(values, kind: type | None) -> int | None:
+    """The index of the first non-finite float among ``values``, or ``None``."""
+    if kind is not None and (not issubclass(kind, float) or math.isfinite(sum(values))):
+        return None
+    return next((i for i, v in enumerate(values) if isinstance(v, float) and not math.isfinite(v)), None)
+
+
+def _emit(records: Records, fmt: str, out: str) -> None:
+    """Write the records as JSON lines or CSV a column at a time, with one
+    ``str.format`` template per JSON block. CSV's header is the union of
+    the keys in record order, with "" where a record lacks one. The first
+    non-finite float in record order is an error naming its key."""
+    as_json = fmt == "json-records"
+    blocks = [(size, block) for block in records.blocks if (size := _size(block))]
+    header = list(dict.fromkeys(key for _, block in blocks for key in block))
     buffer = io.StringIO()
-    if fmt == "json-records":
-        for record in records:
-            buffer.write(json.dumps({k: _fmt(v) for k, v in record.items()}))
-            buffer.write("\n")
-    else:
-        columns: list[str] = []
-        for record in records:
-            for key in record:
-                if key not in columns:
-                    columns.append(key)
-        writer = csv.DictWriter(buffer, fieldnames=columns, restval="")
-        writer.writeheader()
-        for record in records:
-            writer.writerow(
-                {k: (format(v, ".6g") if isinstance(v, float) else v) for k, v in record.items()}
-            )
+    writer = csv.writer(buffer)
+    if not as_json:
+        writer.writerow(header)
+    for size, block in blocks:
+        columns, bad = {}, []
+        for key, value in block.items():
+            values = value if isinstance(value, (list, tuple)) else (value,)
+            kinds = set(map(type, values))
+            kind = kinds.pop() if len(kinds) == 1 else None
+            if (i := _first_nonfinite(values, kind)) is not None:
+                bad.append((i, key, values[i]))
+            encoded = _encode(values, kind, as_json)
+            columns[key] = encoded if values is value else repeat(next(iter(encoded)), size)
+        if bad:
+            _, key, value = min(bad, key=itemgetter(0))
+            raise GridCarbonError(f"{key} is {value}, which the output cannot represent")
+        if as_json:
+            keys = (encode_basestring_ascii(key).replace("{", "{{").replace("}", "}}") for key in columns)
+            template = "{{" + ", ".join(f"{key}: {{}}" for key in keys) + "}}\n"
+            buffer.write("".join(map(template.format, *columns.values())))
+        else:
+            writer.writerows(zip(*(columns.get(key, repeat("", size)) for key in header)))
     text = buffer.getvalue()
     if out == "-":
         sys.stdout.write(text)
@@ -157,14 +200,21 @@ def _timestamp_labels(dataset) -> list[str]:
     ]
 
 
-def cmd_ci(args) -> list[dict]:
+def _columns(items, **attributes: str) -> dict:
+    """Columns of a block: each key's column holds that attribute (a dotted
+    path, as ``attrgetter`` reads it) of every item."""
+    return {key: list(map(attrgetter(name), items)) for key, name in attributes.items()}
+
+
+def cmd_ci(args) -> Records:
     sources = _registry(args)
     dataset = _load_dataset(args)
     contracts = _parse_contracts_arg(args.contracts, dataset, sources)
-    records = [
-        {"timestamp": label, "region": dataset.region, "ci_g_per_kwh": ci}
-        for label, ci in zip(_timestamp_labels(dataset), total_signal(dataset, sources))
-    ]
+    steps = {
+        "timestamp": _timestamp_labels(dataset),
+        "region": dataset.region,
+        "ci_g_per_kwh": total_signal(dataset, sources),
+    }
     aggregate = {
         "timestamp": "aggregate",
         "region": dataset.region,
@@ -172,69 +222,47 @@ def cmd_ci(args) -> list[dict]:
     }
     if contracts is not None:
         residual = _residual_dataset(dataset, contracts, sources)
-        for record, ci in zip(records, _ci_steps(residual, sources)):
-            record["residual_ci_g_per_kwh"] = "" if ci is None else ci
+        steps["residual_ci_g_per_kwh"] = ["" if ci is None else ci for ci in _ci_steps(residual, sources)]
         ci_res = energy_weighted_ci(residual, sources)
         aggregate["residual_ci_g_per_kwh"] = "" if ci_res is None else ci_res
-    records.append(aggregate)
-    return records
+    return Records(steps, aggregate)
 
 
-def cmd_residual(args) -> list[dict]:
+def cmd_residual(args) -> Records:
     sources = _registry(args)
     dataset = _load_dataset(args)
     categories = args.categories.split(",")
     total = total_signal(dataset, sources)
     resid = residual_signal(dataset, args.fraction, categories, sources)
-    return [
+    return Records(
         {
-            "timestamp": label,
+            "timestamp": _timestamp_labels(dataset),
             "region": dataset.region,
-            "ci_g_per_kwh": ci,
-            "residual_ci_g_per_kwh": ci_res,
+            "ci_g_per_kwh": total,
+            "residual_ci_g_per_kwh": resid,
         }
-        for label, ci, ci_res in zip(_timestamp_labels(dataset), total, resid)
-    ]
-
-
-def _report_records(report) -> list[dict]:
-    records = []
-    for entry in report.consumers:
-        records.append(
-            {
-                "record": "consumer",
-                "id": entry.consumer_id,
-                "region": entry.region,
-                "method": entry.method,
-                "demand_kwh": entry.demand_kwh,
-                "cfe_claim_kwh": entry.cfe_claim_kwh,
-                "over_claimed": entry.over_claimed,
-                "location_cfe_kwh": entry.location_based.attributed_cfe_kwh,
-                "location_ci_g_per_kwh": entry.location_based.ci_g_per_kwh,
-                "location_emissions_g": entry.location_based.emissions_g,
-                "market_cfe_kwh": entry.market_based.attributed_cfe_kwh,
-                "market_ci_g_per_kwh": entry.market_based.ci_g_per_kwh,
-                "market_emissions_g": entry.market_based.emissions_g,
-            }
-        )
-    for summary in report.regions:
-        records.append(
-            {
-                "record": "region",
-                "id": summary.region,
-                "region": summary.region,
-                "ci_loc_g_per_kwh": summary.ci_loc_g_per_kwh,
-                "ci_res_g_per_kwh": summary.ci_res_g_per_kwh,
-                "total_energy_mwh": summary.total_energy_mwh,
-                "carbon_free_energy_mwh": summary.carbon_free_energy_mwh,
-                "contracted_cfe_mwh": summary.contracted_cfe_mwh,
-                "over_contracted": ";".join(sorted(summary.over_contracted)),
-            }
-        )
-    records.append(
-        {"record": "grid", "double_counted_cfe_mwh": report.double_counted_cfe_mwh}
     )
-    return records
+
+
+def _report_records(report) -> Records:
+    consumers = _columns(
+        report.consumers, id="consumer_id", region="region", method="method", demand_kwh="demand_kwh",
+        cfe_claim_kwh="cfe_claim_kwh", over_claimed="over_claimed",
+        location_cfe_kwh="location_based.attributed_cfe_kwh", location_ci_g_per_kwh="location_based.ci_g_per_kwh",
+        location_emissions_g="location_based.emissions_g", market_cfe_kwh="market_based.attributed_cfe_kwh",
+        market_ci_g_per_kwh="market_based.ci_g_per_kwh", market_emissions_g="market_based.emissions_g",
+    )
+    regions = _columns(
+        report.regions, id="region", region="region", ci_loc_g_per_kwh="ci_loc_g_per_kwh",
+        ci_res_g_per_kwh="ci_res_g_per_kwh", total_energy_mwh="total_energy_mwh",
+        carbon_free_energy_mwh="carbon_free_energy_mwh", contracted_cfe_mwh="contracted_cfe_mwh",
+    )
+    regions["over_contracted"] = [";".join(sorted(summary.over_contracted)) for summary in report.regions]
+    return Records(
+        {"record": "consumer", **consumers},
+        {"record": "region", **regions},
+        {"record": "grid", "double_counted_cfe_mwh": report.double_counted_cfe_mwh},
+    )
 
 
 def _scenario_from_args(args):
@@ -245,33 +273,28 @@ def _scenario_from_args(args):
     return load_builtin_scenario(args.name)
 
 
-def cmd_scenario(args) -> list[dict]:
+def cmd_scenario(args) -> Records:
     if args.list:
-        return [{"record": "scenario", "name": name} for name in builtin_scenario_names()]
+        return Records({"record": "scenario", "name": builtin_scenario_names()})
     scenario = _scenario_from_args(args)
     return _report_records(run_scenario(scenario))
 
 
-def cmd_attribute(args) -> list[dict]:
-    scenario = _scenario_from_args(args)
-    report = run_scenario(scenario)
-    records = []
-    for entry in report.consumers:
-        method = entry.method if args.method == "declared" else args.method
-        result = entry.location_based if method == "location_based" else entry.market_based
-        records.append(
-            {
-                "id": entry.consumer_id,
-                "region": entry.region,
-                "method": method,
-                "demand_kwh": entry.demand_kwh,
-                "attributed_cfe_kwh": result.attributed_cfe_kwh,
-                "attributed_fossil_kwh": result.attributed_fossil_kwh,
-                "ci_g_per_kwh": result.ci_g_per_kwh,
-                "emissions_g": result.emissions_g,
-            }
-        )
-    return records
+def cmd_attribute(args) -> Records:
+    entries = run_scenario(_scenario_from_args(args)).consumers
+    declared = args.method == "declared"
+    results = [entry.selected if declared else getattr(entry, args.method) for entry in entries]
+    return Records(
+        {
+            **_columns(entries, id="consumer_id", region="region"),
+            "method": [entry.method for entry in entries] if declared else args.method,
+            **_columns(entries, demand_kwh="demand_kwh"),
+            **_columns(
+                results, attributed_cfe_kwh="attributed_cfe_kwh", attributed_fossil_kwh="attributed_fossil_kwh",
+                ci_g_per_kwh="ci_g_per_kwh", emissions_g="emissions_g",
+            ),
+        }
+    )
 
 
 def _data_paths(raw_paths: list[str]) -> list[Path]:
@@ -287,35 +310,29 @@ def _data_paths(raw_paths: list[str]) -> list[Path]:
     return paths
 
 
-def cmd_penetration(args) -> list[dict]:
+def cmd_penetration(args) -> Records:
     sources = _registry(args)
     categories = args.categories.split(",")
-    datasets = [_load_dataset(args, path) for path in _data_paths(args.data)]
+    datasets = (_load_dataset(args, path) for path in _data_paths(args.data))
     fleet = penetration_fleet(datasets, categories, sources, args.per_hour_mean)
-    records = [
-        {
-            "record": "region",
-            "region": stat.region,
-            "total_generation_mwh": stat.total_generation_mwh,
-            "solar_wind_mwh": stat.solar_wind_mwh,
-            "solar_wind_pct": stat.solar_wind_pct,
-        }
-        for stat in fleet.stats
-    ]
-    records.extend(
-        {"record": "cdf", "solar_wind_pct": value, "cumulative_fraction": fraction}
-        for value, fraction in fleet.cdf
+    stats = _columns(
+        fleet.stats, region="region", total_generation_mwh="total_generation_mwh",
+        solar_wind_mwh="solar_wind_mwh", solar_wind_pct="solar_wind_pct",
     )
-    return records
+    values, fractions = zip(*fleet.cdf)
+    return Records(
+        {"record": "region", **stats},
+        {"record": "cdf", "solar_wind_pct": values, "cumulative_fraction": fractions},
+    )
 
 
-def cmd_inflation(args) -> list[dict]:
+def cmd_inflation(args) -> Records:
     sources = _registry(args)
     dataset = _load_dataset(args)
     categories = args.categories.split(",")
     ci_loc = period_ci(dataset, sources, args.basis)
     ci_res = period_residual_ci(dataset, args.fraction, categories, sources, args.basis)
-    return [
+    return Records(
         {
             "region": dataset.region,
             "contract_fraction": args.fraction,
@@ -323,7 +340,7 @@ def cmd_inflation(args) -> list[dict]:
             "residual_ci_g_per_kwh": ci_res,
             "inflation_pct": inflation_pct(ci_loc, ci_res),
         }
-    ]
+    )
 
 
 def _load_signal(path: str, sources: SourceRegistry, basis: str):
@@ -336,7 +353,7 @@ def _load_signal(path: str, sources: SourceRegistry, basis: str):
     return total_signal(dataset, sources, basis), dataset
 
 
-def cmd_schedule(args) -> list[dict]:
+def cmd_schedule(args) -> Records:
     if args.actual and args.residual_fraction is not None:
         raise GridCarbonError("give either --actual or --residual-fraction, not both")
     if args.basis == "published" and args.residual_fraction is not None:
@@ -364,7 +381,7 @@ def cmd_schedule(args) -> list[dict]:
     )
     policy = int(args.policy) if args.policy.lstrip("-").isdecimal() else args.policy
     result = evaluate_schedule(_policy_hours(reported, load, policy), load, reported, actual)
-    return [
+    return Records(
         {
             "hours": ",".join(str(h) for h in result.hours),
             "reported_ci_avg_g_per_kwh": result.reported_ci_avg,
@@ -374,20 +391,17 @@ def cmd_schedule(args) -> list[dict]:
             "difference_g_per_kwh": result.difference_g_per_kwh,
             "discrepancy_pct": result.discrepancy_pct,
         }
-    ]
+    )
 
 
-def cmd_fixtures(args) -> list[dict]:
+def cmd_fixtures(args) -> Records:
     if args.action == "list":
-        records = [
-            {"record": "scenario", "name": name} for name in builtin_scenario_names()
-        ]
-        records.extend(
-            {"record": "dataset", "name": name} for name in sorted(fixture_datasets())
+        return Records(
+            {"record": "scenario", "name": builtin_scenario_names()},
+            {"record": "dataset", "name": sorted(fixture_datasets())},
         )
-        return records
     paths = write_fixture_csvs(args.dir)
-    return [{"record": "exported", "path": str(path)} for path in paths]
+    return Records({"record": "exported", "path": [str(path) for path in paths]})
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:

@@ -260,12 +260,11 @@ def _parse_row(
 def _parse_columns(
     rows: Sequence[_RawRow], indexes: Sequence[int]
 ) -> tuple[list[datetime], list[tuple[float, ...]]] | None:
-    """Parse clean rows a column at a time: their timestamps and values, or
-    ``None`` when a cell or timestamp fails a check. ``indexes`` locates the
-    timestamp and then each parsed cell. A value passes when it is a number
-    >= 0; a NaN or inf makes its column's sum NaN or inf."""
-    if not rows:
-        return [], []
+    """Parse clean rows a column at a time: their timestamps and one value
+    column per parsed cell, or ``None`` when a cell or timestamp fails a
+    check. ``indexes`` locates the timestamp and then each parsed cell. A
+    value passes when it is a number >= 0; a NaN or inf makes its column's
+    sum NaN or inf."""
     _, cells = zip(*rows)
     raw_timestamps, *raw_columns = (map(itemgetter(i), cells) for i in indexes)
     try:
@@ -275,7 +274,7 @@ def _parse_columns(
         return None
     if not all(min(column) >= 0.0 and sum(column) < math.inf for column in columns):
         return None
-    return timestamps, list(zip(*columns))
+    return timestamps, columns
 
 
 def _read_csv(path: Path, fill_policy: str, bare_signal: bool = False) -> tuple | None:
@@ -345,13 +344,18 @@ def _read_csv(path: Path, fill_policy: str, bare_signal: bool = False) -> tuple 
                     other.append((row_number, cells))
         except csv.Error as exc:  # the reader stops here: this row is the last one checked
             other.append((row_number + 1, exc))
-    # When every clean row passes the checks, they parse a column at a time
-    # and only the other rows go one by one through _parse_row. Otherwise
-    # every row does, in file order, so the first bad row raises its error.
-    parsed = _parse_columns(clean, indexes)
-    timestamps, rows = parsed if parsed is not None else ([], [])
+    # When there are clean rows and every one passes the checks, they parse
+    # a column at a time and only the other rows go one by one through
+    # _parse_row. Otherwise every row does, in file order, so the first bad
+    # row raises its error.
+    parsed = _parse_columns(clean, indexes) if clean else None
+    if parsed is None:
+        other = sorted(clean + other)
+    del clean  # the raw cells, no longer needed
+    timestamps, columns = parsed or ([], [()] * len(names))
+    rows = []
     rows_dropped = cells_filled = 0
-    for row, cells in other if parsed is not None else sorted(clean + other):
+    for row, cells in other:
         timestamp, values, filled = _parse_row(row, cells, header, names, zero_fill)
         if values is None:
             rows_dropped += 1
@@ -359,11 +363,13 @@ def _read_csv(path: Path, fill_policy: str, bare_signal: bool = False) -> tuple 
         cells_filled += filled
         timestamps.append(timestamp)
         rows.append(values)
+    if rows:
+        columns = [column + extra for column, extra in zip(columns, zip(*rows))]
 
     if not all(map(lt, timestamps, timestamps[1:])):
         order = sorted(range(len(timestamps)), key=timestamps.__getitem__)
         timestamps = [timestamps[i] for i in order]
-        rows = [rows[i] for i in order]
+        columns = [tuple(map(column.__getitem__, order)) for column in columns]
         for first, second in zip(timestamps, timestamps[1:]):
             if first == second:
                 raise ParseError(
@@ -372,14 +378,13 @@ def _read_csv(path: Path, fill_policy: str, bare_signal: bool = False) -> tuple 
                 )
     summary = LoadSummary(
         rows_read=rows_read,
-        rows_kept=len(rows),
+        rows_kept=len(timestamps),
         rows_dropped=rows_dropped,
         cells_filled=cells_filled,
         ignored_columns=ignored,
     )
-    columns = tuple(zip(*rows)) if rows else ((),) * len(names)
     published = columns[-1] if has_published else None
-    return tuple(timestamps), source_columns, columns[: len(source_columns)], published, summary
+    return tuple(timestamps), source_columns, tuple(columns[: len(source_columns)]), published, summary
 
 
 def load_region_csv(

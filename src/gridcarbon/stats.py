@@ -9,13 +9,13 @@ residual CI is ``inflation_pct(period_ci(d), period_residual_ci(d, f))``.
 
 from __future__ import annotations
 
-from collections.abc import Mapping, Sequence
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from itertools import accumulate, compress
 from operator import mul
 
 from .contracts import _fully_contracted, _residual_dataset, contracts_for_fraction
-from .errors import EmptyFleet, EmptyMix, ZeroBaseline
+from .errors import EmptyFleet, EmptyMix, GridCarbonError, ZeroBaseline
 from .factors import check_categories
 from .grid import SourceRegistry, _cefs, _step_emissions
 from .ingest import RegionDataset, check_basis, check_overflow
@@ -92,21 +92,34 @@ def penetration(
 
 
 def penetration_fleet(
-    datasets: Sequence[RegionDataset],
+    datasets: Iterable[RegionDataset],
     categories: Sequence[str] = SOLAR_WIND,
     sources: SourceRegistry | None = None,
     per_hour_mean: bool = False,
 ) -> FleetPenetration:
     """Penetration for every region plus the empirical CDF across regions.
 
+    ``datasets`` may be any iterable, such as a generator that loads each
+    region: a dataset is reduced to its stat before the next one is drawn.
+    The first error computing a stat is raised only once every dataset has
+    been drawn, so an error drawing a later one comes first.
+
     Raises:
         EmptyFleet: if no datasets are given.
     """
-    if not datasets:
+    stats = []
+    error = None
+    for dataset in datasets:
+        if error is None:
+            try:
+                stats.append(penetration(dataset, categories, sources, per_hour_mean))
+            except (GridCarbonError, ValueError) as exc:
+                error = exc
+        del dataset  # not alive while the next one loads
+    if error is not None:
+        raise error
+    if not stats:
         raise EmptyFleet("penetration_fleet needs at least one region dataset")
-    stats = tuple(
-        penetration(dataset, categories, sources, per_hour_mean) for dataset in datasets
-    )
     values = sorted(stat.solar_wind_pct for stat in stats)
     n = len(values)
     cdf = []
@@ -114,7 +127,7 @@ def penetration_fleet(
         if i + 1 < n and values[i + 1] == value:
             continue  # collapse ties onto the highest cumulative fraction
         cdf.append((value, (i + 1) / n))
-    return FleetPenetration(stats=stats, cdf=tuple(cdf))
+    return FleetPenetration(stats=tuple(stats), cdf=tuple(cdf))
 
 
 def _weighted_ci(dataset: RegionDataset, emissions: Sequence[float], energy: Sequence[float]) -> float | None:

@@ -5,6 +5,7 @@ import csv
 import gc
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -14,12 +15,14 @@ from pathlib import Path
 
 import pytest
 import yaml
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gridcarbon import cli, factors
 from gridcarbon.cli import CEF_TABLE_ENV, main
+from gridcarbon.errors import GridCarbonError
 
+import reference_emit
 from test_scenarios import _BAD as YAML_BAD_SCALARS, yaml_documents
 
 TOY_CSV = "timestamp,wind,coal\n2022-06-01T00:00:00Z,500,500\n"
@@ -644,6 +647,68 @@ def test_main_restores_the_collector(capsys, monkeypatch, enabled, argv, code) -
     capsys.readouterr()
 
 
+# --- record emission --------------------------------------------------------------------------
+
+_KEYS = st.sampled_from(["timestamp", "region", "ci_g_per_kwh", 'q"k', "b\\s", "a,b", "{x}", "é"])
+_EDGE_FLOATS = st.sampled_from([0.0, -0.0, 5e-324, 1e16, 9.9999995e-5, 123456.5, 1e-7, 1.7976931348623157e308])
+_NONFINITE = st.sampled_from([math.nan, math.inf, -math.inf])
+_STRINGS = st.text(st.sampled_from('ab"\\,\n\r\t é€😀{}'), max_size=5) | st.text(max_size=5)
+_OTHERS = st.integers() | st.booleans() | st.none() | st.just("")
+
+
+@st.composite
+def _output_blocks(draw) -> list[dict]:
+    """Blocks as the commands return them: every key maps to a constant or
+    to a column of one length, of floats, of strings or of mixed values."""
+    floats = st.floats(allow_nan=False, allow_infinity=False) | _EDGE_FLOATS
+    if draw(st.booleans()):
+        floats |= _NONFINITE
+    kinds = [floats, _STRINGS, floats | _STRINGS | _OTHERS]
+    blocks = []
+    for _ in range(draw(st.integers(1, 4))):
+        size = draw(st.integers(0, 4))
+        block = {}
+        for key in draw(st.lists(_KEYS, min_size=1, max_size=5, unique=True)):
+            values = draw(st.sampled_from(kinds))
+            if draw(st.booleans()):
+                block[key] = draw(values)
+            else:
+                block[key] = draw(st.lists(values, min_size=size, max_size=size).map(draw(st.sampled_from([list, tuple]))))
+        blocks.append(block)
+    return blocks
+
+
+def _one_record_each(blocks: list[dict]) -> list[dict]:
+    records = []
+    for block in blocks:
+        columns = [value for value in block.values() if isinstance(value, (list, tuple))]
+        for i in range(len(columns[0]) if columns else 1):
+            records.append({k: v[i] if isinstance(v, (list, tuple)) else v for k, v in block.items()})
+    return records
+
+
+def _emitted(emit, records, fmt: str) -> str:
+    buffer = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(buffer):
+            emit(records, fmt, "-")
+    except GridCarbonError as exc:
+        return f"error: {exc}"
+    return buffer.getvalue()
+
+
+@settings(deadline=None)
+@given(blocks=_output_blocks(), fmt=st.sampled_from(["json-records", "csv"]))
+@example(blocks=[{"region": "r"}, {"ci": [1.0, math.nan], "ci_res": (math.inf, 2.0)}], fmt="csv")
+def test_emit_differential(blocks: list[dict], fmt: str) -> None:
+    """The columnar encoder writes what the per-record one wrote, byte for
+    byte, and names the same key for the first non-finite value."""
+    records = cli.Records(*blocks)
+    expected = _one_record_each(blocks)
+    assert len(records) == len(expected)
+    assert _emitted(cli._emit, records, fmt) == _emitted(reference_emit._emit, expected, fmt)
+
+
 def test_unknown_builtin_exits_1(capsys) -> None:
     code = main(["scenario", "does-not-exist"])
     assert code == 1
@@ -837,6 +902,28 @@ def test_contracts_yaml_not_a_list(capsys, tmp_path: Path, toy_csv: Path) -> Non
     contracts.write_text("source: wind\nenergy_mwh: 250\n", encoding="utf-8")
     err = _single_error_line(capsys, "ci", "--mix", str(toy_csv), "--contracts", str(contracts))
     assert err == f"error: {contracts}: expected a YAML list of contracts\n"
+
+
+@pytest.mark.parametrize(
+    ("files", "categories", "message"),
+    [
+        (("empty", "bad"), "solar,wind", "invalid number 'x' (row 2, column 'wind')"),
+        (("good", "bad"), "solar,bogus", "invalid number 'x' (row 2, column 'wind')"),
+        (("good", "empty"), "solar,bogus", "unknown source category 'bogus'"),
+        (("empty", "good"), "solar,wind", "dataset for region 'empty' has no generation"),
+    ],
+    ids=["no-generation-then-unparsable", "unknown-category-then-unparsable", "unknown-category", "no-generation"],
+)
+def test_penetration_reports_a_load_error_before_a_stat_error(capsys, tmp_path: Path, files, categories, message) -> None:
+    """Files load one at a time, but a region's stat error still waits for
+    every later file to load, as when all loaded first."""
+    cells = {"empty": "0,0", "bad": "x,0", "good": "5,5"}
+    paths = []
+    for name in files:
+        paths.append(tmp_path / f"{name}.csv")
+        paths[-1].write_text(f"timestamp,wind,coal\n2022-06-01T00:00:00Z,{cells[name]}\n", encoding="utf-8")
+    err = _single_error_line(capsys, "penetration", "--data", *map(str, paths), "--categories", categories)
+    assert err == f"error: {message}\n"
 
 
 def test_penetration_directory_without_csv(capsys, tmp_path: Path) -> None:

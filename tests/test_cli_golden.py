@@ -72,10 +72,22 @@ CASES.update(
         "penetration-hourly-csv": (
             "penetration", "--data", "{dir}", "--per-hour-mean", "--format", "csv",
         ),
+        "penetration-hourly": ("penetration", "--data", "{dir}", "--per-hour-mean"),
+        # Consumer, region and grid records: CSV takes the union of their keys.
+        "scenario": ("scenario", "commercial-case-3"),
+        "scenario-csv": ("scenario", "commercial-case-3", "--format", "csv"),
+        "attribute-market": ("attribute", "commercial-case-3", "--method", "market_based"),
+        "attribute-market-csv": (
+            "attribute", "commercial-case-3", "--method", "market_based", "--format", "csv",
+        ),
+        "scenario-list": ("scenario", "--list"),
+        "fixtures-list": ("fixtures", "list"),
     }
 )
 
 DIGESTS: dict[str, str] = {
+    "attribute-market": "af2aa12006769f13f4f7aa111eca118bc0a6e20d48d1ef56e51eb970b3ee7894",
+    "attribute-market-csv": "81f612bcc6114e6f8e230e946b851cc6a39ef7b9d9cb0f6346218539b361f451",
     "ci-all-csv": "568397a1ed309e3b6ed80966546420da50aeed8e8a56975174959bdd1fbea5b4",
     "ci-all-csv-cef": "24428514d613d4d4b75b0fcef1d6cb0f1338c05a6a8dd12d23e1aae93b94f6fa",
     "ci-all-json-records": "2d429752d1a55142d28d9e21edfd10dd5c738641db4bdcab33d201fc54bb262e",
@@ -96,13 +108,18 @@ DIGESTS: dict[str, str] = {
     "ci-scalar-csv-cef": "c7218090f394fbff94a2ce70f3087d65c7cb7c2915b1d1c153c4646a6ca232a4",
     "ci-scalar-json-records": "7308f513a3b2aa76f99b1ac5b264a0dc22b4e9aa8dcc3c98a2826021756e4845",
     "ci-scalar-json-records-cef": "218e6fc9311e6f6394b6478b23ae4aafe4bfe1ba15b8272df923518c342ef804",
+    "fixtures-list": "e2c8170c5efa672495de6dfe00bcaa8a1167c25352a9a3284accaf6838f10f65",
     "inflation-cef": "c87fb34da96db2dd830a5488d4442159851d3341c2fd72a244fc2d93a649da48",
     "inflation-cef-table": "6a9aa7ec072e6d8e0fda9853b5a0ce9a5dcdd00ba247734599550aa2722d5454",
     "inflation-published": "c87fb34da96db2dd830a5488d4442159851d3341c2fd72a244fc2d93a649da48",
     "penetration": "7ee9b5d80f23d1f1065a3b7e19ad0abb797b49ebca3485c8f65c762f41d8ba5f",
+    "penetration-hourly": "8ff6484b1ed440fd69ac889fc8a25f2df75733cdb7d4c65dda56ede69f7c6650",
     "penetration-hourly-csv": "a8151ce5ea0fe92768b81d632a3aa4ae77ec0cfc117cbed0fb608f06a6793fd3",
     "residual": "fc6ad90c8fffaac7e14c82df027ac2c10266d25b38592f52c5a407849a96067f",
     "residual-csv": "efc6d214ec12d07a58383e635a6b9267b3b9897b5ebf5a676704bdba437dcb93",
+    "scenario": "39b1ffbd5334528c26efbc6a48170665bc50f4c7775025cba6d7f73c1b3de823",
+    "scenario-csv": "bbd0ab3b6585e2c75d0adc10a23022d76aaa222853f9d8efdd37329b39b7c740",
+    "scenario-list": "4b849787f72627fe77b3f0138b74e642bd654803edd4827f4f5e1979cf575dbb",
     "schedule-best": "a9622f845cec0610bd4248e0e75fb09aec0edbe730d12580043eb9b7c7b8d4af",
     "schedule-fixed": "b6b72ab508fd31475cff7f961ffb5c61b691a628247e5881211eefc5f7b0b7fb",
     "schedule-worst": "120287a17d728386230ae9cea5460d3253d4a344a410a2ec0fa560b929591509",

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import weakref
 from datetime import datetime, timedelta, timezone
 
 import pytest
@@ -20,6 +21,7 @@ from gridcarbon import (
     south_australia_fixture,
     total_signal,
 )
+from gridcarbon import stats
 from gridcarbon.stats import inflation_pct
 
 
@@ -121,6 +123,47 @@ def test_fleet_collapses_ties() -> None:
 def test_fleet_requires_regions() -> None:
     with pytest.raises(EmptyFleet):
         penetration_fleet([])
+    with pytest.raises(EmptyFleet):
+        penetration_fleet(iter(()))
+
+
+def test_fleet_draws_one_dataset_at_a_time(monkeypatch) -> None:
+    """A generator of datasets is reduced one at a time: one is alive while
+    its stat is computed, and none while the next one is made."""
+    refs: list[weakref.ref] = []
+    alive_at_draw: list[int] = []
+    alive_at_stat: list[int] = []
+
+    def draw(region: str, wind: float) -> RegionDataset:
+        alive_at_draw.append(sum(ref() is not None for ref in refs))
+        dataset = _dataset([{"wind": wind, "coal": 100.0 - wind}], region=region)
+        refs.append(weakref.ref(dataset))
+        return dataset
+
+    def counted(dataset, *args):
+        alive_at_stat.append(sum(ref() is not None for ref in refs))
+        return penetration(dataset, *args)
+
+    monkeypatch.setattr(stats, "penetration", counted)
+    fleet = penetration_fleet(draw(region, wind) for region, wind in (("a", 10.0), ("b", 30.0), ("c", 50.0)))
+    assert [stat.region for stat in fleet.stats] == ["a", "b", "c"]
+    assert alive_at_stat == [1, 1, 1]
+    assert alive_at_draw == [0, 0, 0]
+
+
+def test_fleet_raises_a_stat_error_after_the_last_draw() -> None:
+    """An error drawing a later dataset comes before an earlier stat's error;
+    without one, the first stat error is raised."""
+    def datasets(fail: bool):
+        yield _dataset([{"wind": 0.0, "coal": 0.0}], region="empty")
+        yield _dataset([{"wind": 1.0}], region="other")
+        if fail:
+            raise OSError("cannot read the next region")
+
+    with pytest.raises(OSError, match="cannot read the next region"):
+        penetration_fleet(datasets(fail=True))
+    with pytest.raises(EmptyMix, match="'empty' has no generation"):
+        penetration_fleet(datasets(fail=False))
 
 
 def test_bundled_fleet_shares() -> None:
