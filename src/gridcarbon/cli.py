@@ -23,10 +23,8 @@ from json.encoder import encode_basestring_ascii
 from operator import attrgetter, itemgetter
 from pathlib import Path
 
-import yaml
-
 from .contracts import _residual_dataset, contracts_for_fraction
-from .errors import GridCarbonError, ScenarioInvalid
+from .errors import GridCarbonError, ParseError, ScenarioInvalid
 from .factors import _read_yaml
 from .fixtures import fixture_datasets, write_fixture_csvs
 from .grid import SourceRegistry
@@ -141,8 +139,19 @@ def _registry(args) -> SourceRegistry:
     return SourceRegistry.default(load_cef_table(path))
 
 
+def _load_csv(load, path, **options):
+    """``load(path, **options)``, with a ParseError naming the file, as a
+    SchemaError does."""
+    try:
+        return load(path, **options)
+    except ParseError as exc:
+        exc.args = (f"{Path(path)}: {exc}",)
+        raise
+
+
 def _load_dataset(args, path=None):
-    return load_region_csv(
+    return _load_csv(
+        load_region_csv,
         path or args.mix,
         region=getattr(args, "region", None),
         fill_policy=args.fill_policy,
@@ -191,9 +200,12 @@ def _parse_contracts_arg(spec: str, dataset, sources: SourceRegistry):
 
 
 def _timestamp_labels(dataset) -> list[str]:
-    """Each step's timestamp as TIMESTAMP_FORMAT writes it. From year 1000
-    on, isoformat's first 19 characters are those fields, and cheaper (below
+    """Each step's timestamp as TIMESTAMP_FORMAT writes it: the CSV's own
+    text when ingest kept it, else formatted. From year 1000 on,
+    isoformat's first 19 characters are those fields, and cheaper (below
     it, strftime does not pad the year on every platform)."""
+    if dataset._timestamp_text is not None:
+        return dataset._timestamp_text.split("\n")
     return [
         t.isoformat()[:19] + "Z" if t.year >= 1000 else t.strftime(TIMESTAMP_FORMAT)
         for t in dataset.timestamps
@@ -346,10 +358,10 @@ def cmd_inflation(args) -> Records:
 def _load_signal(path: str, sources: SourceRegistry, basis: str):
     """A CI signal and its dataset from a mix CSV, or the signal and
     ``None`` from a bare (timestamp, ci) CSV."""
-    signal = load_signal_csv(path)
+    signal = _load_csv(load_signal_csv, path)
     if signal is not None:
         return signal, None
-    dataset = load_region_csv(path)
+    dataset = _load_csv(load_region_csv, path)
     return total_signal(dataset, sources, basis), dataset
 
 
@@ -531,10 +543,15 @@ def main(argv=None) -> int:
     try:
         records = args.handler(args)
         _emit(records, args.format, args.out)
-    except (GridCarbonError, ValueError, yaml.YAMLError) as exc:
+    except (GridCarbonError, ValueError) as exc:
         return _fail(exc, 1)
     except OSError as exc:
         return _fail(exc, 2)
+    except Exception as exc:
+        yaml = sys.modules.get("yaml")  # only a run that read YAML imported it
+        if yaml is None or not isinstance(exc, yaml.YAMLError):
+            raise
+        return _fail(exc, 1)
     finally:
         if collecting:
             gc.enable()

@@ -21,10 +21,6 @@ from collections.abc import Iterable
 from itertools import accumulate
 from operator import sub
 
-import yaml
-from yaml.events import CollectionEndEvent, CollectionStartEvent
-from yaml.nodes import MappingNode, ScalarNode, SequenceNode
-
 from .errors import SchemaError
 
 # Every category a source may declare; mirrors ElectricityMaps-style
@@ -68,10 +64,26 @@ DEFAULT_CEF: dict[str, float] = {
 }
 
 
-# libyaml's parser with PyYAML's resolver composes the nodes (as
-# yaml.SafeLoader does, several times faster); _load_yaml builds the common
-# nodes itself and leaves the rest to this loader's SafeConstructor.
-_YAML_LOADER = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
+# _YAML_LOADER: libyaml's parser with PyYAML's resolver composes the nodes
+# (as yaml.SafeLoader does, several times faster); _load_yaml builds the
+# common nodes itself and leaves the rest to this loader's SafeConstructor.
+# It is set on first use, like every PyYAML import here, so that only the
+# commands that read YAML import PyYAML. Tests set it to yaml.SafeLoader.
+def __getattr__(name: str):
+    """Module attributes set on first access (PEP 562): ``_YAML_LOADER``."""
+    if name != "_YAML_LOADER":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    import yaml
+
+    global _YAML_LOADER
+    _YAML_LOADER = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
+    return _YAML_LOADER
+
+
+def _loader():
+    """``_YAML_LOADER``, set on the first call unless already set."""
+    return globals().get("_YAML_LOADER") or __getattr__("_YAML_LOADER")
+
 
 _STR, _NULL, _BOOL, _INT, _FLOAT, _SEQ, _MAP, _MERGE, _VALUE = (
     "tag:yaml.org,2002:" + name
@@ -98,7 +110,7 @@ def _load_yaml(stream):
     could leave the document decoding differently from ``yaml.load``.
     Scalar constructors read only their node and change nothing.
     """
-    loader = _YAML_LOADER(stream)
+    loader = _loader()(stream)
     try:
         root = loader.get_single_node()
         if root is None:
@@ -121,6 +133,8 @@ def _read_yaml(stream, name: str):
     document that could nest more than ``_C_NESTING`` levels deep goes to
     the pure-Python loader, whose RecursionError becomes this SchemaError.
     """
+    import yaml
+
     try:
         text = stream.read()
         source = io.StringIO(text)
@@ -155,9 +169,12 @@ def _could_nest_deeper(text: str, levels: int) -> bool:
     ``!`` is measured from libyaml's parse events, which do not recurse.
     """
     if any(mark in text for mark in "\"'#!"):
+        import yaml
+        from yaml.events import CollectionEndEvent, CollectionStartEvent
+
         depth = 0
         try:
-            for event in yaml.parse(text, Loader=_YAML_LOADER):
+            for event in yaml.parse(text, Loader=_loader()):
                 if isinstance(event, CollectionStartEvent):
                     depth += 1
                     if depth > levels:
@@ -179,6 +196,8 @@ def _could_nest_deeper(text: str, levels: int) -> bool:
 def _construct(root, loader):
     """The object SafeConstructor builds from ``root``, for the nodes
     :func:`_load_yaml` lists; raises for any other collection."""
+    from yaml.nodes import MappingNode, ScalarNode, SequenceNode
+
     memo = {}  # collection node -> its list or dict, filled or being filled
     bool_values = loader.bool_values
 

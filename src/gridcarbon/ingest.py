@@ -75,6 +75,10 @@ class RegionDataset:
     columns: tuple[tuple[float, ...], ...]
     published_ci: tuple[float, ...] | None
     summary: LoadSummary | None
+    # The timestamps as TIMESTAMP_FORMAT writes them, one per line, when
+    # load_region_csv read exactly that text; not a field, so equality and
+    # repr ignore it.
+    _timestamp_text = None
 
     def __init__(
         self,
@@ -259,22 +263,27 @@ def _parse_row(
 
 def _parse_columns(
     rows: Sequence[_RawRow], indexes: Sequence[int]
-) -> tuple[list[datetime], list[tuple[float, ...]]] | None:
-    """Parse clean rows a column at a time: their timestamps and one value
-    column per parsed cell, or ``None`` when a cell or timestamp fails a
-    check. ``indexes`` locates the timestamp and then each parsed cell. A
-    value passes when it is a number >= 0; a NaN or inf makes its column's
-    sum NaN or inf."""
+) -> tuple[list[datetime], list[tuple[float, ...]], str | None] | None:
+    """Parse clean rows a column at a time: their timestamps, one value
+    column per parsed cell and, when every timestamp has the canonical
+    shape, their text joined by newlines; or ``None`` when a cell or
+    timestamp fails a check. ``indexes`` locates the timestamp and then
+    each parsed cell. A value passes when it is a number >= 0; a NaN or inf
+    makes its column's sum NaN or inf."""
     _, cells = zip(*rows)
     raw_timestamps, *raw_columns = (map(itemgetter(i), cells) for i in indexes)
+    raw_timestamps = list(map(str.strip, raw_timestamps))
+    # One match per value: one regex over the joined text would hold
+    # backtracking state for every repeat.
+    canonical = all(map(_CANONICAL_TIMESTAMP.fullmatch, raw_timestamps))
     try:
-        timestamps = list(map(_timestamp, map(str.strip, raw_timestamps)))
+        timestamps = list(map(datetime.fromisoformat if canonical else _timestamp, raw_timestamps))
         columns = [tuple(map(float, column)) for column in raw_columns]
     except ValueError:
         return None
     if not all(min(column) >= 0.0 and sum(column) < math.inf for column in columns):
         return None
-    return timestamps, columns
+    return timestamps, columns, "\n".join(raw_timestamps) if canonical else None
 
 
 def _read_csv(path: Path, fill_policy: str, bare_signal: bool = False) -> tuple | None:
@@ -282,10 +291,13 @@ def _read_csv(path: Path, fill_policy: str, bare_signal: bool = False) -> tuple 
 
     Returns the kept rows as columns in timestamp order: the timestamps,
     one generation column per source column in header order, the
-    published CI when its column is present, and the load summary. With
-    ``bare_signal`` the header must hold only ``timestamp`` and
-    ``ci_g_per_kwh`` (``None`` is returned otherwise) and no source column
-    is needed; without it one source column is.
+    published CI when its column is present, the load summary, and the
+    timestamps' text, one per line, when it is what TIMESTAMP_FORMAT
+    writes: every kept row clean, canonical and in order, from year 1000
+    on (``None`` otherwise). With ``bare_signal`` the header must hold
+    only ``timestamp`` and ``ci_g_per_kwh`` (``None`` is returned
+    otherwise) and no source column is needed; without it one source
+    column is.
     """
     with path.open("r", encoding="utf-8", newline="") as handle:
         reader = csv.reader(handle)
@@ -352,7 +364,7 @@ def _read_csv(path: Path, fill_policy: str, bare_signal: bool = False) -> tuple 
     if parsed is None:
         other = sorted(clean + other)
     del clean  # the raw cells, no longer needed
-    timestamps, columns = parsed or ([], [()] * len(names))
+    timestamps, columns, text = parsed or ([], [()] * len(names), None)
     rows = []
     rows_dropped = cells_filled = 0
     for row, cells in other:
@@ -365,8 +377,10 @@ def _read_csv(path: Path, fill_policy: str, bare_signal: bool = False) -> tuple 
         rows.append(values)
     if rows:
         columns = [column + extra for column, extra in zip(columns, zip(*rows))]
+        text = None
 
     if not all(map(lt, timestamps, timestamps[1:])):
+        text = None
         order = sorted(range(len(timestamps)), key=timestamps.__getitem__)
         timestamps = [timestamps[i] for i in order]
         columns = [tuple(map(column.__getitem__, order)) for column in columns]
@@ -384,7 +398,9 @@ def _read_csv(path: Path, fill_policy: str, bare_signal: bool = False) -> tuple 
         ignored_columns=ignored,
     )
     published = columns[-1] if has_published else None
-    return tuple(timestamps), source_columns, tuple(columns[: len(source_columns)]), published, summary
+    if text is not None and timestamps[0].year < 1000:  # TIMESTAMP_FORMAT's year may not be padded
+        text = None
+    return tuple(timestamps), source_columns, tuple(columns[: len(source_columns)]), published, summary, text
 
 
 def load_region_csv(
@@ -407,7 +423,7 @@ def load_region_csv(
     if region == "":
         raise ValueError("region must not be empty")
     path = Path(path)
-    timestamps, source_ids, columns, published_ci, summary = _read_csv(path, fill_policy)
+    timestamps, source_ids, columns, published_ci, summary, text = _read_csv(path, fill_policy)
     dataset = RegionDataset(
         region=path.stem if region is None else region,
         timestamps=timestamps,
@@ -418,6 +434,7 @@ def load_region_csv(
     )
     if strict and not dataset.is_uniform:
         raise GapError(f"{path}: timestamps are not evenly spaced")
+    object.__setattr__(dataset, "_timestamp_text", text)
     return dataset
 
 

@@ -11,6 +11,7 @@ import subprocess
 import sys
 import tempfile
 import traceback
+from datetime import datetime, timezone
 from pathlib import Path
 
 import pytest
@@ -21,8 +22,12 @@ from hypothesis import strategies as st
 from gridcarbon import cli, factors
 from gridcarbon.cli import CEF_TABLE_ENV, main
 from gridcarbon.errors import GridCarbonError
+from gridcarbon.fixtures import write_fixture_csvs
+from gridcarbon.grid import GridMix
+from gridcarbon.ingest import RegionDataset, load_region_csv
 
 import reference_emit
+import reference_labels
 from test_scenarios import _BAD as YAML_BAD_SCALARS, yaml_documents
 
 TOY_CSV = "timestamp,wind,coal\n2022-06-01T00:00:00Z,500,500\n"
@@ -512,6 +517,7 @@ def test_schedule_bare_signal_rejects_bad_rows(
         capsys, "schedule", "--signal", str(files["--signal"]),
         "--actual", str(files["--actual"]), "--duration", "1",
     )
+    assert err.startswith(f"error: {bad}: ")
     assert message in err
 
 
@@ -848,7 +854,16 @@ def test_unreadable_csv_row_is_one_error_line(capsys, tmp_path: Path, command: s
             f"2022-06-01T01:00:00Z,{cells.format('9' * (limit + 1))}\n",
             encoding="utf-8",
         )
-        assert _single_error_line(capsys, *argv, str(data)) == f"error: {error}\n"
+        assert _single_error_line(capsys, *argv, str(data)) == f"error: {data}: {error}\n"
+
+
+def _child_env() -> dict[str, str]:
+    """The environment of a CLI child process: this package on its path,
+    and no CEF table from the environment."""
+    src = str(Path(cli.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    env.pop(CEF_TABLE_ENV, None)
+    return env
 
 
 DEEP_YAML = {"flow-sequence": "[" * 30_000, "flow-mapping": "{a: " * 30_000, "block-sequence": "- " * 30_000 + "x\n"}
@@ -867,10 +882,8 @@ def test_deeply_nested_yaml_is_one_error_line(tmp_path: Path, toy_csv: Path, sha
         "--cef": ["ci", "--mix", str(toy_csv), "--cef", str(deep)],
         "--contracts": ["ci", "--mix", str(toy_csv), "--contracts", str(deep)],
     }[option]
-    src = str(Path(cli.__file__).parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     run = subprocess.run(
-        [sys.executable, "-m", "gridcarbon.cli", *argv], capture_output=True, text=True, env=env, timeout=120
+        [sys.executable, "-m", "gridcarbon.cli", *argv], capture_output=True, text=True, env=_child_env(), timeout=120
     )
     name = f"CEF table {deep}" if option == "--cef" else str(deep)
     assert (run.returncode, run.stdout) == (1, ""), run.stderr
@@ -907,8 +920,8 @@ def test_contracts_yaml_not_a_list(capsys, tmp_path: Path, toy_csv: Path) -> Non
 @pytest.mark.parametrize(
     ("files", "categories", "message"),
     [
-        (("empty", "bad"), "solar,wind", "invalid number 'x' (row 2, column 'wind')"),
-        (("good", "bad"), "solar,bogus", "invalid number 'x' (row 2, column 'wind')"),
+        (("empty", "bad"), "solar,wind", "{bad}: invalid number 'x' (row 2, column 'wind')"),
+        (("good", "bad"), "solar,bogus", "{bad}: invalid number 'x' (row 2, column 'wind')"),
         (("good", "empty"), "solar,bogus", "unknown source category 'bogus'"),
         (("empty", "good"), "solar,wind", "dataset for region 'empty' has no generation"),
     ],
@@ -923,7 +936,29 @@ def test_penetration_reports_a_load_error_before_a_stat_error(capsys, tmp_path: 
         paths.append(tmp_path / f"{name}.csv")
         paths[-1].write_text(f"timestamp,wind,coal\n2022-06-01T00:00:00Z,{cells[name]}\n", encoding="utf-8")
     err = _single_error_line(capsys, "penetration", "--data", *map(str, paths), "--categories", categories)
-    assert err == f"error: {message}\n"
+    assert err == f"error: {message.format(bad=tmp_path / 'bad.csv')}\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["ci", "--mix", "{bad}"],
+        ["residual", "--mix", "{bad}", "--fraction", "0.5"],
+        ["inflation", "--mix", "{bad}", "--fraction", "0.5"],
+        ["penetration", "--data", "{dir}"],
+        ["schedule", "--signal", "{bad}", "--duration", "1"],
+        ["schedule", "--signal", "{good}", "--actual", "{bad}", "--duration", "1"],
+    ],
+    ids=["ci", "residual", "inflation", "penetration-dir", "schedule-signal", "schedule-actual"],
+)
+def test_csv_parse_error_names_the_file(capsys, tmp_path: Path, argv: list[str]) -> None:
+    """A malformed cell in any CSV the CLI loads is one error line that
+    starts with the file's path, as a schema error does."""
+    good, bad = tmp_path / "a-good.csv", tmp_path / "b-bad.csv"
+    good.write_text(TOY_CSV, encoding="utf-8")
+    bad.write_text("timestamp,wind,coal\n2022-06-01T00:00:00Z,x,0\n", encoding="utf-8")
+    err = _single_error_line(capsys, *(arg.format(bad=bad, good=good, dir=tmp_path) for arg in argv))
+    assert err == f"error: {bad}: invalid number 'x' (row 2, column 'wind')\n"
 
 
 def test_penetration_directory_without_csv(capsys, tmp_path: Path) -> None:
@@ -1291,3 +1326,140 @@ def _run_captured(argv: list[str]) -> tuple[int | None, str, str]:
 
 def _not_json(constant: str):
     raise AssertionError(f"{constant} is not valid JSON")
+
+
+# --- start-up -------------------------------------------------------------------------------
+
+# Runs the CLI on the given argv in this interpreter; prints the exit code and
+# whether PyYAML was imported.
+_RUN_AND_REPORT_YAML = (
+    "import json, sys\n"
+    "from gridcarbon.cli import main\n"
+    "code = main(sys.argv[1:])\n"
+    "print(json.dumps([code, 'yaml' in sys.modules]))\n"
+)
+
+CSV_COMMANDS = {
+    "ci": ["ci", "--mix", "{mix}"],
+    "ci-contracts": ["ci", "--mix", "{mix}", "--contracts", "all-solar-wind"],
+    "residual": ["residual", "--mix", "{mix}", "--fraction", "0.5"],
+    "inflation": ["inflation", "--mix", "{mix}", "--fraction", "0.5"],
+    "schedule": ["schedule", "--signal", "{mix}", "--duration", "2"],
+    "penetration": ["penetration", "--data", "{dir}"],
+    "scenario-list": ["scenario", "--list"],
+    "fixtures-list": ["fixtures", "list"],
+}
+
+
+@pytest.mark.parametrize("command", CSV_COMMANDS)
+def test_csv_commands_never_import_yaml(tmp_path: Path, command: str) -> None:
+    """A command that reads no YAML runs, in a fresh interpreter, without
+    importing PyYAML."""
+    data = tmp_path / "data"
+    write_fixture_csvs(data)
+    argv = [arg.format(mix=data / "duck-curve.csv", dir=data) for arg in CSV_COMMANDS[command]]
+    run = subprocess.run(
+        [sys.executable, "-c", _RUN_AND_REPORT_YAML, *argv, "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, env=_child_env(), timeout=120,
+    )
+    assert (run.returncode, run.stderr) == (0, ""), run.stderr
+    assert json.loads(run.stdout) == [0, False]
+
+
+@pytest.mark.parametrize("option", ["--file", "--cef", "--contracts"])
+def test_yaml_syntax_error_is_one_error_line_in_a_fresh_interpreter(tmp_path: Path, toy_csv: Path, option: str) -> None:
+    """The YAML error ``main`` reports without importing PyYAML itself is
+    still one ``error:`` line and exit 1."""
+    broken = tmp_path / "broken.yaml"
+    broken.write_text("a: [1, 2\n", encoding="utf-8")
+    argv = {
+        "--file": ["scenario", "--file", str(broken)],
+        "--cef": ["ci", "--mix", str(toy_csv), "--cef", str(broken)],
+        "--contracts": ["ci", "--mix", str(toy_csv), "--contracts", str(broken)],
+    }[option]
+    run = subprocess.run(
+        [sys.executable, "-c", _RUN_AND_REPORT_YAML, *argv], capture_output=True, text=True, env=_child_env(), timeout=120
+    )
+    assert json.loads(run.stdout) == [1, True]
+    assert run.stderr.startswith("error: while parsing a flow sequence"), run.stderr
+    assert run.stderr.count("\n") == 1 and "Traceback" not in run.stderr
+
+
+# --- timestamp labels -----------------------------------------------------------------------
+
+# Whole seconds in years 0001-9999.
+_MOMENTS = st.datetimes(
+    min_value=datetime(1, 1, 1), max_value=datetime(9999, 12, 31, 23, 59, 59), timezones=st.just(timezone.utc)
+).map(lambda moment: moment.replace(microsecond=0))
+_ARABIC_INDIC = str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩")
+
+
+@st.composite
+def _stamp_texts(draw, moment: datetime) -> tuple[str, bool]:
+    """A CSV cell that reads as ``moment``, and whether it has the canonical
+    shape (once stripped): canonical, or with single-digit fields or a
+    non-ASCII digit that only strptime reads, sometimes padded with blanks."""
+    canonical = f"{moment.year:04d}-{moment:%m-%dT%H:%M:%S}Z"
+    shape = draw(st.sampled_from(["canonical"] * 4 + ["single-digit", "non-ascii"]))
+    text = canonical
+    if shape == "single-digit":
+        text = f"{canonical[:4]}-{moment.month}-{moment.day}T{moment.hour}:{moment.minute}:{moment.second}Z"
+    elif shape == "non-ascii":
+        text = canonical[:3] + canonical[3].translate(_ARABIC_INDIC) + canonical[4:]
+    if draw(st.integers(0, 4)) == 0:
+        text = draw(st.sampled_from([" ", "\t", "  "])) + text + draw(st.sampled_from(["", " "]))
+    return text, text.strip() == canonical
+
+
+@st.composite
+def label_csvs(draw) -> tuple[str, str, bool]:
+    """A CSV of distinct timestamps from years 0001-9999, in order or
+    shuffled, some rows with a blank cell (dropped, or kept through the
+    row checks by zero-fill); its fill policy; and whether ingest should
+    keep its timestamp text."""
+    moments = sorted(draw(st.lists(_MOMENTS, min_size=1, max_size=6, unique=True)))
+    if draw(st.booleans()):
+        moments = draw(st.permutations(moments))
+    policy = draw(st.sampled_from(["drop-row", "zero-fill"]))
+    lines, clean = ["timestamp,wind,coal"], []
+    for moment in moments:
+        text, canonical = draw(_stamp_texts(moment))
+        blank = draw(st.integers(0, 5)) == 0
+        lines.append(f"{text},{'' if blank else '5'},7")
+        if not blank:
+            clean.append((moment, canonical))
+        elif policy == "zero-fill":
+            clean.append((None, False))  # a kept row through the row checks
+    kept = [moment for moment, _ in clean]
+    keeps_text = (
+        bool(clean)
+        and all(canonical for _, canonical in clean)
+        and kept == sorted(kept)
+        and kept[0].year >= 1000
+    )
+    return "\n".join(lines) + "\n", policy, keeps_text
+
+
+@settings(deadline=None)
+@given(table=label_csvs())
+@example(table=("timestamp,wind,coal\n2022-06-01T00:00:00Z,5,7\n2022-06-01T01:00:00Z,,7\n", "zero-fill", False))
+def test_label_differential(tmp_path_factory, table) -> None:
+    """Labels from ingest's kept text equal the formatted ones, and ingest
+    keeps the text exactly when the rows allow it."""
+    text, policy, keeps_text = table
+    path = tmp_path_factory.mktemp("labels") / "r.csv"
+    path.write_text(text, encoding="utf-8")
+    dataset = load_region_csv(path, fill_policy=policy)
+    assert (dataset._timestamp_text is not None) == keeps_text
+    assert cli._timestamp_labels(dataset) == reference_labels._timestamp_labels(dataset)
+
+
+@given(moments=st.lists(_MOMENTS, max_size=4, unique=True).map(sorted))
+def test_labels_of_datasets_built_in_code_are_formatted(moments) -> None:
+    built = [
+        RegionDataset("r", timestamps=moments, source_ids=("wind",), columns=([1.0] * len(moments),)),
+        RegionDataset("r", mixes=[GridMix(region="r", generation={"wind": 1.0}, timestamp=t) for t in moments]),
+    ]
+    for dataset in built:
+        assert dataset._timestamp_text is None
+        assert cli._timestamp_labels(dataset) == reference_labels._timestamp_labels(dataset)

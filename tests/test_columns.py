@@ -622,7 +622,8 @@ CELLS = st.one_of(*[st.sampled_from(CSV_CELLS[:5])] * 4, st.sampled_from(CSV_CEL
 
 
 def _table(read):
-    """A read CSV as comparable values: timestamps, columns as hex, published, summary."""
+    """A read CSV as comparable values: timestamps, columns as hex, published, summary.
+    The column reader's kept timestamp text must equal the formatted timestamps."""
     def hexes(values):
         return tuple(value.hex() for value in values)
 
@@ -638,7 +639,9 @@ def _table(read):
             hexes(p for _, _, p in rows) if has_published else None,
             summary,
         )
-    timestamps, source_ids, columns, published_ci, summary = read
+    timestamps, source_ids, columns, published_ci, summary, text = read
+    if text is not None:  # the timestamps' text, kept only when it is what the format writes
+        assert text.split("\n") == [t.strftime(TIMESTAMP_FORMAT) for t in timestamps]
     return (
         list(timestamps),
         list(source_ids) if timestamps else None,
