@@ -25,7 +25,6 @@ from pathlib import Path
 
 from .contracts import _residual_dataset, contracts_for_fraction
 from .errors import GridCarbonError, ParseError, ScenarioInvalid
-from .factors import _read_yaml
 from .fixtures import fixture_datasets, write_fixture_csvs
 from .grid import SourceRegistry
 from .ingest import BASES, FILL_POLICIES, TIMESTAMP_FORMAT, load_region_csv, load_signal_csv
@@ -52,6 +51,7 @@ from .stats import (
     period_ci,
     period_residual_ci,
 )
+from .yamlscan import _read_yaml
 
 CEF_TABLE_ENV = "GRIDCARBON_CEF_TABLE"
 

@@ -39,8 +39,9 @@ from typing import Any, IO
 from .attribution import METHODS, AttributionReport, Consumer, build_report
 from .contracts import CONTRACT_KINDS, PHYSICAL_KINDS, Contract
 from .errors import ScenarioInvalid, SchemaError
-from .factors import SOURCE_CATEGORIES, _read_yaml
+from .factors import SOURCE_CATEGORIES
 from .grid import GridMix, SourceRegistry
+from .yamlscan import _read_yaml
 
 _SCENARIO_DIR = "data/scenarios"
 

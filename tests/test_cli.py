@@ -19,7 +19,7 @@ import yaml
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gridcarbon import cli, factors
+from gridcarbon import cli, yamlscan
 from gridcarbon.cli import CEF_TABLE_ENV, main
 from gridcarbon.errors import GridCarbonError
 from gridcarbon.fixtures import write_fixture_csvs
@@ -730,12 +730,12 @@ def _single_error_line(capsys, *argv: str) -> str:
     return err
 
 
-@pytest.mark.parametrize("loader", [yaml.SafeLoader, factors._YAML_LOADER])
+@pytest.mark.parametrize("loader", [yaml.SafeLoader, yamlscan._loader()])
 @pytest.mark.parametrize("command", ["scenario", "ci"])
 def test_malformed_yaml_is_one_error_line(
     capsys, tmp_path: Path, toy_csv: Path, monkeypatch, command, loader
 ) -> None:
-    monkeypatch.setattr(factors, "_YAML_LOADER", loader)
+    monkeypatch.setattr(yamlscan, "_YAML_LOADER", loader)
     bad = tmp_path / "bad.yaml"
     bad.write_text("bad: [unclosed\n", encoding="utf-8")
     if command == "scenario":
@@ -1364,6 +1364,68 @@ def test_csv_commands_never_import_yaml(tmp_path: Path, command: str) -> None:
     )
     assert (run.returncode, run.stderr) == (0, ""), run.stderr
     assert json.loads(run.stdout) == [0, False]
+
+
+# Commands whose YAML is in the subset that gridcarbon.yamlscan reads, and
+# for each file the same value with a quoted string, which only PyYAML reads.
+SCANNED_YAML_COMMANDS = {
+    "scenario-builtin": ["scenario", "commercial-case-1"],
+    "attribute-builtin": ["attribute", "residential-case-2"],
+    "scenario-file": ["scenario", "--file", "{yaml}"],
+    "cef": ["ci", "--mix", "{mix}", "--cef", "{yaml}"],
+    "contracts": ["ci", "--mix", "{mix}", "--contracts", "{yaml}"],
+}
+SCANNED_YAML = {
+    "scenario-file": (
+        "# A hand-written scenario, comments and all.\n"
+        "name: commented\n"
+        "description: >\n  Two homes on a half-wind grid; # is text here.\n"
+        "regions:\n"
+        "  local:\n"
+        "    generation: {wind: 500, solar: 20, coal: 480}   # MWh per source\n"
+        "    demand_mwh: 1000                                # optional\n"
+        "consumers:\n"
+        "  - {id: C1, region: local, demand_kwh: 20000, method: market_based}\n"
+        "  - {id: H1, region: local, demand_kwh: 20, method: market_based}\n"
+        "contracts:\n"
+        "  - {id: ppa-1, buyer: C1, kind: physical_offsite,\n"
+        "     source: solar, region: local, energy_mwh: 20}\n"
+        "cef_g_per_kwh: {gas: 520}        # optional\n",
+        ("name: commented", 'name: "commented"'),
+    ),
+    "cef": ("# g/kWh\ncoal: 800\ngas: 400.5  # per category\n", ("coal", '"coal"')),
+    "contracts": (
+        "- {id: ppa-1, buyer: C1, kind: financial, source: wind, energy_mwh: 250}\n"
+        "- {source: solar, energy_mwh: 10}   # defaults for the rest\n",
+        ("source: solar", "source: 'solar'"),
+    ),
+}
+
+
+@pytest.mark.parametrize("command", SCANNED_YAML_COMMANDS)
+def test_scanned_yaml_never_imports_yaml(tmp_path: Path, command: str) -> None:
+    """A command whose YAML is in the scanned subset runs, in a fresh
+    interpreter, without importing PyYAML; the same file with a quoted
+    string goes to PyYAML and prints the same output."""
+    data = tmp_path / "data"
+    write_fixture_csvs(data)
+    variants = [("", False)]  # a bundled scenario
+    if command in SCANNED_YAML:
+        text, (plain, quoted) = SCANNED_YAML[command]
+        variants = [(text, False), (text.replace(plain, quoted, 1), True)]
+    outputs = []
+    for text, imports_yaml in variants:
+        (tmp_path / "input.yaml").write_text(text, encoding="utf-8")
+        paths = {"mix": data / "duck-curve.csv", "yaml": tmp_path / "input.yaml"}
+        argv = [arg.format(**paths) for arg in SCANNED_YAML_COMMANDS[command]]
+        run = subprocess.run(
+            [sys.executable, "-c", _RUN_AND_REPORT_YAML, *argv], capture_output=True, text=True, env=_child_env(), timeout=120
+        )
+        assert run.stderr == "", run.stderr
+        *records, report = run.stdout.splitlines()
+        assert json.loads(report) == [0, imports_yaml]
+        outputs.append(records)
+    assert outputs[0] and outputs[0] == outputs[-1]
 
 
 @pytest.mark.parametrize("option", ["--file", "--cef", "--contracts"])

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gridcarbon
-from gridcarbon import factors, scenarios
+from gridcarbon import scenarios, yamlscan
 from gridcarbon.scenarios import parse_cef_overrides
 from gridcarbon import (
     ScenarioInvalid,
@@ -52,8 +52,9 @@ def test_builtins_load_and_run(name: str, monkeypatch) -> None:
     report = run_scenario(scenario)
     assert len(report.consumers) == len(scenario.consumers)
     assert report.double_counted_cfe_mwh >= 0.0
-    # The pure-Python loader, used without libyaml, decodes the same objects.
-    monkeypatch.setattr(factors, "_YAML_LOADER", yaml.SafeLoader)
+    # With the pure-Python loader set, as without libyaml, the same objects:
+    # the scanner reads the bundled files, and would PyYAML otherwise.
+    monkeypatch.setattr(yamlscan, "_YAML_LOADER", yaml.SafeLoader)
     assert run_scenario(load_builtin_scenario(name)) == report
 
 
@@ -230,16 +231,10 @@ def yaml_documents(draw) -> str:
     return text + "\n"
 
 
-def _decode(load, text: str, source: str):
-    """``load``'s result on ``text`` given as ``source``, or its error as
-    (type, message)."""
-    if source == "string":
-        stream = text
-    else:  # read from where the stream stands
-        stream = io.StringIO("skipped line\n" + text)
-        stream.readline()
+def _outcome(call):
+    """``call()``'s result, or its error as (type, message)."""
     try:
-        return load(stream)
+        return call()
     except Exception as exc:  # the error is the result compared
         return (type(exc), str(exc))
 
@@ -267,16 +262,34 @@ def _same(a, b, paired: dict, seen: set) -> bool:
     return a == b
 
 
-@pytest.mark.parametrize("loader", [yaml.SafeLoader, factors._YAML_LOADER])
+def _stream(text: str, source: str) -> io.StringIO:
+    """``text`` in a stream of its own, or after a line already read."""
+    stream = io.StringIO(text if source == "string" else "skipped line\n" + text)
+    if source == "stream":
+        stream.readline()
+    return stream
+
+
+def _as_read(expected):
+    """What ``_read_yaml`` gives for ``yaml.load``'s result or error: a
+    constructor's error becomes one SchemaError naming the input."""
+    if isinstance(expected, tuple) and not issubclass(expected[0], yaml.YAMLError):
+        kind, message = expected
+        return (SchemaError, f"doc: cannot decode a YAML value: {kind.__name__}: {message}")
+    return expected
+
+
+@pytest.mark.parametrize("loader", [yaml.SafeLoader, yamlscan._loader()])
 @settings(max_examples=500, deadline=None)
 @given(text=yaml_documents(), source=st.sampled_from(["string", "stream"]))
 def test_load_yaml_matches_yaml_load(loader, text: str, source: str) -> None:
-    """``_load_yaml`` gives the value (type, aliasing and all) or the
-    error (type and message) that ``yaml.load`` gives, with either loader."""
+    """``_read_yaml`` gives the value (type, aliasing and all) or the error
+    (type and message) that ``yaml.load`` gives, with either loader; an
+    error that is not PyYAML's is one SchemaError naming the input."""
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(factors, "_YAML_LOADER", loader)
-        got = _decode(factors._load_yaml, text, source)
-    expected = _decode(lambda stream: yaml.load(stream, Loader=loader), text, source)
+        patch.setattr(yamlscan, "_YAML_LOADER", loader)
+        got = _outcome(lambda: yamlscan._read_yaml(_stream(text, source), "doc"))
+    expected = _as_read(_outcome(lambda: yaml.load(_stream(text, source), Loader=loader)))
     assert _same(got, expected, {}, set()), (text, got, expected)
 
 
@@ -340,7 +353,7 @@ def test_cef_overrides_are_floats() -> None:
 def _nesting(text: str) -> int:
     """The deepest collection nesting among libyaml's parse events."""
     depth = deepest = 0
-    for event in yaml.parse(text, Loader=factors._YAML_LOADER):
+    for event in yaml.parse(text, Loader=yamlscan._loader()):
         if isinstance(event, yaml.CollectionStartEvent):
             depth += 1
             deepest = max(deepest, depth)
@@ -365,7 +378,7 @@ def test_nesting_scan_over_approximates(data, flow, indent: int, levels: int) ->
     libyaml's recursive composer."""
     text = yaml.dump(data, default_flow_style=flow, indent=indent)
     if _nesting(text) > levels:
-        assert factors._could_nest_deeper(text, levels), text
+        assert yamlscan._could_nest_deeper(text, levels), text
 
 
 @st.composite
@@ -405,13 +418,16 @@ def flow_documents(draw) -> str:
 @given(text=flow_documents(), levels=st.integers(12, 40))
 def test_nesting_scan_over_approximates_flow(text: str, levels: int) -> None:
     if _nesting(text) > levels:
-        assert factors._could_nest_deeper(text, levels), text
+        assert yamlscan._could_nest_deeper(text, levels), text
 
 
 @pytest.mark.parametrize("name", BUILTINS)
 def test_bundled_scenarios_stay_on_libyaml(name: str) -> None:
+    """The scanner reads every bundled scenario, to the value PyYAML gives;
+    were one declined, it would still go to libyaml."""
     text = (Path(scenarios.__file__).parent / "data" / "scenarios" / f"{name}.yaml").read_text(encoding="utf-8")
-    assert not factors._could_nest_deeper(text, factors._C_NESTING)
+    assert yamlscan._Scanner(text).document() == yaml.load(text, Loader=yaml.SafeLoader)
+    assert not yamlscan._could_nest_deeper(text, yamlscan._C_NESTING)
 
 
 def test_energy_series_contract() -> None:
