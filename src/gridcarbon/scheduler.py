@@ -90,39 +90,53 @@ def _finite_scale(span: Signal, first_hour: int) -> float:
     return scale
 
 
-def _extreme_window(signal: Signal, load: FlexibleLoad, worst: bool) -> tuple[int, ...]:
+def _extreme_windows(signal: Signal, load: FlexibleLoad, *worst: bool) -> list[tuple[int, ...]]:
+    """The placement minimizing (``False``) or maximizing (``True``) the
+    load's total CI for each flag, from one bounds check and one pass."""
+    import heapq  # here, not at the top: CLI start-up never needs it
+
     lo, hi = _start_bounds(signal, load)
     duration = load.duration_hours
     span = signal[lo : hi + duration]
     scale = _finite_scale(span, lo)
+    placements = []
     if not load.contiguous:
-        ranked = sorted(range(lo, hi + duration), key=signal.__getitem__, reverse=worst)
-        return tuple(sorted(ranked[:duration]))
+        # Keep every hour at or beyond the d-th extreme value, in hour
+        # order; of the surplus hours tied at that value, drop the latest.
+        for w in worst:
+            kth = (heapq.nlargest if w else heapq.nsmallest)(duration, span)[-1]
+            hours = list(compress(range(lo, hi + duration), map(ge if w else le, span, repeat(kth))))
+            surplus = len(hours) - duration
+            if surplus:
+                ties = [h for h in hours if signal[h] == kth]
+                hours = sorted(set(hours).difference(ties[-surplus:]))
+            placements.append(tuple(hours))
+        return placements
     # Every window sum from one prefix pass over the n = len(span) hours.
     # A prefix difference rounds off by at most about 2n·2⁻⁵³·scale and
     # the sum() of the same slice by d·2⁻⁵³·scale, so the two differ by
     # less than (2n + d + 1)·2⁻⁵³·scale, and the start that sum() ranks
     # first lies within twice that (tol) of the prefix extreme. Only the
-    # starts that close are summed again, in start order, and compared as
-    # a scan of every start compares them, so ties go to the earliest.
+    # starts that close (the extreme's alone if the runner-up is farther)
+    # are summed again, in start order; min and max keep the first of
+    # equal sums, as a scan of every start does, so ties go to the earliest.
     starts = range(lo, hi + 1)
     if scale < _MAX_SCALE:
         prefix = list(accumulate(span, initial=0.0))
         sums = list(map(sub, prefix[duration:], prefix))
         tol = 2 * (2 * len(span) + duration + 1) * 2.0**-53 * scale
-        if worst:
-            close = map(ge, sums, repeat(max(sums) - tol))
-        else:
-            close = map(le, sums, repeat(min(sums) + tol))
-        starts = compress(starts, close)
-    best_start = None
-    best_sum = None
-    for start in starts:
-        cost = sum(signal[start : start + duration])
-        better = best_sum is None or (cost > best_sum if worst else cost < best_sum)
-        if better:
-            best_start, best_sum = start, cost
-    return tuple(range(best_start, best_start + duration))
+    for w in worst:
+        candidates = starts
+        if scale < _MAX_SCALE:
+            extreme, *runner_up = (heapq.nlargest if w else heapq.nsmallest)(2, sums)
+            bound, close = (extreme - tol, ge) if w else (extreme + tol, le)
+            if runner_up and close(runner_up[0], bound):
+                candidates = compress(starts, map(close, sums, repeat(bound)))
+            else:
+                candidates = (lo + sums.index(extreme),)
+        best_start = (max if w else min)(candidates, key=lambda s: sum(signal[s : s + duration]))
+        placements.append(tuple(range(best_start, best_start + duration)))
+    return placements
 
 
 def best_window(signal: Signal, load: FlexibleLoad) -> tuple[int, ...]:
@@ -132,15 +146,17 @@ def best_window(signal: Signal, load: FlexibleLoad) -> tuple[int, ...]:
     start); non-contiguous loads get the individually cheapest hours
     (ties go to the earlier hour). For a contiguous load the search is
     O(T) in the T allowed hours: one prefix-sum pass, then ``sum`` over
-    only the starts within rounding error of the minimum. It picks the
-    same hours as summing every window and keeping the first minimum.
+    only the starts within rounding error of the minimum (one, unless
+    windows nearly tie). A non-contiguous load keeps the hours at or
+    below its d-th cheapest value, which takes O(T log d). Both pick
+    the same hours as summing every window and keeping the first.
 
     Raises:
         WindowTooShort: if the window cannot fit the load.
         ValueError: if a value in the hours the load may use is not
             finite; the message names the first such hour.
     """
-    return _extreme_window(signal, load, worst=False)
+    return _extreme_windows(signal, load, False)[0]
 
 
 def worst_window(signal: Signal, load: FlexibleLoad) -> tuple[int, ...]:
@@ -148,7 +164,7 @@ def worst_window(signal: Signal, load: FlexibleLoad) -> tuple[int, ...]:
 
     The mirror of :func:`best_window`, with the same ties, cost and errors.
     """
-    return _extreme_window(signal, load, worst=True)
+    return _extreme_windows(signal, load, True)[0]
 
 
 @dataclass(frozen=True)
@@ -263,7 +279,8 @@ def shift_savings(
     compare the two percentages.
 
     A fixed start must lie in the load's window, and the load must be
-    contiguous.
+    contiguous. Two searched placements share one search pass, which
+    costs about as much as one :func:`best_window` call.
 
     Raises:
         ZeroBaseline: if the from-placement has zero emissions.
@@ -273,8 +290,12 @@ def shift_savings(
             a value in the hours a placement may use is not finite, or a
             placement's emissions overflow (naming ``energy_per_hour_kwh``).
     """
-    from_hours = _policy_hours(signal, load, from_policy)
-    to_hours = _policy_hours(signal, load, to_policy)
+    policies = (from_policy, to_policy)
+    if all(policy in ("best_window", "worst_window") for policy in policies):
+        worst = [policy == "worst_window" for policy in policies]
+        from_hours, to_hours = _extreme_windows(signal, load, *worst)
+    else:
+        from_hours, to_hours = (_policy_hours(signal, load, p) for p in policies)
     from_emissions = _emissions(load, sum(signal[h] for h in from_hours))
     to_emissions = _emissions(load, sum(signal[h] for h in to_hours))
     if from_emissions == 0:

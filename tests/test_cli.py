@@ -1366,6 +1366,33 @@ def test_csv_commands_never_import_yaml(tmp_path: Path, command: str) -> None:
     assert json.loads(run.stdout) == [0, False]
 
 
+# Runs the CLI on the given argv in this interpreter; prints the exit code and
+# whether heapq, which only the scheduler's window search needs, was imported.
+_RUN_AND_REPORT_HEAPQ = (
+    "import json, sys\n"
+    "from gridcarbon.cli import main\n"
+    "code = main(sys.argv[1:])\n"
+    "print(json.dumps([code, 'heapq' in sys.modules]))\n"
+)
+
+
+@pytest.mark.parametrize(
+    "argv", [["ci", "--mix", "{mix}"], ["scenario", "commercial-case-1"]], ids=["ci", "scenario"]
+)
+def test_commands_without_a_search_never_import_heapq(tmp_path: Path, argv: list[str]) -> None:
+    """A command that places no load runs, in a fresh interpreter, without
+    importing heapq: the window search imports it when it runs."""
+    data = tmp_path / "data"
+    write_fixture_csvs(data)
+    argv = [arg.format(mix=data / "duck-curve.csv") for arg in argv]
+    run = subprocess.run(
+        [sys.executable, "-c", _RUN_AND_REPORT_HEAPQ, *argv, "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, env=_child_env(), timeout=120,
+    )
+    assert (run.returncode, run.stderr) == (0, ""), run.stderr
+    assert json.loads(run.stdout) == [0, False]
+
+
 # Commands whose YAML is in the subset that gridcarbon.yamlscan reads, and
 # for each file the same value with a quoted string, which only PyYAML reads.
 SCANNED_YAML_COMMANDS = {

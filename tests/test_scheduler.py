@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 from datetime import datetime, timedelta, timezone
 
 import pytest
@@ -189,6 +190,104 @@ def test_search_matches_reference(case) -> None:
         for search, worst in ((best_window, False), (worst_window, True)):
             expected = reference_scheduler._extreme_window(signal, load, worst)
             assert search(signal, load) == expected, (search.__name__, contiguous)
+
+
+def _reference_hours(signal, load, policy) -> tuple[int, ...]:
+    """The placement of one policy: ``reference_scheduler``'s search, or a
+    fixed start, after the checks ``shift_savings`` makes, in its order."""
+    if policy in ("best_window", "worst_window"):
+        lo, hi = reference_scheduler._start_bounds(signal, load)
+        hours = range(lo, hi + load.duration_hours)
+    else:
+        start, duration = policy, load.duration_hours
+        if start < 0 or start + duration > len(signal):
+            raise WindowTooShort(f"fixed start {start} with duration {duration} "
+                                 f"exceeds signal length {len(signal)}")
+        if load.window is not None:
+            lo, hi = reference_scheduler._start_bounds(signal, load)
+            if not lo <= start <= hi:
+                raise WindowTooShort(f"fixed start {start} outside start window ({lo}, {hi})")
+        if not load.contiguous:
+            raise ValueError(f"fixed start {start} needs a contiguous load")
+        hours = range(start, start + duration)
+    for hour in hours:
+        if not math.isfinite(signal[hour]):
+            raise ValueError(f"signal value at hour {hour} is not finite: {signal[hour]}")
+    if policy in ("best_window", "worst_window"):
+        return reference_scheduler._extreme_window(signal, load, policy == "worst_window")
+    return tuple(hours)
+
+
+def _reference_savings(signal, load, from_policy, to_policy) -> float:
+    from_hours = _reference_hours(signal, load, from_policy)
+    to_hours = _reference_hours(signal, load, to_policy)
+    emissions = []
+    for hours in (from_hours, to_hours):
+        ci_sum = sum(signal[h] for h in hours)
+        if not math.isfinite(ci_sum):
+            raise ValueError("the signal values at the placed hours overflow their sum")
+        emissions.append(load.energy_per_hour_kwh * ci_sum)
+        if not math.isfinite(emissions[-1]):
+            raise ValueError("energy_per_hour_kwh: emissions of the load overflow")
+    if emissions[0] == 0:
+        raise ZeroBaseline("baseline placement emits nothing; savings undefined")
+    return 100.0 * (emissions[0] - emissions[1]) / emissions[0]
+
+
+def _outcome(compute, *args):
+    try:
+        return compute(*args)
+    except (ValueError, WindowTooShort, ZeroBaseline) as exc:
+        return type(exc), str(exc)
+
+
+@settings(deadline=None)
+@given(
+    case=_search_cases(),
+    energy=st.sampled_from([1.0, 1000.0, 1e300]),
+    start=st.integers(min_value=-1, max_value=500),
+    bad=st.none() | st.tuples(st.integers(min_value=0, max_value=499),
+                              st.sampled_from([math.nan, math.inf, -math.inf])),
+)
+def test_shift_savings_matches_reference(case, energy, start, bad) -> None:
+    """shift_savings against the reference search and the pricing rule: the
+    same saving, or the same exception class and message, for every pair
+    of policies."""
+    signal, duration, window = case
+    if bad is not None:
+        signal = list(signal)
+        signal[bad[0] % len(signal)] = bad[1]
+    policies = ("best_window", "worst_window", start)
+    for contiguous in (True, False):
+        load = _load(duration, energy=energy, window=window, contiguous=contiguous)
+        for from_policy, to_policy in itertools.product(policies, repeat=2):
+            expected = _outcome(_reference_savings, signal, load, from_policy, to_policy)
+            actual = _outcome(shift_savings, signal, load, from_policy, to_policy)
+            assert actual == expected, (from_policy, to_policy, contiguous)
+
+
+# Non-contiguous placements whose extreme values tie: (signal, duration,
+# window, best hours, worst hours). Ties go to the earlier hour.
+NON_CONTIGUOUS_TIES = {
+    "d-th ties (d+1)-th": ([5.0, 1.0, 3.0, 9.0, 3.0, 5.0, 3.0], 2, None, (1, 2), (0, 3)),
+    "all equal": ([4.0] * 6, 3, None, (0, 1, 2), (0, 1, 2)),
+    "zero beside minus zero": ([1.0, 0.0, -0.0, 0.0, 1.0], 2, None, (1, 2), (0, 4)),
+    "minus zero first": ([-0.0, 0.0, 2.0, 2.0], 1, None, (0,), (2,)),
+    "ties at the window edges": ([0.0, 2.0, 5.0, 5.0, 2.0, 0.0], 1, (1, 4), (1,), (2,)),
+    "ties beyond the window": ([1.0, 3.0, 2.0, 2.0, 3.0, 1.0], 2, (1, 3), (2, 3), (1, 4)),
+    "d equals the span": ([3.0, 1.0, 3.0, 1.0], 4, None, (0, 1, 2, 3), (0, 1, 2, 3)),
+    "d equals a window's span": ([9.0, 2.0, 2.0, 9.0], 2, (1, 1), (1, 2), (1, 2)),
+}
+
+
+@pytest.mark.parametrize("name", NON_CONTIGUOUS_TIES)
+def test_non_contiguous_ties(name) -> None:
+    signal, duration, window, best, worst = NON_CONTIGUOUS_TIES[name]
+    load = _load(duration, window=window, contiguous=False)
+    assert best_window(signal, load) == best
+    assert worst_window(signal, load) == worst
+    for hours, worst_flag in ((best, False), (worst, True)):
+        assert reference_scheduler._extreme_window(signal, load, worst_flag) == hours
 
 
 @pytest.mark.parametrize("contiguous", [True, False])
