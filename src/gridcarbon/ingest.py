@@ -11,19 +11,30 @@ Missing generation cells are handled by a fill policy: ``drop-row``
 (default) discards the whole row, ``zero-fill`` substitutes 0.0; both
 are counted in the load summary. ``strict=True`` additionally rejects
 datasets whose remaining timestamps are not evenly spaced.
+
+A file is read once, as UTF-8 (a file that is not is a ParseError), and
+its text is tokenized one of two ways. When it holds no quote, no NUL, no
+CR outside a CRLF line break and no line longer than
+``csv.field_size_limit()``, its lines are split at their commas, which for
+such a text gives exactly the rows ``csv.reader`` reads; any other text
+goes through ``csv.reader``. The rows then get the same checks either way,
+a column at a time where they pass and one by one where they do not, so the
+path changes no value, summary, warning or error.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import math
 import re
 import warnings
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from functools import cached_property
-from operator import itemgetter, lt
+from itertools import compress, repeat
+from operator import lt
 from pathlib import Path
 
 from .errors import GapError, ParseError, SchemaError
@@ -118,15 +129,26 @@ class RegionDataset:
         if published_ci is not None:
             published_ci = tuple(published_ci)
             _check_series("published_ci", published_ci, len(timestamps))
-        for name, value in (
-            ("region", region),
-            ("timestamps", timestamps),
-            ("source_ids", source_ids),
-            ("columns", columns),
-            ("published_ci", published_ci),
-            ("summary", summary),
-        ):
+        self._assign(
+            region=region,
+            timestamps=timestamps,
+            source_ids=source_ids,
+            columns=columns,
+            published_ci=published_ci,
+            summary=summary,
+        )
+
+    def _assign(self, **fields) -> None:
+        for name, value in fields.items():
             object.__setattr__(self, name, value)
+
+    @classmethod
+    def _checked(cls, **fields) -> RegionDataset:
+        """A dataset of fields that already pass every check of the
+        constructor, as those of a CSV load do, without checking them again."""
+        dataset = object.__new__(cls)
+        dataset._assign(**fields)
+        return dataset
 
     def __len__(self) -> int:
         return len(self.timestamps)
@@ -189,15 +211,17 @@ def check_overflow(dataset: RegionDataset, total: float, sums: Iterable[float]) 
             raise ValueError(f"region {dataset.region!r}: total generation or its emissions overflow at {when}")
 
 
-# The canonical timestamp shape, ASCII digits only. ``datetime.fromisoformat``
+# The canonical timestamp shape, ASCII digits only: a value has it when
+# mapping its digits to "0" gives _CANONICAL_SHAPE. ``datetime.fromisoformat``
 # reads it, with ``Z`` as timezone.utc, many times faster than ``strptime``
 # and to the same datetime; every other value goes to ``strptime``, so the
 # accepted set and the errors stay those of TIMESTAMP_FORMAT.
-_CANONICAL_TIMESTAMP = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}T[0-9]{2}:[0-9]{2}:[0-9]{2}Z")
+_CANONICAL_SHAPE = "0000-00-00T00:00:00Z"
+_ZERO_DIGITS = str.maketrans("123456789", "000000000")
 
 
 def _timestamp(raw: str) -> datetime:
-    if _CANONICAL_TIMESTAMP.fullmatch(raw):
+    if raw.translate(_ZERO_DIGITS) == _CANONICAL_SHAPE:
         return datetime.fromisoformat(raw)
     return datetime.strptime(raw, TIMESTAMP_FORMAT).replace(tzinfo=timezone.utc)
 
@@ -228,11 +252,11 @@ def _parse_cell(raw: str, row: int, column: str) -> float:
 
 
 # A data row as read: its number, and its cells or the reader's error on it.
-_RawRow = tuple[int, "tuple[str, ...] | csv.Error"]
+_RawRow = tuple[int, "Sequence[str] | csv.Error"]
 
 
 def _parse_row(
-    row: int, cells: tuple[str, ...] | csv.Error, header: Sequence[str], names: Sequence[str], zero_fill: bool
+    row: int, cells: Sequence[str] | csv.Error, header: Sequence[str], names: Sequence[str], zero_fill: bool
 ) -> tuple[datetime, tuple[float, ...] | None, int]:
     """Every check of one data row: that the reader could read it, its cell
     count, its timestamp, and its cells under ``names`` (a header's source
@@ -261,29 +285,150 @@ def _parse_row(
     return timestamp, tuple(values), filled
 
 
-def _parse_columns(
-    rows: Sequence[_RawRow], indexes: Sequence[int]
-) -> tuple[list[datetime], list[tuple[float, ...]], str | None] | None:
-    """Parse clean rows a column at a time: their timestamps, one value
-    column per parsed cell and, when every timestamp has the canonical
-    shape, their text joined by newlines; or ``None`` when a cell or
-    timestamp fails a check. ``indexes`` locates the timestamp and then
-    each parsed cell. A value passes when it is a number >= 0; a NaN or inf
-    makes its column's sum NaN or inf."""
-    _, cells = zip(*rows)
-    raw_timestamps, *raw_columns = (map(itemgetter(i), cells) for i in indexes)
-    raw_timestamps = list(map(str.strip, raw_timestamps))
-    # One match per value: one regex over the joined text would hold
-    # backtracking state for every repeat.
-    canonical = all(map(_CANONICAL_TIMESTAMP.fullmatch, raw_timestamps))
+def _read_text(path: Path) -> str:
+    """The file's text, with its line breaks as they are (not translated)."""
     try:
-        timestamps = list(map(datetime.fromisoformat if canonical else _timestamp, raw_timestamps))
+        with path.open("r", encoding="utf-8", newline="") as handle:
+            return handle.read()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"not UTF-8 text: {exc}") from None
+
+
+def _split_lines(text: str) -> list[str] | None:
+    """The lines of ``text`` when splitting each at every "," gives exactly
+    the rows ``csv.reader`` reads from it, else ``None``. That holds when
+    the text has no quote, no NUL, no CR outside a CRLF, and no line longer
+    than ``csv.field_size_limit()``: the reader then ends a row only at a
+    line break and a cell only at a comma."""
+    if '"' in text or "\0" in text:
+        return None
+    if "\r" in text:
+        if text.count("\r") != text.count("\r\n"):
+            return None
+        text = text.replace("\r\n", "\n")
+    lines = text.split("\n")
+    if not lines[-1]:  # the reader reads no row after a final line break
+        lines.pop()
+    limit = csv.field_size_limit()
+    if len(text) > limit and max(map(len, lines)) > limit:
+        return None
+    return lines
+
+
+# A line as a file opened with newline="" reads it: up to and with its line
+# break, "\r\n", "\r" or "\n", or the last line, which needs none.
+_FILE_LINE = re.compile(r"[^\r\n]*(?:\r\n?|\n)|[^\r\n]+")
+
+
+def _file_lines(text: str) -> Iterator[str]:
+    """The lines of ``text`` that ``csv.reader`` would read from its file,
+    one at a time."""
+    return map(re.Match.group, _FILE_LINE.finditer(text))
+
+
+def _split_rows(lines: list[str]) -> list[list[str]]:
+    """The lines after the header, each split at its commas. The split
+    runs in place, a block at a time, so that each block of lines is freed
+    as its rows are made."""
+    del lines[0]
+    for start in range(0, len(lines), 1024):
+        lines[start : start + 1024] = map(str.split, lines[start : start + 1024], repeat(","))
+    return lines
+
+
+def _reader_rows(rows: Iterable[list[str]]) -> tuple[list[list[str]], csv.Error | None]:
+    """The rows ``csv.reader`` reads before it stops, and its error if it
+    stopped on one."""
+    read = []
+    try:
+        for cells in rows:
+            read.append(cells)
+    except csv.Error as exc:
+        return read, exc
+    return read, None
+
+
+def _blank(cells: Sequence[str]) -> bool:
+    """True for a row with no cell or only blank cells; it is not read."""
+    return not (cells and (cells[0].strip() or any(map(str.strip, cells))))
+
+
+def _sort_rows(
+    body: list[Sequence[str]], width: int, indexes: Sequence[int]
+) -> tuple[Sequence[int], list[tuple[str, ...]], list[bool] | None, list[str], list[_RawRow], int]:
+    """Sort the data rows, a column at a time, into clean ones (``width``
+    cells, and a timestamp and parsed cells that are not empty; ``indexes``
+    locates the timestamp and then each parsed cell) and other ones.
+
+    Returns the clean rows' numbers; ``width`` columns that hold the clean
+    rows and, where ``keep`` is False when it is not ``None``, other ones
+    (so that no cell is copied to drop them); ``keep``; the clean rows'
+    stripped timestamps; the other rows in file order, blank ones left out;
+    and the number of rows that are not blank. ``body`` is emptied once the
+    columns exist, to free the row lists."""
+    numbers: Sequence[int] = range(2, len(body) + 2)
+    other: list[_RawRow] = []
+    full = list(map(width.__eq__, map(len, body)))
+    if not all(full):
+        other = [(row, cells) for row, cells in zip(numbers, body) if len(cells) != width]
+        numbers = list(compress(numbers, full))
+        body[:] = compress(body, full)
+    columns = list(zip(*body)) or [()] * width  # the one transposition
+    body.clear()
+    stamps = list(map(str.strip, columns[indexes[0]]))
+    # The rows with an empty timestamp or parsed cell, found a column at a time.
+    drop = set()
+    for column in (stamps, *(columns[i] for i in indexes[1:])):
+        i = -1
+        with contextlib.suppress(ValueError):  # index() raises past the last empty cell
+            while True:
+                i = column.index("", i + 1)
+                drop.add(i)
+    keep = None
+    if drop:
+        drop = sorted(drop)
+        other += ((numbers[i], tuple(column[i] for column in columns)) for i in drop)
+        other.sort()
+        keep = [True] * len(numbers)
+        for i in drop:
+            keep[i] = False
+        numbers = list(compress(numbers, keep))
+        stamps = list(compress(stamps, keep))
+    other = [(row, cells) for row, cells in other if not _blank(cells)]
+    return numbers, columns, keep, stamps, other, len(numbers) + len(other)
+
+
+def _kept(items: Iterable, keep: list[bool] | None) -> Iterable:
+    """``items`` without those where ``keep``, when not ``None``, is False."""
+    return items if keep is None else compress(items, keep)
+
+
+def _parse_columns(
+    stamps: list[str], raw_columns: Iterable[Iterable[str]]
+) -> tuple[list[datetime], list[tuple[float, ...]], str | None] | None:
+    """Parse clean rows a column at a time: their timestamps from their
+    stripped text, one value column per raw cell column and, when every
+    timestamp has the canonical shape, their text joined by newlines; or
+    ``None`` when a cell or timestamp fails a check. A value passes when it
+    is a number >= 0; a NaN or inf makes its column's sum NaN or inf."""
+    text = "\n".join(stamps)
+    # One comparison for every value: no timestamp holds a line break.
+    canonical = text.translate(_ZERO_DIGITS) == "\n".join(repeat(_CANONICAL_SHAPE, len(stamps)))
+    try:
+        timestamps = list(map(datetime.fromisoformat if canonical else _timestamp, stamps))
         columns = [tuple(map(float, column)) for column in raw_columns]
     except ValueError:
         return None
     if not all(min(column) >= 0.0 and sum(column) < math.inf for column in columns):
         return None
-    return timestamps, columns, "\n".join(raw_timestamps) if canonical else None
+    return timestamps, columns, text if canonical else None
+
+
+def _is_signal_header(header: Sequence[str]) -> bool:
+    """True for the header of a bare signal CSV: ``ci_g_per_kwh``, and
+    ``timestamp`` or nothing else, its names stripped."""
+    names = set(map(str.strip, header))
+    return PUBLISHED_CI_COLUMN in names and names <= {TIMESTAMP_COLUMN, PUBLISHED_CI_COLUMN}
 
 
 def _read_csv(path: Path, fill_policy: str, bare_signal: bool = False) -> tuple | None:
@@ -298,72 +443,70 @@ def _read_csv(path: Path, fill_policy: str, bare_signal: bool = False) -> tuple 
     only ``timestamp`` and ``ci_g_per_kwh`` (``None`` is returned
     otherwise) and no source column is needed; without it one source
     column is.
-    """
-    with path.open("r", encoding="utf-8", newline="") as handle:
-        reader = csv.reader(handle)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise SchemaError(f"{path}: file is empty") from None
-        except csv.Error as exc:
-            raise ParseError(f"unreadable row: {exc}", row=1) from None
-        header = [name.strip() for name in header]
-        if bare_signal and not (
-            PUBLISHED_CI_COLUMN in header
-            and set(header) <= {TIMESTAMP_COLUMN, PUBLISHED_CI_COLUMN}
-        ):
-            return None
-        if TIMESTAMP_COLUMN not in header:
-            raise SchemaError(f"{path}: missing required column {TIMESTAMP_COLUMN!r}")
-        if len(set(header)) != len(header):
-            raise SchemaError(f"{path}: duplicate column names in header")
-        source_columns = tuple(name for name in header if name in SOURCE_CATEGORIES)
-        ignored = tuple(
-            name
-            for name in header
-            if name not in SOURCE_CATEGORIES and name not in (TIMESTAMP_COLUMN, PUBLISHED_CI_COLUMN)
-        )
-        if ignored:
-            warnings.warn(
-                f"{path}: ignoring unrecognized columns: {', '.join(ignored)}",
-                stacklevel=3,
-            )
-        if not source_columns and not bare_signal:
-            raise SchemaError(f"{path}: no recognized source columns in header")
-        has_published = PUBLISHED_CI_COLUMN in header
-        # Every parsed cell of a row: the source columns, then the published CI.
-        names = [*source_columns, *([PUBLISHED_CI_COLUMN] if has_published else [])]
-        # Where a row's timestamp and parsed cells are; pick gives them as a tuple.
-        indexes = [header.index(TIMESTAMP_COLUMN), *map(header.index, names)]
-        pick = itemgetter(*indexes)
-        zero_fill = fill_policy == "zero-fill"
 
-        # Sort the rows into clean ones (the header's cell count and no empty
-        # cell under pick) and other ones.
-        clean: list[_RawRow] = []
-        other: list[_RawRow] = []
-        rows_read = 0
-        row_number = 1
-        try:
-            for row_number, cells in enumerate(reader, start=2):
-                if not (cells and (cells[0].strip() or any(map(str.strip, cells)))):
-                    continue
-                rows_read += 1
-                cells = tuple(cells)  # unlike the reader's list, the cyclic GC stops tracking it
-                if len(cells) == len(header) and all(pick(cells)):
-                    clean.append((row_number, cells))
-                else:
-                    other.append((row_number, cells))
-        except csv.Error as exc:  # the reader stops here: this row is the last one checked
-            other.append((row_number + 1, exc))
+    The file is read once. When :func:`_split_lines` can split its text,
+    its rows are the lines split at commas; otherwise ``csv.reader`` reads
+    them. Both give the same rows, so the path changes no result.
+    """
+    text = _read_text(path)
+    if bare_signal:
+        # The header line alone, when it splits, so that a mix CSV splits no other line.
+        first = _split_lines(text[: text.find("\n") + 1] or text)
+        if first and not _is_signal_header(first[0].split(",")):
+            return None
+    lines = _split_lines(text)
+    rows = csv.reader(_file_lines(text)) if lines is None else map(str.split, lines, repeat(","))
+    del text
+    try:
+        header = next(rows)
+    except StopIteration:
+        raise SchemaError(f"{path}: file is empty") from None
+    except csv.Error as exc:
+        raise ParseError(f"unreadable row: {exc}", row=1) from None
+    header = [name.strip() for name in header]
+    if bare_signal and not _is_signal_header(header):
+        return None
+    if TIMESTAMP_COLUMN not in header:
+        raise SchemaError(f"{path}: missing required column {TIMESTAMP_COLUMN!r}")
+    if len(set(header)) != len(header):
+        raise SchemaError(f"{path}: duplicate column names in header")
+    source_columns = tuple(name for name in header if name in SOURCE_CATEGORIES)
+    ignored = tuple(
+        name
+        for name in header
+        if name not in SOURCE_CATEGORIES and name not in (TIMESTAMP_COLUMN, PUBLISHED_CI_COLUMN)
+    )
+    if ignored:
+        warnings.warn(
+            f"{path}: ignoring unrecognized columns: {', '.join(ignored)}",
+            stacklevel=3,
+        )
+    if not source_columns and not bare_signal:
+        raise SchemaError(f"{path}: no recognized source columns in header")
+    has_published = PUBLISHED_CI_COLUMN in header
+    # Every parsed cell of a row: the source columns, then the published CI.
+    names = [*source_columns, *([PUBLISHED_CI_COLUMN] if has_published else [])]
+    # Where a row's timestamp and parsed cells are.
+    indexes = [header.index(TIMESTAMP_COLUMN), *map(header.index, names)]
+    zero_fill = fill_policy == "zero-fill"
+
+    if lines is None:
+        body, error = _reader_rows(rows)
+    else:
+        body, error = _split_rows(lines), None
+    error_row = len(body) + 2  # the row after the last one read
+    del rows, lines
+    numbers, raw_columns, keep, stamps, other, rows_read = _sort_rows(body, len(header), indexes)
+    if error is not None:  # the reader stopped here: this row is the last one checked
+        other.append((error_row, error))
     # When there are clean rows and every one passes the checks, they parse
     # a column at a time and only the other rows go one by one through
     # _parse_row. Otherwise every row does, in file order, so the first bad
     # row raises its error.
-    parsed = _parse_columns(clean, indexes) if clean else None
+    parsed = _parse_columns(stamps, [_kept(raw_columns[i], keep) for i in indexes[1:]]) if stamps else None
     if parsed is None:
-        other = sorted(clean + other)
-    del clean  # the raw cells, no longer needed
+        other = sorted([*zip(numbers, _kept(zip(*raw_columns), keep)), *other])
+    del raw_columns, stamps  # the raw cells, no longer needed
     timestamps, columns, text = parsed or ([], [()] * len(names), None)
     rows = []
     rows_dropped = cells_filled = 0
@@ -424,7 +567,8 @@ def load_region_csv(
         raise ValueError("region must not be empty")
     path = Path(path)
     timestamps, source_ids, columns, published_ci, summary, text = _read_csv(path, fill_policy)
-    dataset = RegionDataset(
+    # _read_csv kept only rows that pass the constructor's checks.
+    dataset = RegionDataset._checked(
         region=path.stem if region is None else region,
         timestamps=timestamps,
         source_ids=source_ids,

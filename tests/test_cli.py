@@ -961,6 +961,26 @@ def test_csv_parse_error_names_the_file(capsys, tmp_path: Path, argv: list[str])
     assert err == f"error: {bad}: invalid number 'x' (row 2, column 'wind')\n"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["ci", "--mix", "{bad}"],
+        ["penetration", "--data", "{dir}"],
+        ["schedule", "--signal", "{bad}", "--duration", "1"],
+    ],
+    ids=["ci", "penetration-dir", "schedule-signal"],
+)
+def test_undecodable_csv_names_the_file(capsys, tmp_path: Path, argv: list[str]) -> None:
+    """A CSV that is not UTF-8 is one error line that starts with the file's
+    path and gives the byte's offset in the file."""
+    good, bad = tmp_path / "a-good.csv", tmp_path / "b-bad.csv"
+    good.write_text(TOY_CSV, encoding="utf-8")
+    bad.write_bytes(b"timestamp,wind,coal\n2022-06-01T00:00:00Z,\xff,0\n")
+    err = _single_error_line(capsys, *(arg.format(bad=bad, dir=tmp_path) for arg in argv))
+    reason = "'utf-8' codec can't decode byte 0xff in position 41: invalid start byte"
+    assert err == f"error: {bad}: not UTF-8 text: {reason}\n"
+
+
 def test_penetration_directory_without_csv(capsys, tmp_path: Path) -> None:
     err = _single_error_line(capsys, "penetration", "--data", str(tmp_path))
     assert err == "error: no CSV files found in the given paths\n"

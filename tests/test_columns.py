@@ -18,7 +18,7 @@ from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from gridcarbon import (
@@ -46,6 +46,7 @@ from gridcarbon.ingest import (
     _parse_cell,
     _parse_timestamp,
     _read_csv,
+    _split_lines,
     check_basis,
 )
 from gridcarbon.scheduler import _ci_steps, residual_signal, total_signal
@@ -662,6 +663,86 @@ def test_read_csv_matches_row_by_row_reader(tmp_path_factory, text, policy, bare
         warnings.simplefilter("ignore")
         new = _outcome(lambda: _table(_read_csv(path, policy, bare)))
         old = _outcome(lambda: _table(_reference_read_csv(path, policy, bare)))
+    assert new == old
+
+
+# A lowered csv.field_size_limit() for the differential below: lines of
+# csv_files() texts stay under it, so both tokenizer paths run, and a cell
+# can be drawn at it or one over it.
+FIELD_LIMIT = 64
+
+
+@st.composite
+def mutated_csv_files(draw) -> str:
+    """csv_files() texts with what only csv.reader reads right: quoted
+    cells, stray quotes, a NUL, cells at and over FIELD_LIMIT, CRLF or lone
+    CR line breaks, and no final line break."""
+    lines = draw(csv_files()).split("\n")[:-1]
+    mutations = st.sampled_from(["quote", "quoted-comma", "stray-quote", "nul", "long"])
+    for mutation in draw(st.lists(mutations, max_size=3)):
+        i = draw(st.integers(min_value=0, max_value=len(lines) - 1))
+        cells = lines[i].split(",")
+        j = draw(st.integers(min_value=0, max_value=len(cells) - 1))
+        if mutation == "quote":
+            cells[j] = f'"{cells[j]}"'
+        elif mutation == "quoted-comma":
+            cells[j] = draw(st.sampled_from(['"a,b"', '"1,5"', '" , "']))
+        elif mutation == "long":  # maybe the row's only cell, so the line is as long as the cell
+            cells[j] = "9" * draw(st.sampled_from([FIELD_LIMIT, FIELD_LIMIT + 1]))
+            cells = cells if draw(st.booleans()) else [cells[j]]
+        else:
+            at = draw(st.integers(min_value=0, max_value=len(cells[j])))
+            cells[j] = cells[j][:at] + ('"' if mutation == "stray-quote" else "\x00") + cells[j][at:]
+        lines[i] = ",".join(cells)
+    breaks = st.sampled_from(["\n", "\r\n", "\r"])
+    if draw(st.booleans()):  # one kind of line break throughout
+        breaks = st.just(draw(breaks))
+    text = "".join(line + draw(breaks) for line in lines)
+    return text if draw(st.booleans()) else text.rstrip("\r\n")
+
+
+def _checked_table(path: Path, policy: str, bare: bool):
+    """``_table`` of ``_read_csv``, whose columns must also pass the dataset
+    constructor's checks: ``load_region_csv`` does not run them again."""
+    read = _read_csv(path, policy, bare)
+    if read is not None:
+        timestamps, source_ids, columns, published_ci, summary, _ = read
+        RegionDataset(
+            "r", timestamps=timestamps, source_ids=source_ids, columns=columns, published_ci=published_ci
+        )
+    return _table(read)
+
+
+def _reference_outcome(path: Path, policy: str, bare: bool):
+    """The row-by-row reader's outcome, with the ``csv.Error`` it lets
+    through as the ParseError the CSV layer documents: "unreadable row",
+    on the row after the last one the reader read."""
+    try:
+        return _outcome(lambda: _table(_reference_read_csv(path, policy, bare)))
+    except csv.Error as exc:
+        with path.open(encoding="utf-8", newline="") as handle, contextlib.suppress(csv.Error):
+            read = 0
+            for _ in csv.reader(handle):
+                read += 1
+        return ParseError, str(ParseError(f"unreadable row: {exc}", row=read + 1))
+
+
+@settings(deadline=None)
+@given(text=mutated_csv_files(), policy=st.sampled_from(["drop-row", "zero-fill"]), bare=st.booleans())
+def test_read_csv_differential_on_text_only_csv_reader_reads(tmp_path_factory, text, policy, bare) -> None:
+    """Whichever tokenizer reads a text, the values, summary and first
+    error are those of the row-by-row reader over csv.reader."""
+    path = tmp_path_factory.mktemp("csv") / "r.csv"
+    path.write_bytes(text.encode("utf-8"))
+    limit = csv.field_size_limit(FIELD_LIMIT)
+    try:
+        event("split" if _split_lines(text) is not None else "csv.reader")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            new = _outcome(_checked_table, path, policy, bare)
+            old = _reference_outcome(path, policy, bare)
+    finally:
+        csv.field_size_limit(limit)
     assert new == old
 
 

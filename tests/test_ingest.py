@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import csv
 import tempfile
+import warnings
 from datetime import datetime, timedelta, timezone
 from math import inf, nan
 from pathlib import Path
@@ -301,6 +302,48 @@ def test_unknown_columns_warn_but_load(tmp_path: Path) -> None:
         dataset = load_region_csv(_write(tmp_path, text))
     assert dataset.summary.ignored_columns == ("price_eur",)
     assert dataset.mixes[0].generation == {"wind": 10.0}
+
+
+# --- what csv.reader reads, pinned ---------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "timestamp,wind\r\n2022-06-01T00:00:00Z,10\r\n2022-06-01T01:00:00Z,20\r\n",
+        "timestamp,wind\r2022-06-01T00:00:00Z,10\r2022-06-01T01:00:00Z,20\r",
+        'timestamp,wind,note\n2022-06-01T00:00:00Z,"10","a, b"\n"2022-06-01T01:00:00Z",20,"say ""hi"""\n',
+        "timestamp,wind\n2022-06-01T00:00:00Z,10\n2022-06-01T01:00:00Z,20",
+        "timestamp,wind\n , \n2022-06-01T00:00:00Z,10\n\t\n,\n2022-06-01T01:00:00Z,20\n \t, ,\n",
+    ],
+    ids=["crlf", "lone-cr", "quoted-cells", "no-final-newline", "whitespace-rows"],
+)
+def test_rows_are_what_csv_reader_reads(tmp_path: Path, text: str) -> None:
+    """Line breaks, quoting and blank rows read as ``csv.reader`` reads them:
+    two rows each time, and whitespace-only rows are skipped and not counted."""
+    path = tmp_path / "r.csv"
+    path.write_bytes(text.encode("utf-8"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        dataset = load_region_csv(path)
+    assert dataset.column("wind") == (10.0, 20.0)
+    assert dataset.timestamps == tuple(datetime(2022, 6, 1, h, tzinfo=timezone.utc) for h in range(2))
+    assert dataset.summary.rows_read == 2
+    assert dataset.summary.ignored_columns == (("note",) if "note" in text else ())
+    assert dataset._timestamp_text == "2022-06-01T00:00:00Z\n2022-06-01T01:00:00Z"
+
+
+def test_nul_in_a_cell_is_an_invalid_number(tmp_path: Path) -> None:
+    with pytest.raises(ParseError) as exc:
+        load_region_csv(_write(tmp_path, "timestamp,wind\n2022-06-01T00:00:00Z,2\x00\n"))
+    assert str(exc.value) == "invalid number '2\\x00' (row 2, column 'wind')"
+
+
+def test_blank_first_line_has_no_timestamp_column(tmp_path: Path) -> None:
+    path = _write(tmp_path, "\ntimestamp,wind\n2022-06-01T00:00:00Z,10\n")
+    with pytest.raises(SchemaError) as exc:
+        load_region_csv(path)
+    assert str(exc.value) == f"{path}: missing required column 'timestamp'"
 
 
 def test_strict_rejects_gaps(tmp_path: Path) -> None:

@@ -181,7 +181,8 @@ def _search_cases(draw):
     return signal, duration, window
 
 
-@settings(max_examples=300, deadline=None)
+# At least 300 examples; a profile that asks for more (``thorough``) gets them.
+@settings(max_examples=max(300, settings.default.max_examples), deadline=None)
 @given(case=_search_cases())
 def test_search_matches_reference(case) -> None:
     signal, duration, window = case
