@@ -31,9 +31,9 @@ tests name, and each region summary computes it again.
 from __future__ import annotations
 
 from collections.abc import Mapping, Sequence
-from dataclasses import dataclass
 from math import inf, isfinite
 
+from ._record import _frozen
 from .contracts import Allocation, Contract, allocate_contracts, compute_residual_mix
 from .errors import ClaimExceedsDemand, UnknownRegion, ZeroDemand
 from .grid import KWH_PER_MWH, GridMix, SourceRegistry, compute_average_ci
@@ -43,7 +43,7 @@ MARKET_BASED = "market_based"
 METHODS = frozenset({LOCATION_BASED, MARKET_BASED})
 
 
-@dataclass(frozen=True)
+@_frozen
 class Consumer:
     """An electricity consumer with a per-step demand in kWh."""
 
@@ -59,7 +59,7 @@ class Consumer:
             raise ValueError(f"consumer {self.id!r}: demand must be finite and >= 0")
 
 
-@dataclass(frozen=True)
+@_frozen
 class MethodResult:
     """Attribution of one consumer's demand under one accounting method."""
 
@@ -69,7 +69,7 @@ class MethodResult:
     emissions_g: float
 
 
-@dataclass(frozen=True)
+@_frozen
 class ConsumerAttribution:
     """Dual-reported attribution for one consumer."""
 
@@ -88,7 +88,7 @@ class ConsumerAttribution:
         return self.location_based if self.method == LOCATION_BASED else self.market_based
 
 
-@dataclass(frozen=True)
+@_frozen
 class RegionSummary:
     """Grid-level quantities for one region."""
 
@@ -101,7 +101,7 @@ class RegionSummary:
     over_contracted: frozenset[str]
 
 
-@dataclass(frozen=True)
+@_frozen
 class AttributionReport:
     """Full per-consumer and per-region attribution output."""
 

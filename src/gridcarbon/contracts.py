@@ -28,13 +28,13 @@ a fraction of generation, one per source for a whole series.
 from __future__ import annotations
 
 from collections.abc import Callable, Mapping, Sequence
-from dataclasses import dataclass, field, replace
 from functools import partial
 from itertools import repeat
 from math import isfinite
 from operator import gt, mul, sub
 from typing import NamedTuple
 
+from ._record import _Fresh, _frozen
 from .errors import ContractNotCarbonFree, EmptyResidual, UnknownRegion
 from .factors import check_categories
 from .grid import GridMix, SourceRegistry
@@ -44,7 +44,7 @@ PHYSICAL_KINDS = frozenset({"physical_onsite", "physical_offsite"})
 CONTRACT_KINDS = PHYSICAL_KINDS | {"financial", "rec"}
 
 
-@dataclass(frozen=True)
+@_frozen
 class Contract:
     """A PPA or REC purchase granting ``buyer`` a claim on contracted generation.
 
@@ -90,7 +90,7 @@ class Contract:
         return self.energy_mwh[step]
 
 
-@dataclass(frozen=True)
+@_frozen
 class ResidualMix:
     """A grid mix with contracted carbon-free energy removed.
 
@@ -105,7 +105,7 @@ class ResidualMix:
     mix: GridMix
     removed: Mapping[str, float]
     over_contracted: frozenset[str]
-    allocated: Mapping[str, float] = field(default_factory=dict)
+    allocated: Mapping[str, float] = _Fresh(dict)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "removed", dict(self.removed))
@@ -172,7 +172,7 @@ def compute_residual_mix(
     )
 
 
-@dataclass(frozen=True)
+@_frozen
 class Allocation:
     """Every contract allocated against the mixes of one step.
 
@@ -392,7 +392,8 @@ def _residual_dataset(
     dataset: RegionDataset, contracts: Sequence[Contract], sources: SourceRegistry
 ) -> RegionDataset:
     """The dataset with each contracted source's column replaced by its
-    residual column, and no published CI (it priced the whole mix)."""
+    residual column, and no published CI (it priced the whole mix). As every
+    residual is finite and >= 0, the constructor's checks are not run again."""
     removals = _remove_contracted(
         dataset.region, len(dataset), dataset.column, contracts, sources, dataset.summary
     )
@@ -400,7 +401,8 @@ def _residual_dataset(
         removals[source_id].residual if source_id in removals else column
         for source_id, column in zip(dataset.source_ids, dataset.columns)
     )
-    return replace(dataset, columns=columns, published_ci=None)
+    return RegionDataset._checked(region=dataset.region, timestamps=dataset.timestamps, source_ids=dataset.source_ids,
+                                  columns=columns, published_ci=None, summary=dataset.summary)
 
 
 def _fully_contracted(region: str, step: int) -> EmptyResidual:

@@ -16,19 +16,19 @@ steps.
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Mapping, Sequence
-from dataclasses import dataclass
 from datetime import datetime
 from itertools import repeat
 from math import inf
 from operator import mul, truediv
 
+from ._record import _frozen
 from .errors import EmptyMix, UnknownSource
 from .factors import CARBON_FREE_CATEGORIES, DEFAULT_CEF, SOURCE_CATEGORIES, check_categories
 
 KWH_PER_MWH = 1000.0
 
 
-@dataclass(frozen=True)
+@_frozen
 class EnergySource:
     """A generation source with its carbon emission factor.
 
@@ -98,7 +98,7 @@ class SourceRegistry:
         return len(self._sources)
 
 
-@dataclass(frozen=True)
+@_frozen
 class GridMix:
     """Per-source generation for one region and one time step.
 

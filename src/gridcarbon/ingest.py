@@ -30,13 +30,13 @@ import math
 import re
 import warnings
 from collections.abc import Iterable, Iterator, Sequence
-from dataclasses import dataclass
 from datetime import datetime, timezone
 from functools import cached_property
 from itertools import compress, repeat
 from operator import lt
 from pathlib import Path
 
+from ._record import _frozen
 from .errors import GapError, ParseError, SchemaError
 from .factors import SOURCE_CATEGORIES
 from .grid import GridMix, _rows
@@ -49,7 +49,7 @@ FILL_POLICIES = ("drop-row", "zero-fill")
 BASES = ("cef", "published")
 
 
-@dataclass(frozen=True)
+@_frozen
 class LoadSummary:
     """Bookkeeping from one CSV load."""
 
@@ -60,7 +60,7 @@ class LoadSummary:
     ignored_columns: tuple[str, ...]
 
 
-@dataclass(frozen=True, init=False)
+@_frozen
 class RegionDataset:
     """An ordered series of one region's generation, stored as columns.
 

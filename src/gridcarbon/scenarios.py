@@ -30,12 +30,11 @@ field path. The same validators check a ``--contracts`` YAML
 from __future__ import annotations
 
 from collections.abc import Collection, Mapping, Sequence
-from dataclasses import dataclass, field
-from importlib import resources
 from math import inf, isfinite
 from pathlib import Path
 from typing import Any, IO
 
+from ._record import _Fresh, _frozen
 from .attribution import METHODS, AttributionReport, Consumer, build_report
 from .contracts import CONTRACT_KINDS, PHYSICAL_KINDS, Contract
 from .errors import ScenarioInvalid, SchemaError
@@ -46,7 +45,7 @@ from .yamlscan import _read_yaml
 _SCENARIO_DIR = "data/scenarios"
 
 
-@dataclass(frozen=True)
+@_frozen
 class Scenario:
     """A fully validated scenario, ready to run."""
 
@@ -55,7 +54,7 @@ class Scenario:
     consumers: tuple[Consumer, ...]
     contracts: tuple[Contract, ...]
     sources: SourceRegistry
-    grid_demand_mwh: Mapping[str, float] = field(default_factory=dict)
+    grid_demand_mwh: Mapping[str, float] = _Fresh(dict)
     public_signal_adjusted: bool = False
     description: str = ""
 
@@ -315,12 +314,14 @@ def run_scenario(scenario: Scenario) -> AttributionReport:
 
 def builtin_scenario_names() -> list[str]:
     """Names of the bundled example scenarios, sorted."""
+    from importlib import resources  # here, as from Python 3.12 it imports inspect (~20 ms)
     root = resources.files("gridcarbon").joinpath(_SCENARIO_DIR)
     return sorted(entry.name[: -len(".yaml")] for entry in root.iterdir() if entry.name.endswith(".yaml"))
 
 
 def load_builtin_scenario(name: str) -> Scenario:
     """Load a bundled scenario by name (see :func:`builtin_scenario_names`)."""
+    from importlib import resources
     root = resources.files("gridcarbon").joinpath(_SCENARIO_DIR)
     candidate = root.joinpath(f"{name}.yaml")
     if not candidate.is_file():

@@ -13,10 +13,10 @@ from __future__ import annotations
 import math
 import sys
 from collections.abc import Mapping, Sequence
-from dataclasses import dataclass
 from itertools import accumulate, compress, repeat
 from operator import ge, le, sub
 
+from ._record import _frozen
 from .contracts import _fully_contracted, _residual_dataset, contracts_for_fraction
 from .errors import EmptyMix, SignalMismatch, WindowTooShort, ZeroBaseline
 from .grid import SourceRegistry, _cefs, _weighted
@@ -29,7 +29,7 @@ Signal = Sequence[float]
 _MAX_SCALE = sys.float_info.max / 4
 
 
-@dataclass(frozen=True)
+@_frozen
 class FlexibleLoad:
     """A constant-draw load needing ``duration_hours`` consecutive-or-not hours.
 
@@ -167,7 +167,7 @@ def worst_window(signal: Signal, load: FlexibleLoad) -> tuple[int, ...]:
     return _extreme_windows(signal, load, True)[0]
 
 
-@dataclass(frozen=True)
+@_frozen
 class ScheduleResult:
     """A scheduled load evaluated against reported and actual CI signals."""
 

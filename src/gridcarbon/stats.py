@@ -10,10 +10,10 @@ residual CI is ``inflation_pct(period_ci(d), period_residual_ci(d, f))``.
 from __future__ import annotations
 
 from collections.abc import Iterable, Mapping, Sequence
-from dataclasses import dataclass
 from itertools import accumulate, compress
 from operator import mul
 
+from ._record import _frozen
 from .contracts import _fully_contracted, _residual_dataset, contracts_for_fraction
 from .errors import EmptyFleet, EmptyMix, GridCarbonError, ZeroBaseline
 from .factors import check_categories
@@ -23,7 +23,7 @@ from .ingest import RegionDataset, check_basis, check_overflow
 SOLAR_WIND = ("solar", "wind")
 
 
-@dataclass(frozen=True)
+@_frozen
 class PenetrationStat:
     """Share of selected categories in a region's total generation."""
 
@@ -33,7 +33,7 @@ class PenetrationStat:
     solar_wind_pct: float
 
 
-@dataclass(frozen=True)
+@_frozen
 class FleetPenetration:
     """Per-region penetration plus the empirical distribution across regions.
 

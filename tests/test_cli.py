@@ -1413,6 +1413,45 @@ def test_commands_without_a_search_never_import_heapq(tmp_path: Path, argv: list
     assert json.loads(run.stdout) == [0, False]
 
 
+# Runs the CLI on the given argv in this interpreter; prints the exit code and
+# the modules that importing gridcarbon.cli and running the command added to
+# those the interpreter had loaded at start-up (site and any .pth files).
+_RUN_AND_REPORT_MODULES = (
+    "import json, sys\n"
+    "before = set(sys.modules)\n"
+    "from gridcarbon.cli import main\n"
+    "code = main(sys.argv[1:])\n"
+    "print(json.dumps([code, sorted(set(sys.modules) - before)]))\n"
+)
+
+STARTUP_COMMANDS = {
+    "ci": ["ci", "--mix", "{mix}"],
+    "residual": ["residual", "--mix", "{mix}", "--fraction", "0.5"],
+    "scenario-file": ["scenario", "--file", "{yaml}"],
+    "attribute-builtin": ["attribute", "residential-case-2"],
+}
+
+
+@pytest.mark.parametrize("command", STARTUP_COMMANDS)
+def test_commands_never_import_dataclasses(tmp_path: Path, command: str) -> None:
+    """No command imports dataclasses, and only a bundled scenario may import
+    inspect (importlib.resources does from Python 3.12)."""
+    data = tmp_path / "data"
+    write_fixture_csvs(data)
+    (tmp_path / "input.yaml").write_text(SCANNED_YAML["scenario-file"][0], encoding="utf-8")
+    paths = {"mix": data / "duck-curve.csv", "yaml": tmp_path / "input.yaml"}
+    argv = [arg.format(**paths) for arg in STARTUP_COMMANDS[command]]
+    run = subprocess.run(
+        [sys.executable, "-c", _RUN_AND_REPORT_MODULES, *argv, "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, env=_child_env(), timeout=120,
+    )
+    assert (run.returncode, run.stderr) == (0, ""), run.stderr
+    code, added = json.loads(run.stdout)
+    assert code == 0
+    assert "gridcarbon.cli" in added and "dataclasses" not in added
+    assert "inspect" not in added or command.endswith("-builtin")
+
+
 # Commands whose YAML is in the subset that gridcarbon.yamlscan reads, and
 # for each file the same value with a quoted string, which only PyYAML reads.
 SCANNED_YAML_COMMANDS = {

@@ -25,6 +25,8 @@ from gridcarbon import (
     total_emissions,
 )
 from gridcarbon.contracts import _remove_contracted, _residual_dataset
+from gridcarbon.fixtures import fixture_datasets, write_fixture_csvs
+from gridcarbon.ingest import load_region_csv
 
 import reference_allocation
 
@@ -343,6 +345,58 @@ def test_series_contracts_match_per_step_contracts(steps, fraction, categories) 
         return _series_bits(mixes, contracts_for_fraction(_dataset(mixes), fraction, categories))
 
     assert _outcome(series) == _outcome(per_step)
+
+
+def _assert_residual_dataset_passes_the_checks(dataset, contracts) -> None:
+    """``_residual_dataset`` builds its result without the constructor's
+    checks; the constructor accepts it and builds an equal dataset."""
+    residual = _residual_dataset(dataset, contracts, SourceRegistry.default())
+    rebuilt = RegionDataset(
+        residual.region,
+        timestamps=residual.timestamps,
+        source_ids=residual.source_ids,
+        columns=residual.columns,
+        published_ci=None,
+        summary=residual.summary,
+    )
+    assert rebuilt == residual
+
+
+@pytest.mark.parametrize("fraction", [0.0, 0.5, 1.0, {"solar": 1.0, "hydro": 0.3}])
+def test_residual_dataset_of_each_fixture_passes_the_checks(tmp_path, fraction) -> None:
+    loaded = [load_region_csv(path) for path in write_fixture_csvs(tmp_path)]
+    for dataset in [*fixture_datasets().values(), *loaded]:
+        _assert_residual_dataset_passes_the_checks(dataset, contracts_for_fraction(dataset, fraction))
+
+
+# Claims from none to far over any generation drawn here, scalar or per step.
+series_claims = st.one_of(st.sampled_from([0.0, 0.1, 5.0, 1e6, 1e300]), st.floats(min_value=0.0, max_value=1e4))
+
+
+@st.composite
+def contracted_series(draw):
+    """A dataset of 1-6 steps and contracts on it, some per step, some over
+    the generation and some of another region."""
+    steps = draw(st.lists(st.dictionaries(st.sampled_from(SERIES_SOURCES), generation_value, max_size=5),
+                          min_size=1, max_size=6))
+    contracts = [
+        Contract(
+            id=f"k{i}",
+            buyer=draw(st.sampled_from(["a", "b"])),
+            kind="financial",
+            source_id=draw(st.sampled_from(("solar", "wind", "hydro"))),
+            source_region=draw(st.sampled_from(("r", "r", "r", "elsewhere"))),
+            energy_mwh=draw(st.one_of(series_claims, st.tuples(*[series_claims] * len(steps)))),
+        )
+        for i in range(draw(st.integers(min_value=0, max_value=5)))
+    ]
+    return _dataset([GridMix(region="r", generation=g) for g in steps]), contracts
+
+
+@given(contracted_series())
+def test_residual_dataset_passes_the_checks(inputs) -> None:
+    _assert_residual_dataset_passes_the_checks(*inputs)
+
 
 
 # --- the single-step allocation against its pre-kernel copy -----------------
