@@ -297,6 +297,8 @@ def contracts_for_fraction(
     contracts = []
     for source_id, column in sorted(zip(source_ids, columns)):
         f = per_category.get(sources.get(source_id).category, 0.0)
+        if f == 0:  # generation is finite, so no step gets energy
+            continue
         energy = tuple(map(mul, column, repeat(f)))
         if max(energy, default=0.0) > 0:
             contracts.append(

@@ -444,16 +444,19 @@ def _read_csv(path: Path, fill_policy: str, bare_signal: bool = False) -> tuple 
     otherwise) and no source column is needed; without it one source
     column is.
 
-    The file is read once. When :func:`_split_lines` can split its text,
-    its rows are the lines split at commas; otherwise ``csv.reader`` reads
-    them. Both give the same rows, so the path changes no result.
+    The text is read once (``bare_signal`` reads the header line first).
+    When :func:`_split_lines` can split it, its rows are the lines split at
+    commas; otherwise ``csv.reader`` reads them. Both give the same rows.
     """
-    text = _read_text(path)
-    if bare_signal:
-        # The header line alone, when it splits, so that a mix CSV splits no other line.
-        first = _split_lines(text[: text.find("\n") + 1] or text)
+    if bare_signal:  # the header line alone, so that a mix CSV is read no further
+        try:
+            with path.open("r", encoding="utf-8", newline="") as handle:
+                first = _split_lines(handle.readline())
+        except UnicodeDecodeError:  # _read_text reports it
+            first = None
         if first and not _is_signal_header(first[0].split(",")):
             return None
+    text = _read_text(path)
     lines = _split_lines(text)
     rows = csv.reader(_file_lines(text)) if lines is None else map(str.split, lines, repeat(","))
     del text

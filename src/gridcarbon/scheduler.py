@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 import sys
 from collections.abc import Mapping, Sequence
+from functools import cached_property
 from itertools import accumulate, compress, repeat
 from operator import ge, le, sub
 
@@ -27,6 +28,23 @@ Signal = Sequence[float]
 # Below this sum of absolute values no prefix or window sum can overflow;
 # at or above it every start of a contiguous load is summed.
 _MAX_SCALE = sys.float_info.max / 4
+
+
+class _Series(tuple):
+    """A CI series of finite values >= 0 that keeps, from its first search
+    on, its prefix sums and scale; its copies and pickles are plain tuples."""
+
+    def __reduce__(self):
+        return tuple, (tuple(self),)
+
+    @cached_property
+    def _memo(self) -> tuple[list[float], float] | None:
+        """The prefix sums from hour 0 and the sum of ``|value|``, if below ``_MAX_SCALE``."""
+        try:
+            scale = math.fsum(map(abs, self))
+        except OverflowError:  # finite values whose sum exceeds the float range
+            return None
+        return (list(accumulate(self, initial=0.0)), scale) if scale < _MAX_SCALE else None
 
 
 @_frozen
@@ -97,8 +115,9 @@ def _extreme_windows(signal: Signal, load: FlexibleLoad, *worst: bool) -> list[t
 
     lo, hi = _start_bounds(signal, load)
     duration = load.duration_hours
-    span = signal[lo : hi + duration]
-    scale = _finite_scale(span, lo)
+    memo = signal._memo if isinstance(signal, _Series) else None
+    span = signal[lo : hi + duration] if memo is None or not load.contiguous else None
+    scale = _finite_scale(span, lo) if memo is None else memo[1]
     placements = []
     if not load.contiguous:
         # Keep every hour at or beyond the d-th extreme value, in hour
@@ -112,7 +131,8 @@ def _extreme_windows(signal: Signal, load: FlexibleLoad, *worst: bool) -> list[t
                 hours = sorted(set(hours).difference(ties[-surplus:]))
             placements.append(tuple(hours))
         return placements
-    # Every window sum from one prefix pass over the n = len(span) hours.
+    # Every window sum from the prefix sums of the n = len(span) hours, or from those
+    # a _Series keeps: n = len(signal) hours from hour 0, scale the whole series'.
     # A prefix difference rounds off by at most about 2n·2⁻⁵³·scale and
     # the sum() of the same slice by d·2⁻⁵³·scale, so the two differ by
     # less than (2n + d + 1)·2⁻⁵³·scale, and the start that sum() ranks
@@ -122,9 +142,10 @@ def _extreme_windows(signal: Signal, load: FlexibleLoad, *worst: bool) -> list[t
     # equal sums, as a scan of every start does, so ties go to the earliest.
     starts = range(lo, hi + 1)
     if scale < _MAX_SCALE:
-        prefix = list(accumulate(span, initial=0.0))
+        prefix = list(accumulate(span, initial=0.0)) if memo is None else memo[0][lo : hi + duration + 1]
+        n = len(span) if memo is None else len(signal)
         sums = list(map(sub, prefix[duration:], prefix))
-        tol = 2 * (2 * len(span) + duration + 1) * 2.0**-53 * scale
+        tol = 2 * (2 * n + duration + 1) * 2.0**-53 * scale
     for w in worst:
         candidates = starts
         if scale < _MAX_SCALE:
@@ -149,7 +170,9 @@ def best_window(signal: Signal, load: FlexibleLoad) -> tuple[int, ...]:
     only the starts within rounding error of the minimum (one, unless
     windows nearly tie). A non-contiguous load keeps the hours at or
     below its d-th cheapest value, which takes O(T log d). Both pick
-    the same hours as summing every window and keeping the first.
+    the same hours as summing every window and keeping the first. A series
+    from :func:`total_signal` or :func:`residual_signal` keeps its prefix sums, so
+    searching it again costs one subtraction pass over the allowed starts plus the extreme.
 
     Raises:
         WindowTooShort: if the window cannot fit the load.
@@ -328,7 +351,7 @@ def _signal(
         if uncontracted is not None and sum(c[step] for c in uncontracted.columns) > 0:
             raise _fully_contracted(dataset.region, step)
         raise EmptyMix(f"carbon intensity undefined for empty mix in region {dataset.region!r}")
-    return signal
+    return _Series(signal)
 
 
 def total_signal(
@@ -336,10 +359,11 @@ def total_signal(
     sources: SourceRegistry | None = None,
     basis: str = "cef",
 ) -> tuple[float, ...]:
-    """Per-step total-mix CI series (the public, unadjusted signal)."""
+    """Per-step total-mix CI series (the public, unadjusted signal). Once
+    searched, it keeps its prefix sums: about its own size, 280 KB a year."""
     check_basis(dataset, basis)
     if basis == "published":
-        return dataset.published_ci
+        return _Series(dataset.published_ci)
     return _signal(dataset, SourceRegistry.default() if sources is None else sources)
 
 
@@ -350,6 +374,7 @@ def residual_signal(
     sources: SourceRegistry | None = None,
 ) -> tuple[float, ...]:
     """Per-step residual CI series with a fraction of generation contracted.
+    Once searched, it keeps its prefix sums: about its own size, 280 KB a year.
 
     Raises:
         EmptyResidual: if any step becomes fully contracted.

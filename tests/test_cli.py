@@ -19,7 +19,7 @@ import yaml
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gridcarbon import cli, yamlscan
+from gridcarbon import cli, ingest, yamlscan
 from gridcarbon.cli import CEF_TABLE_ENV, main
 from gridcarbon.errors import GridCarbonError
 from gridcarbon.fixtures import write_fixture_csvs
@@ -321,6 +321,18 @@ def test_schedule_bare_signal(capsys, tmp_path: Path) -> None:
     assert record["hours"] == "1"
     assert record["reported_ci_avg_g_per_kwh"] == 50.0
     assert record["discrepancy_pct"] == 0.0
+
+
+def test_schedule_mix_signal_reads_the_file_once(capsys, monkeypatch, fixture_dir: Path) -> None:
+    """``schedule --signal <mix CSV>`` decides from the header line that the
+    file is not a bare signal, so only the mix read takes its text."""
+    reads = []
+    read_text = ingest._read_text
+    monkeypatch.setattr(ingest, "_read_text", lambda path: reads.append(path) or read_text(path))
+    mix = fixture_dir / "duck-curve.csv"
+    code, _ = _run(capsys, "schedule", "--signal", str(mix), "--duration", "1")
+    assert code == 0
+    assert reads == [mix]
 
 
 def test_schedule_worst_policy_and_window(capsys, tmp_path: Path) -> None:

@@ -11,12 +11,14 @@ from gridcarbon import (
     Contract,
     ContractNotCarbonFree,
     EmptyResidual,
+    EnergySource,
     GridCarbonError,
     GridMix,
     RegionDataset,
     ResidualMix,
     SourceRegistry,
     UnknownRegion,
+    UnknownSource,
     allocate_contracts,
     compute_average_ci,
     compute_residual_mix,
@@ -218,6 +220,16 @@ def test_contracts_for_fraction_series() -> None:
     assert {c.source_region for c in contracts} == {"r"}
     with pytest.raises(TypeError, match="takes a GridMix or a RegionDataset"):
         contracts_for_fraction(mixes, 0.5)
+
+
+def test_contracts_for_fraction_zero_fraction_source_must_be_registered() -> None:
+    """A source whose fraction is 0 gets no contract, but an unregistered
+    one is still an error."""
+    mix = GridMix(region="r", generation={"wind": 10.0, "coal": 5.0})
+    wind_only = SourceRegistry([EnergySource(id="wind", category="wind", cef=0.0, carbon_free=True)])
+    with pytest.raises(UnknownSource, match="coal"):
+        contracts_for_fraction(mix, 0.5, sources=wind_only)
+    assert contracts_for_fraction(mix, {"wind": 0.0, "coal": 0.0}) == ()
 
 
 def test_residual_mixes_require_residual() -> None:

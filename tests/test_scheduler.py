@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import copy
 import itertools
 import math
+import pickle
 from datetime import datetime, timedelta, timezone
 
 import pytest
@@ -24,6 +26,8 @@ from gridcarbon import (
     total_signal,
     worst_window,
 )
+
+from gridcarbon.scheduler import _Series
 
 import reference_scheduler
 
@@ -265,6 +269,75 @@ def test_shift_savings_matches_reference(case, energy, start, bad) -> None:
             expected = _outcome(_reference_savings, signal, load, from_policy, to_policy)
             actual = _outcome(shift_savings, signal, load, from_policy, to_policy)
             assert actual == expected, (from_policy, to_policy, contiguous)
+
+
+@st.composite
+def _series_cases(draw):
+    """A ``_search_cases`` case placed after a block of other values, so
+    that its window lies anywhere in the series; some values negated, and
+    a NaN or inf injected. The block may hold values 2⁴⁰ to 2⁵⁶ times the
+    case's largest, so that prefix sums from hour 0 round the window's
+    values off to a few bits and only the whole series' scale bounds that."""
+    signal, duration, window = draw(_search_cases())
+    before = draw(st.lists(st.sampled_from([0.0, 0.3, 1.0, 1e16]), max_size=20))
+    big = max(signal) * 2.0 ** draw(st.integers(min_value=40, max_value=56))
+    if math.isfinite(big):
+        before += [big] * draw(st.integers(min_value=0, max_value=3))
+    rng = draw(st.randoms(use_true_random=False))
+    if draw(st.booleans()):
+        signal = [-v if rng.random() < 0.3 else v for v in signal]
+    if window is not None:
+        window = (window[0] + len(before), window[1] + len(before))
+    signal = before + signal
+    bad = draw(st.none() | st.tuples(st.integers(min_value=0, max_value=519),
+                                     st.sampled_from([math.nan, math.inf, -math.inf])))
+    if bad is not None:
+        signal[bad[0] % len(signal)] = bad[1]
+    return signal, duration, window
+
+
+@settings(max_examples=max(300, settings.default.max_examples), deadline=None)
+@given(case=_series_cases(), start=st.integers(min_value=-1, max_value=520))
+def test_series_memo_matches_tuple_and_reference(case, start) -> None:
+    """best_window, worst_window and shift_savings (every pair of policies)
+    on a _Series, which keeps its prefix sums from one call to the next,
+    give what they give on a plain tuple and what the reference gives: the
+    same hours or saving, or the same exception class and message."""
+    values, duration, window = case
+    series, plain = _Series(values), tuple(values)
+    policies = ("best_window", "worst_window", start)
+    for contiguous in (True, False):
+        load = _load(duration, window=window, contiguous=contiguous)
+        for search in (best_window, worst_window):
+            expected = _outcome(_reference_hours, values, load, search.__name__)
+            assert _outcome(search, series, load) == _outcome(search, plain, load) == expected
+        for pair in itertools.product(policies, repeat=2):
+            expected = _outcome(_reference_savings, values, load, *pair)
+            actual = _outcome(shift_savings, series, load, *pair)
+            assert actual == _outcome(shift_savings, plain, load, *pair) == expected, pair
+
+
+def test_list_signal_changed_between_searches() -> None:
+    """A list is searched as it is at each call; nothing of it is kept."""
+    signal = [5.0, 1.0, 5.0, 5.0]
+    load = _load(2)
+    assert best_window(signal, load) == (0, 1)
+    signal[1], signal[3] = 5.0, 0.0
+    assert best_window(signal, load) == (2, 3)
+    signal[2] = math.nan
+    with pytest.raises(ValueError, match="signal value at hour 2 is not finite"):
+        best_window(signal, load)
+
+
+def test_searched_series_copies_are_plain_tuples() -> None:
+    """A searched series copies and pickles as the tuple of its values,
+    without its prefix sums, and reads as that tuple."""
+    series = total_signal(duck_curve_fixture())
+    assert repr(series) == repr(tuple(series))
+    best_window(series, _load(3))
+    for copied in (pickle.loads(pickle.dumps(series)), copy.deepcopy(series), copy.copy(series)):
+        assert type(copied) is tuple and copied == series
+    assert hash(series) == hash(tuple(series)) and isinstance(series, tuple)
 
 
 # Non-contiguous placements whose extreme values tie: (signal, duration,
