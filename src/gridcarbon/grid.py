@@ -17,9 +17,10 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from datetime import datetime
+from functools import reduce
 from itertools import repeat
 from math import inf
-from operator import mul, truediv
+from operator import add, mul, truediv
 
 from ._record import _frozen
 from .errors import EmptyMix, UnknownSource
@@ -168,6 +169,22 @@ def compute_average_ci(mix: GridMix, sources: SourceRegistry | None = None) -> f
 _Row = tuple[float, ...]
 
 
+def _sum(values: Iterable[float]) -> float:
+    """``sum(values)`` as Python 3.11 adds floats, on every Python: a left
+    fold in input order from the int ``0`` (from 3.12 on, the built-in
+    ``sum`` compensates, which rounds some float sums differently)."""
+    return reduce(add, values, 0)
+
+
+def _column_sums(columns: Sequence[Iterable[float]], steps: int) -> Iterator[float]:
+    """Per step, :func:`_sum` of the step's value in each column, in column
+    order (the int ``0`` when there are no columns)."""
+    totals: Iterator[float] = repeat(0, steps)
+    for column in columns:
+        totals = map(add, totals, column)
+    return totals
+
+
 def _rows(columns: Sequence[Iterable[float]], steps: int) -> Iterator[_Row]:
     """The per-step rows of generation columns (empty rows when there are none)."""
     return zip(*columns) if columns else repeat((), steps)
@@ -185,7 +202,7 @@ def _weighted(
     terms = [map(mul, column, repeat(cef)) for column, cef in zip(columns, cefs)]
     if scale is not None:
         terms = [map(mul, column, repeat(scale)) for column in terms]
-    return map(sum, _rows(terms, steps))
+    return _column_sums(terms, steps)
 
 
 def _step_emissions(columns: Sequence[_Row], cefs: _Row, steps: int) -> tuple[_Row, _Row]:
@@ -193,5 +210,5 @@ def _step_emissions(columns: Sequence[_Row], cefs: _Row, steps: int) -> tuple[_R
     emissions = _weighted(columns, cefs, steps, KWH_PER_MWH)
     return (
         tuple(map(truediv, emissions, repeat(KWH_PER_MWH))),
-        tuple(map(sum, _rows(columns, steps))),
+        tuple(_column_sums(columns, steps)),
     )

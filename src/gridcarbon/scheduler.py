@@ -20,7 +20,7 @@ from operator import ge, le, sub
 from ._record import _frozen
 from .contracts import _fully_contracted, _residual_dataset, contracts_for_fraction
 from .errors import EmptyMix, SignalMismatch, WindowTooShort, ZeroBaseline
-from .grid import SourceRegistry, _cefs, _weighted
+from .grid import SourceRegistry, _cefs, _column_sums, _sum, _weighted
 from .ingest import RegionDataset, check_basis, check_overflow
 
 Signal = Sequence[float]
@@ -28,23 +28,109 @@ Signal = Sequence[float]
 # Below this sum of absolute values no prefix or window sum can overflow;
 # at or above it every start of a contiguous load is summed.
 _MAX_SCALE = sys.float_info.max / 4
+# The window search keeps, per load duration, the least and the greatest
+# window sum of each block of this many consecutive starts.
+_BLOCK = 64
+# A searched series keeps the block extremes of this many durations at most;
+# the oldest goes first.
+_KEPT_DURATIONS = 8
 
 
 class _Series(tuple):
-    """A CI series of finite values >= 0 that keeps, from its first search
-    on, its prefix sums and scale; its copies and pickles are plain tuples."""
+    """A CI series of finite values >= 0 that keeps, from its first search,
+    its prefix sums, scale and block extremes; its copies and pickles are
+    plain tuples.
+
+    The prefix sums take about the series' own size (280 KB for a year of
+    hours). The block extremes take about 9 KB per load duration for a
+    year at B = ``_BLOCK`` = 64; they are kept for up to
+    ``_KEPT_DURATIONS`` = 8 durations, and a new one drops the one kept
+    longest. A contiguous search over the kept prefix costs O(T/B + B) for
+    T hours, plus O(d) for each further start within rounding error of the
+    extreme (usually none). A non-contiguous search costs what it does on
+    any sequence.
+    """
 
     def __reduce__(self):
         return tuple, (tuple(self),)
 
     @cached_property
-    def _memo(self) -> tuple[list[float], float] | None:
-        """The prefix sums from hour 0 and the sum of ``|value|``, if below ``_MAX_SCALE``."""
+    def _memo(self) -> _Prefix | None:
+        """The prefix sums from hour 0, if the sum of ``|value|`` is below ``_MAX_SCALE``."""
         try:
             scale = math.fsum(map(abs, self))
         except OverflowError:  # finite values whose sum exceeds the float range
             return None
-        return (list(accumulate(self, initial=0.0)), scale) if scale < _MAX_SCALE else None
+        return _Prefix(self, 0, scale) if scale < _MAX_SCALE else None
+
+
+class _Prefix:
+    """The prefix sums of the values of a signal from hour ``first`` on, their
+    scale (the sum of ``|value|``), and the block extremes of the window sums
+    of each duration searched: ``blocks[d]`` is (minima, maxima) over the
+    starts 0..B-1, B..2B-1, ... counted from ``first``, B = ``_BLOCK``."""
+
+    __slots__ = ("first", "scale", "prefix", "blocks")
+
+    def __init__(self, values: Signal, first: int, scale: float) -> None:
+        self.first, self.scale = first, scale
+        self.prefix = list(accumulate(values, initial=0.0))
+        self.blocks: dict[int, tuple[list[float], list[float]]] = {}
+
+    def _sums(self, i: int, j: int, d: int) -> list[float]:
+        """The window sums of duration ``d`` at the starts ``first + i`` to ``first + j - 1``."""
+        prefix = self.prefix
+        return list(map(sub, prefix[i + d : j + d], prefix[i:j]))
+
+    def _extremes(self, d: int) -> tuple[list[float], list[float]]:
+        extremes = self.blocks.get(d)
+        if extremes is None:
+            sums = self._sums(0, len(self.prefix) - d, d)
+            blocks = [sums[i : i + _BLOCK] for i in range(0, len(sums), _BLOCK)]
+            extremes = (list(map(min, blocks)), list(map(max, blocks)))
+            # Evict from a copy and bind it in one step, so a search in another
+            # thread sees either dict whole and never deletes a key twice.
+            kept = dict(self.blocks)
+            while len(kept) >= _KEPT_DURATIONS:
+                del kept[next(iter(kept))]
+            kept[d] = extremes
+            self.blocks = kept
+        return extremes
+
+    def extreme_start(self, signal: Signal, lo: int, hi: int, d: int, worst: bool) -> int:
+        """The start in ``lo..hi`` whose ``d`` hours of ``signal`` have the least
+        (``worst`` False) or greatest ``_sum``, the earliest of equal sums."""
+        # A prefix difference over these n = len(prefix) - 1 values rounds off
+        # by at most about 2n·2⁻⁵³·scale and the _sum() of the same window by
+        # d·2⁻⁵³·scale, so the two differ by less than (2n + d + 1)·2⁻⁵³·scale,
+        # and the start that _sum() ranks first lies within twice that (tol)
+        # of the prefix extreme. Only the starts that close are summed again,
+        # in start order; min and max keep the first of equal sums, as a scan
+        # of every start does, so ties go to the earliest. The extreme is read
+        # from the window sums of the partial blocks at either edge and the
+        # kept extremes of the whole blocks between them, and a whole block's
+        # sums are taken again only if its extreme lies within tol.
+        tol = 2 * (2 * (len(self.prefix) - 1) + d + 1) * 2.0**-53 * self.scale
+        pick, close = (max, ge) if worst else (min, le)
+        first, sums = self.first, self._sums
+        a, b = lo - first, hi - first
+        inner, last = a // _BLOCK + 1, b // _BLOCK  # the whole blocks: inner..last-1
+        if inner < last:
+            left, right = sums(a, inner * _BLOCK, d), sums(last * _BLOCK, b + 1, d)
+            middle = self._extremes(d)[worst][inner:last]
+            extreme = pick(pick(left), pick(right), pick(middle))
+        else:
+            left, right, middle = sums(a, b + 1, d), [], []
+            extreme = pick(left)
+        bound = extreme - tol if worst else extreme + tol
+        starts = list(compress(range(lo, hi + 1), map(close, left, repeat(bound))))
+        for k in compress(range(inner, last), map(close, middle, repeat(bound))):
+            block = sums(k * _BLOCK, k * _BLOCK + _BLOCK, d)
+            starts += compress(range(first + k * _BLOCK, hi + 1), map(close, block, repeat(bound)))
+        starts += compress(range(first + last * _BLOCK, hi + 1), map(close, right, repeat(bound)))
+        if len(starts) == 1:
+            return starts[0]
+        return pick(starts, key=lambda s: _sum(signal[s : s + d]))
 
 
 @_frozen
@@ -117,11 +203,11 @@ def _extreme_windows(signal: Signal, load: FlexibleLoad, *worst: bool) -> list[t
     duration = load.duration_hours
     memo = signal._memo if isinstance(signal, _Series) else None
     span = signal[lo : hi + duration] if memo is None or not load.contiguous else None
-    scale = _finite_scale(span, lo) if memo is None else memo[1]
-    placements = []
+    scale = _finite_scale(span, lo) if memo is None else memo.scale
     if not load.contiguous:
         # Keep every hour at or beyond the d-th extreme value, in hour
         # order; of the surplus hours tied at that value, drop the latest.
+        placements = []
         for w in worst:
             kth = (heapq.nlargest if w else heapq.nsmallest)(duration, span)[-1]
             hours = list(compress(range(lo, hi + duration), map(ge if w else le, span, repeat(kth))))
@@ -131,33 +217,14 @@ def _extreme_windows(signal: Signal, load: FlexibleLoad, *worst: bool) -> list[t
                 hours = sorted(set(hours).difference(ties[-surplus:]))
             placements.append(tuple(hours))
         return placements
-    # Every window sum from the prefix sums of the n = len(span) hours, or from those
-    # a _Series keeps: n = len(signal) hours from hour 0, scale the whole series'.
-    # A prefix difference rounds off by at most about 2n·2⁻⁵³·scale and
-    # the sum() of the same slice by d·2⁻⁵³·scale, so the two differ by
-    # less than (2n + d + 1)·2⁻⁵³·scale, and the start that sum() ranks
-    # first lies within twice that (tol) of the prefix extreme. Only the
-    # starts that close (the extreme's alone if the runner-up is farther)
-    # are summed again, in start order; min and max keep the first of
-    # equal sums, as a scan of every start does, so ties go to the earliest.
-    starts = range(lo, hi + 1)
     if scale < _MAX_SCALE:
-        prefix = list(accumulate(span, initial=0.0)) if memo is None else memo[0][lo : hi + duration + 1]
-        n = len(span) if memo is None else len(signal)
-        sums = list(map(sub, prefix[duration:], prefix))
-        tol = 2 * (2 * n + duration + 1) * 2.0**-53 * scale
-    for w in worst:
-        candidates = starts
-        if scale < _MAX_SCALE:
-            extreme, *runner_up = (heapq.nlargest if w else heapq.nsmallest)(2, sums)
-            bound, close = (extreme - tol, ge) if w else (extreme + tol, le)
-            if runner_up and close(runner_up[0], bound):
-                candidates = compress(starts, map(close, sums, repeat(bound)))
-            else:
-                candidates = (lo + sums.index(extreme),)
-        best_start = (max if w else min)(candidates, key=lambda s: sum(signal[s : s + duration]))
-        placements.append(tuple(range(best_start, best_start + duration)))
-    return placements
+        prefix = _Prefix(span, lo, scale) if memo is None else memo
+        starts = [prefix.extreme_start(signal, lo, hi, duration, w) for w in worst]
+    else:
+        starts = [
+            (max if w else min)(range(lo, hi + 1), key=lambda s: _sum(signal[s : s + duration])) for w in worst
+        ]
+    return [tuple(range(start, start + duration)) for start in starts]
 
 
 def best_window(signal: Signal, load: FlexibleLoad) -> tuple[int, ...]:
@@ -166,13 +233,16 @@ def best_window(signal: Signal, load: FlexibleLoad) -> tuple[int, ...]:
     Contiguous loads get the minimum-sum start (ties go to the earliest
     start); non-contiguous loads get the individually cheapest hours
     (ties go to the earlier hour). For a contiguous load the search is
-    O(T) in the T allowed hours: one prefix-sum pass, then ``sum`` over
+    O(T) in the T allowed hours: one prefix-sum pass, then a sum over
     only the starts within rounding error of the minimum (one, unless
-    windows nearly tie). A non-contiguous load keeps the hours at or
-    below its d-th cheapest value, which takes O(T log d). Both pick
-    the same hours as summing every window and keeping the first. A series
-    from :func:`total_signal` or :func:`residual_signal` keeps its prefix sums, so
-    searching it again costs one subtraction pass over the allowed starts plus the extreme.
+    windows nearly tie). A series from :func:`total_signal` or
+    :func:`residual_signal` keeps, from its first search, its prefix sums
+    and, per duration, the least and greatest window sum of each block of
+    ``_BLOCK`` starts (sizes and bound in ``_Series``); a contiguous search
+    of it then costs O(T/B + B) in its T hours. A non-contiguous load keeps
+    the hours at or below its d-th cheapest value, which takes O(T log d)
+    on any sequence. Both pick the same hours as summing every window and
+    keeping the first.
 
     Raises:
         WindowTooShort: if the window cannot fit the load.
@@ -230,8 +300,8 @@ def evaluate_schedule(
     for hour in hours:
         if not 0 <= hour < len(reported_signal):
             raise SignalMismatch(f"hour {hour} outside signal of length {len(reported_signal)}")
-    reported_sum = sum(reported_signal[h] for h in hours)
-    actual_sum = sum(actual_signal[h] for h in hours)
+    reported_sum = _sum(reported_signal[h] for h in hours)
+    actual_sum = _sum(actual_signal[h] for h in hours)
     if not math.isfinite(reported_sum + actual_sum):  # finite sums need no scan
         for hour in hours:
             for value in (reported_signal[hour], actual_signal[hour]):
@@ -319,8 +389,8 @@ def shift_savings(
         from_hours, to_hours = _extreme_windows(signal, load, *worst)
     else:
         from_hours, to_hours = (_policy_hours(signal, load, p) for p in policies)
-    from_emissions = _emissions(load, sum(signal[h] for h in from_hours))
-    to_emissions = _emissions(load, sum(signal[h] for h in to_hours))
+    from_emissions = _emissions(load, _sum(signal[h] for h in from_hours))
+    to_emissions = _emissions(load, _sum(signal[h] for h in to_hours))
     if from_emissions == 0:
         raise ZeroBaseline("baseline placement emits nothing; savings undefined")
     return 100.0 * (from_emissions - to_emissions) / from_emissions
@@ -329,9 +399,9 @@ def shift_savings(
 def _ci_steps(dataset: RegionDataset, sources: SourceRegistry) -> tuple[float | None, ...]:
     """:func:`~gridcarbon.grid.compute_average_ci` of each step, ``None`` for a step
     without energy; a ValueError names the first step whose sums overflow."""
-    totals = tuple(map(sum, dataset.rows()))
+    totals = tuple(_column_sums(dataset.columns, len(dataset)))
     weighted = tuple(_weighted(dataset.columns, _cefs(dataset.source_ids, sources), len(dataset)))
-    check_overflow(dataset, sum(totals) + sum(weighted), map(max, totals, weighted))
+    check_overflow(dataset, _sum(totals) + _sum(weighted), map(max, totals, weighted))
     return tuple(w / total if total > 0 else None for w, total in zip(weighted, totals))
 
 
@@ -348,7 +418,7 @@ def _signal(
     signal = _ci_steps(dataset, sources)
     if None in signal:
         step = signal.index(None)
-        if uncontracted is not None and sum(c[step] for c in uncontracted.columns) > 0:
+        if uncontracted is not None and _sum(c[step] for c in uncontracted.columns) > 0:
             raise _fully_contracted(dataset.region, step)
         raise EmptyMix(f"carbon intensity undefined for empty mix in region {dataset.region!r}")
     return _Series(signal)
@@ -359,8 +429,9 @@ def total_signal(
     sources: SourceRegistry | None = None,
     basis: str = "cef",
 ) -> tuple[float, ...]:
-    """Per-step total-mix CI series (the public, unadjusted signal). Once
-    searched, it keeps its prefix sums: about its own size, 280 KB a year."""
+    """Per-step total-mix CI series (the public, unadjusted signal). From its
+    first search it keeps its prefix sums and block extremes, whose sizes
+    the ``_Series`` docstring gives."""
     check_basis(dataset, basis)
     if basis == "published":
         return _Series(dataset.published_ci)
@@ -374,7 +445,7 @@ def residual_signal(
     sources: SourceRegistry | None = None,
 ) -> tuple[float, ...]:
     """Per-step residual CI series with a fraction of generation contracted.
-    Once searched, it keeps its prefix sums: about its own size, 280 KB a year.
+    It keeps what a searched :func:`total_signal` keeps.
 
     Raises:
         EmptyResidual: if any step becomes fully contracted.

@@ -39,8 +39,8 @@ def _read_yaml(stream, name: str):
     maybe`` raises ``KeyError``, ``!!int ""`` ``IndexError``) is one
     :class:`SchemaError` naming the input; YAML syntax errors and I/O
     errors pass through unchanged. A document that nests more than
-    ``_C_NESTING`` levels deep goes to the pure-Python loader, whose
-    RecursionError becomes this SchemaError.
+    ``_C_NESTING`` levels deep is this SchemaError, naming the
+    RecursionError that PyYAML's pure-Python composer would raise on it.
     """
     try:
         text = stream.read()
@@ -48,12 +48,12 @@ def _read_yaml(stream, name: str):
             return _Scanner(text).document()
         except _Declined:
             pass
+        if _could_nest_deeper(text, _C_NESTING):
+            raise RecursionError(f"collections nest more than {_C_NESTING} levels deep")
         import yaml
 
         source = io.StringIO(text)
         source.name = getattr(stream, "name", "<file>")  # which YAML error marks name
-        if _could_nest_deeper(text, _C_NESTING):
-            return yaml.load(source, Loader=yaml.SafeLoader)
         return yaml.load(source, Loader=_loader())
     except OSError:
         raise

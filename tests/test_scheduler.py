@@ -1,10 +1,14 @@
 from __future__ import annotations
 
+import builtins
 import copy
 import itertools
 import math
 import pickle
 from datetime import datetime, timedelta, timezone
+from functools import reduce
+from operator import add
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -27,6 +31,7 @@ from gridcarbon import (
     worst_window,
 )
 
+from gridcarbon import scheduler
 from gridcarbon.scheduler import _Series
 
 import reference_scheduler
@@ -315,6 +320,101 @@ def test_series_memo_matches_tuple_and_reference(case, start) -> None:
             expected = _outcome(_reference_savings, values, load, *pair)
             actual = _outcome(shift_savings, series, load, *pair)
             assert actual == _outcome(shift_savings, plain, load, *pair) == expected, pair
+
+
+@st.composite
+def _block_cases(draw):
+    """A block size, a signal of up to five blocks (or shorter than one), and
+    a list of (duration, start window) searches: more durations than a series
+    keeps, then the first ones again, each with windows whose edges sit one
+    before, at or one after a block boundary. Signals are random, or a
+    constant with bumps of a few ulps in several blocks, so that windows
+    nearly tie across blocks."""
+    block = draw(st.sampled_from([3, 5, scheduler._BLOCK]))
+    rng = draw(st.randoms(use_true_random=False))
+    length = draw(st.integers(min_value=1, max_value=5 * block + 2))
+    if draw(st.booleans()):
+        signal = [rng.uniform(0.0, 1000.0) for _ in range(length)]
+    else:
+        base = rng.choice([0.1, 1.0, 0.7, 123.456])
+        signal = [base] * length
+        for hour in rng.sample(range(length), min(length, rng.randint(1, 6))):
+            signal[hour] = base + rng.choice([-2, -1, 1, 2]) * math.ulp(base)
+    edges = sorted({k * block + offset for k in range(length // block + 2) for offset in (-1, 0, 1)})
+    searches = []
+    durations = list(range(1, min(length, scheduler._KEPT_DURATIONS + 3) + 1))
+    rng.shuffle(durations)
+    for duration in durations + durations[:3]:
+        fits = [edge for edge in edges if 0 <= edge <= length - duration]
+        lo = draw(st.sampled_from(fits))
+        hi = draw(st.sampled_from([edge for edge in fits if edge >= lo]))
+        searches.append((duration, draw(st.sampled_from([None, (lo, hi)]))))
+    return block, signal, searches
+
+
+@settings(deadline=None)
+@given(case=_block_cases())
+def test_block_boundaries_match_reference(case) -> None:
+    """best_window and worst_window against the reference on a _Series (after
+    a first search, so that its prefix and block extremes are kept, and
+    across their eviction) and on a plain tuple, at block edges."""
+    block, values, searches = case
+    with mock.patch.object(scheduler, "_BLOCK", block):
+        series, plain = _Series(values), tuple(values)
+        best_window(series, _load(1))
+        assert "_memo" in series.__dict__
+        for duration, window in searches:
+            load = _load(duration, window=window)
+            for search, worst in ((best_window, False), (worst_window, True)):
+                expected = reference_scheduler._extreme_window(values, load, worst)
+                assert search(series, load) == search(plain, load) == expected, (duration, window, worst)
+        assert len(series._memo.blocks) <= scheduler._KEPT_DURATIONS
+
+
+def _neumaier_sum(values, start=0):
+    """The built-in sum() of Python 3.12 and later: floats added with
+    Neumaier's compensation."""
+    total, compensation, floats = start, 0.0, False
+    for value in values:
+        if not floats:
+            total = total + value
+            floats = isinstance(total, float)
+            continue
+        sum_ = total + value
+        if abs(total) >= abs(value):
+            compensation += (total - sum_) + value
+        else:
+            compensation += (value - sum_) + total
+        total = sum_
+    return total + compensation if floats and compensation and math.isfinite(compensation) else total
+
+
+def _scheduler_results():
+    # 0.1 + 0.2 + 0.3 and 0.3 + 0.2 + 0.1 differ by a left fold and tie when
+    # compensated, and so do ten times 0.1 and 1.0, so each result below
+    # changes with the rule; so does this mix's total of 1.7 MWh.
+    signal = [0.1, 0.2, 0.3, 0.2, 0.1] + [0.1] * 10
+    mixes = tuple(GridMix(region="r", generation={"wind": 0.1, "solar": 0.3, "coal": 1.1, "gas": 0.2},
+                          timestamp=datetime(2022, 6, 1, h, tzinfo=timezone.utc)) for h in range(3))
+    return (
+        best_window(signal, _load(3, window=(0, 2))),
+        worst_window(_Series([0.3, 0.2, 0.1, 0.2, 0.3]), _load(3)),
+        evaluate_schedule(tuple(range(5, 15)), _load(10), signal, [0.3] * 15),
+        shift_savings(signal, _load(10), from_policy=5, to_policy=0),
+        total_signal(RegionDataset(region="r", mixes=mixes)),
+    )
+
+
+def test_results_do_not_depend_on_builtin_sum() -> None:
+    """The scheduler adds floats as Python 3.11's sum() does, on every Python:
+    with the built-in sum() compensated, as from 3.12 on, its results are
+    those it gives with sum() a plain left fold."""
+    assert reduce(add, [0.1] * 10, 0) != _neumaier_sum([0.1] * 10)
+    with mock.patch.object(builtins, "sum", lambda values, start=0: reduce(add, values, start)):
+        folded = _scheduler_results()
+    with mock.patch.object(builtins, "sum", _neumaier_sum):
+        compensated = _scheduler_results()
+    assert compensated == folded
 
 
 def test_list_signal_changed_between_searches() -> None:
