@@ -37,7 +37,7 @@ from typing import NamedTuple
 from ._record import _Fresh, _frozen
 from .errors import ContractNotCarbonFree, EmptyResidual, UnknownRegion
 from .factors import check_categories
-from .grid import GridMix, SourceRegistry
+from .grid import GridMix, SourceRegistry, _column_sums, _sum
 from .ingest import LoadSummary, RegionDataset
 
 PHYSICAL_KINDS = frozenset({"physical_onsite", "physical_offsite"})
@@ -122,7 +122,7 @@ class ResidualMix:
 
     @property
     def total_removed(self) -> float:
-        return sum(self.removed.values())
+        return _sum(self.removed.values())
 
 
 def compute_residual_mix(
@@ -344,11 +344,12 @@ def _remove_contracted(
     ``energy_at(step)``, read after its carbon-free check.
 
     For each contracted source, in order of its first contract, the
-    claim of a step is its contracts' energy summed with the built-in
-    ``sum``, in contract order. ``removed`` is the claim when it is at
-    most the generation, and otherwise the generation: the source is
-    over-contracted at that step (claimed > removed). The residual is
-    ``g - removed``, which keeps ``g`` when nothing is removed.
+    claim of a step is its contracts' energy added in contract order by
+    the one summation rule, :func:`gridcarbon.grid._column_sums`.
+    ``removed`` is the claim when it is at most the generation, and
+    otherwise the generation: the source is over-contracted at that step
+    (claimed > removed). The residual is ``g - removed``, which keeps
+    ``g`` when nothing is removed.
 
     Raises:
         ContractNotCarbonFree: if a contract of the region targets a
@@ -382,7 +383,7 @@ def _remove_contracted(
     removals: dict[str, _Removal] = {}
     for source_id, claims in by_source.items():
         generation = column(source_id)
-        claimed = tuple(map(sum, zip(*(energy for _, energy in claims))))
+        claimed = _column_sums([energy for _, energy in claims], len(generation))
         removed = tuple(map(min, claimed, generation))
         # max(g - removed, 0.0) is g - removed bit for bit, as removed <= g.
         residual = tuple(map(sub, generation, removed))

@@ -29,6 +29,28 @@ from .factors import CARBON_FREE_CATEGORIES, DEFAULT_CEF, SOURCE_CATEGORIES, che
 KWH_PER_MWH = 1000.0
 
 
+# The one summation rule: every sum of floats that reaches an output (MWh,
+# contract claims, emissions, CI ratios) is a _sum or a _column_sums, here
+# or in the modules that import them, so it is the same float on every Python.
+
+
+def _sum(values: Iterable[float]) -> float:
+    """``sum(values)`` as Python 3.11 adds floats, on every Python: a left
+    fold in input order from the int ``0`` (from 3.12 on, the built-in
+    ``sum`` compensates, which rounds some float sums differently)."""
+    return reduce(add, values, 0)
+
+
+def _column_sums(columns: Iterable[Iterable[float]], steps: int) -> tuple[float, ...]:
+    """Per step, :func:`_sum` of the step's value in each column, in column
+    order (the int ``0`` when there are no columns). Each partial total is
+    kept as a tuple, so any number of columns adds without nesting iterators."""
+    totals: tuple[float, ...] = (0,) * steps
+    for column in columns:
+        totals = tuple(map(add, totals, column))
+    return totals
+
+
 @_frozen
 class EnergySource:
     """A generation source with its carbon emission factor.
@@ -120,13 +142,11 @@ class GridMix:
     @property
     def total_energy(self) -> float:
         """Total generation in MWh."""
-        return sum(self.generation.values())
+        return _sum(self.generation.values())
 
     def carbon_free_energy(self, sources: SourceRegistry) -> float:
         """Generation from carbon-free sources, in MWh."""
-        return sum(
-            mwh for source_id, mwh in self.generation.items() if sources.get(source_id).carbon_free
-        )
+        return _sum(mwh for source_id, mwh in self.generation.items() if sources.get(source_id).carbon_free)
 
 
 def total_emissions(mix: GridMix, sources: SourceRegistry | None = None) -> float:
@@ -135,10 +155,12 @@ def total_emissions(mix: GridMix, sources: SourceRegistry | None = None) -> floa
     Generation is in MWh and CEFs in g/kWh, hence the factor of 1000.
     """
     sources = SourceRegistry.default() if sources is None else sources
-    return sum(
-        mwh * sources.get(source_id).cef * KWH_PER_MWH
-        for source_id, mwh in mix.generation.items()
-    )
+    return _sum(mwh * sources.get(source_id).cef * KWH_PER_MWH for source_id, mwh in mix.generation.items())
+
+
+def _weighted_mwh(mix: GridMix, sources: SourceRegistry) -> float:
+    """Σ MWh · CEF of a mix (MWh · g/kWh), the numerator of :func:`compute_average_ci`."""
+    return _sum(mwh * sources.get(source_id).cef for source_id, mwh in mix.generation.items())
 
 
 def compute_average_ci(mix: GridMix, sources: SourceRegistry | None = None) -> float:
@@ -155,34 +177,15 @@ def compute_average_ci(mix: GridMix, sources: SourceRegistry | None = None) -> f
     total = mix.total_energy
     if total <= 0:
         raise EmptyMix(f"carbon intensity undefined for empty mix in region {mix.region!r}")
-    weighted = sum(
-        mwh * sources.get(source_id).cef for source_id, mwh in mix.generation.items()
-    )
-    return weighted / total
+    return _weighted_mwh(mix, sources) / total
 
 
 # Per-step helpers over generation columns: one float tuple per source id,
-# all of the series' length. Each keeps the per-mix expression above, term
-# for term and in column order, so a series computed on columns gives the
-# same floats as the same mixes computed one by one.
+# all of the series' length. Each adds the per-mix expression's terms in
+# column order with _column_sums, the one summation rule above, so a series
+# computed on columns gives the same floats as the same mixes one by one.
 
 _Row = tuple[float, ...]
-
-
-def _sum(values: Iterable[float]) -> float:
-    """``sum(values)`` as Python 3.11 adds floats, on every Python: a left
-    fold in input order from the int ``0`` (from 3.12 on, the built-in
-    ``sum`` compensates, which rounds some float sums differently)."""
-    return reduce(add, values, 0)
-
-
-def _column_sums(columns: Sequence[Iterable[float]], steps: int) -> Iterator[float]:
-    """Per step, :func:`_sum` of the step's value in each column, in column
-    order (the int ``0`` when there are no columns)."""
-    totals: Iterator[float] = repeat(0, steps)
-    for column in columns:
-        totals = map(add, totals, column)
-    return totals
 
 
 def _rows(columns: Sequence[Iterable[float]], steps: int) -> Iterator[_Row]:
@@ -195,10 +198,8 @@ def _cefs(source_ids: Iterable[str], sources: SourceRegistry) -> _Row:
     return tuple(sources.get(source_id).cef for source_id in source_ids)
 
 
-def _weighted(
-    columns: Sequence[_Row], cefs: _Row, steps: int, scale: float | None = None
-) -> Iterator[float]:
-    """Per step, sum(mwh * cef) in column order, or sum(mwh * cef * scale)."""
+def _weighted(columns: Sequence[_Row], cefs: _Row, steps: int, scale: float | None = None) -> _Row:
+    """Per step, the :func:`_column_sums` of mwh * cef, or of mwh * cef * scale."""
     terms = [map(mul, column, repeat(cef)) for column, cef in zip(columns, cefs)]
     if scale is not None:
         terms = [map(mul, column, repeat(scale)) for column in terms]
@@ -210,5 +211,5 @@ def _step_emissions(columns: Sequence[_Row], cefs: _Row, steps: int) -> tuple[_R
     emissions = _weighted(columns, cefs, steps, KWH_PER_MWH)
     return (
         tuple(map(truediv, emissions, repeat(KWH_PER_MWH))),
-        tuple(_column_sums(columns, steps)),
+        _column_sums(columns, steps),
     )

@@ -39,7 +39,7 @@ from .attribution import METHODS, AttributionReport, Consumer, build_report
 from .contracts import CONTRACT_KINDS, PHYSICAL_KINDS, Contract
 from .errors import ScenarioInvalid, SchemaError
 from .factors import SOURCE_CATEGORIES
-from .grid import GridMix, SourceRegistry
+from .grid import GridMix, SourceRegistry, _weighted_mwh
 from .yamlscan import _read_yaml
 
 _SCENARIO_DIR = "data/scenarios"
@@ -212,10 +212,10 @@ def parse_scenario(data: Any, name_hint: str = "<scenario>") -> Scenario:
             generation[source_id] = _number(
                 mwh, f"{prefix}.generation.{source_id}", minimum=0.0
             )
-        weighted = sum(mwh * sources.get(source_id).cef for source_id, mwh in generation.items())
-        if not isfinite(sum(generation.values())) or not isfinite(weighted):
+        mix = GridMix(region=region, generation=generation)
+        if not isfinite(mix.total_energy) or not isfinite(_weighted_mwh(mix, sources)):
             _fail(f"{prefix}.generation", "total generation or its MWh times CEF overflows")
-        mixes[region] = GridMix(region=region, generation=generation)
+        mixes[region] = mix
         if "demand_mwh" in body:
             demand = _number(body["demand_mwh"], f"{prefix}.demand_mwh", minimum=0.0)
             if demand == 0:

@@ -399,8 +399,8 @@ def shift_savings(
 def _ci_steps(dataset: RegionDataset, sources: SourceRegistry) -> tuple[float | None, ...]:
     """:func:`~gridcarbon.grid.compute_average_ci` of each step, ``None`` for a step
     without energy; a ValueError names the first step whose sums overflow."""
-    totals = tuple(_column_sums(dataset.columns, len(dataset)))
-    weighted = tuple(_weighted(dataset.columns, _cefs(dataset.source_ids, sources), len(dataset)))
+    totals = _column_sums(dataset.columns, len(dataset))
+    weighted = _weighted(dataset.columns, _cefs(dataset.source_ids, sources), len(dataset))
     check_overflow(dataset, _sum(totals) + _sum(weighted), map(max, totals, weighted))
     return tuple(w / total if total > 0 else None for w, total in zip(weighted, totals))
 

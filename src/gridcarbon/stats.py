@@ -17,7 +17,7 @@ from ._record import _frozen
 from .contracts import _fully_contracted, _residual_dataset, contracts_for_fraction
 from .errors import EmptyFleet, EmptyMix, GridCarbonError, ZeroBaseline
 from .factors import check_categories
-from .grid import SourceRegistry, _cefs, _step_emissions
+from .grid import SourceRegistry, _cefs, _column_sums, _step_emissions, _sum
 from .ingest import RegionDataset, check_basis, check_overflow
 
 SOLAR_WIND = ("solar", "wind")
@@ -66,21 +66,18 @@ def penetration(
     sources = SourceRegistry.default() if sources is None else sources
     wanted = set(categories)
     mask = tuple(sources.get(source_id).category in wanted for source_id in dataset.source_ids)
-    total = 0.0
-    selected = 0.0
-    ratios = []
-    for row in dataset.rows():
-        step_total = sum(row)
-        step_selected = sum(compress(row, mask))
-        total += step_total
-        selected += step_selected
-        if step_total > 0:
-            ratios.append(step_selected / step_total)
-    check_overflow(dataset, total, accumulate(map(sum, dataset.rows())))
+    totals = _column_sums(dataset.columns, len(dataset))
+    selected_totals = _column_sums(compress(dataset.columns, mask), len(dataset))
+    # Both sums start from the int 0; float() keeps the record's fields floats
+    # when no column is selected.
+    total = float(_sum(totals))
+    selected = float(_sum(selected_totals))
+    check_overflow(dataset, total, accumulate(totals))
     if total <= 0:
         raise EmptyMix(f"dataset for region {dataset.region!r} has no generation")
     if per_hour_mean:
-        pct = 100.0 * sum(ratios) / len(ratios)
+        ratios = [part / whole for part, whole in zip(selected_totals, totals) if whole > 0]
+        pct = 100.0 * _sum(ratios) / len(ratios)
     else:
         pct = 100.0 * selected / total
     return PenetrationStat(
@@ -133,11 +130,8 @@ def penetration_fleet(
 def _weighted_ci(dataset: RegionDataset, emissions: Sequence[float], energy: Sequence[float]) -> float | None:
     """The one period reduction: total emissions over total energy of the dataset's steps
     (MWh · g/kWh, MWh), or ``None`` without energy; a ValueError names where one overflows."""
-    total_emissions = 0.0
-    total_energy = 0.0
-    for step_emissions, step_energy in zip(emissions, energy):
-        total_emissions += step_emissions
-        total_energy += step_energy
+    total_emissions = _sum(emissions)
+    total_energy = _sum(energy)
     running = map(max, accumulate(emissions), accumulate(energy))
     check_overflow(dataset, total_emissions + total_energy, running)
     return total_emissions / total_energy if total_energy > 0 else None
@@ -172,7 +166,7 @@ def period_ci(
     check_basis(dataset, basis)
     if basis == "cef":
         return _period(dataset, energy_weighted_ci(dataset, sources))
-    totals = tuple(map(sum, dataset.rows()))
+    totals = _column_sums(dataset.columns, len(dataset))
     emissions = tuple(map(mul, totals, dataset.published_ci))
     return _period(dataset, _weighted_ci(dataset, emissions, totals))
 
@@ -201,11 +195,11 @@ def period_residual_ci(
         cefs = _cefs(residual.source_ids, sources)
         emissions, energy = _step_emissions(residual.columns, cefs, len(residual))
     else:
-        emissions = tuple(map(mul, map(sum, dataset.rows()), dataset.published_ci))
-        energy = tuple(map(sum, residual.rows()))
+        emissions = tuple(map(mul, _column_sums(dataset.columns, len(dataset)), dataset.published_ci))
+        energy = _column_sums(residual.columns, len(residual))
     if min(energy, default=1.0) <= 0:
         for step, step_energy in enumerate(energy):
-            if step_energy <= 0 and sum(column[step] for column in dataset.columns) > 0:
+            if step_energy <= 0 and _sum(column[step] for column in dataset.columns) > 0:
                 raise _fully_contracted(dataset.region, step)
     return _period(dataset, _weighted_ci(dataset, emissions, energy))
 

@@ -1,6 +1,8 @@
 """The single-step contract allocation as it stood before it was folded into
 ``contracts._remove_contracted``: ``_allocate`` and ``compute_residual_mix``,
-copied verbatim.
+copied verbatim but for the built-in ``sum``, which is :func:`folded_sum`,
+the sum() of Python 3.11 they were written on, so they read the same on
+every Python.
 
 The ``_reference_*`` functions of the attribution and column tests allocate
 through these copies, so they stay independent of the kernel they check,
@@ -14,6 +16,8 @@ from collections.abc import Sequence
 from gridcarbon.contracts import Contract, ResidualMix
 from gridcarbon.errors import ContractNotCarbonFree
 from gridcarbon.grid import GridMix, SourceRegistry
+
+from reference_sum import folded_sum
 
 
 def _allocate(
@@ -45,7 +49,7 @@ def _allocate(
     removed: dict[str, float] = {}
     over_contracted: set[str] = set()
     for source_id, source_claims in claims.items():
-        total_claim = sum(amount for _, amount in source_claims)
+        total_claim = folded_sum(amount for _, amount in source_claims)
         available = mix.generation.get(source_id, 0.0)
         if total_claim <= available:
             removed_amount = total_claim

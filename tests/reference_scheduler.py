@@ -1,8 +1,9 @@
 """The window search as it stood before the prefix-sum search replaced it:
 ``_start_bounds`` and ``_extreme_window`` from ``gridcarbon.scheduler``,
-copied verbatim.
+copied verbatim but for the built-in ``sum``, which is :func:`folded_sum`,
+the sum() of Python 3.11 they were written on.
 
-It sums every allowed window with ``sum`` and keeps the first extreme, so
+It sums every allowed window and keeps the first extreme, so
 ``test_scheduler`` pins ``best_window`` and ``worst_window`` to it choice
 for choice.
 """
@@ -13,6 +14,8 @@ from collections.abc import Sequence
 
 from gridcarbon.errors import WindowTooShort
 from gridcarbon.scheduler import FlexibleLoad
+
+from reference_sum import folded_sum
 
 Signal = Sequence[float]
 
@@ -37,7 +40,7 @@ def _extreme_window(signal: Signal, load: FlexibleLoad, worst: bool) -> tuple[in
         best_start = None
         best_sum = None
         for start in range(lo, hi + 1):
-            cost = sum(signal[start : start + duration])
+            cost = folded_sum(signal[start : start + duration])
             better = best_sum is None or (cost > best_sum if worst else cost < best_sum)
             if better:
                 best_start, best_sum = start, cost

@@ -49,6 +49,8 @@ from gridcarbon import (
 from gridcarbon.cli import main as cli_main
 from gridcarbon.stats import inflation_pct
 
+from reference_sum import folded_sum
+
 SOURCES = SourceRegistry.default()
 
 
@@ -191,7 +193,7 @@ def test_criterion_4_scheduler_brute_force() -> None:
             load = FlexibleLoad(energy_per_hour_kwh=1.0, duration_hours=duration)
             expected_start = min(
                 range(length - duration + 1),
-                key=lambda s: (sum(signal[s : s + duration]), s),
+                key=lambda s: (folded_sum(signal[s : s + duration]), s),
             )
             expected = tuple(range(expected_start, expected_start + duration))
             assert best_window(signal, load) == expected

@@ -3,7 +3,9 @@
 ``RegionDataset`` stores one float tuple per source, and every per-step
 quantity of a dataset is a loop over those columns. The ``_reference_*``
 functions below are the per-``GridMix`` implementations they replaced,
-copied as they were. On random datasets the two must agree bit for bit
+copied as they were but for the built-in ``sum``, which is
+``reference_sum.folded_sum`` (the sum() of Python 3.11, where they were
+written), so they agree on every Python. On random datasets the two must agree bit for bit
 (``float.hex``), or raise the same exception type with the same message.
 """
 
@@ -53,6 +55,7 @@ from gridcarbon.scheduler import _ci_steps, residual_signal, total_signal
 from gridcarbon.stats import energy_weighted_ci, penetration, period_ci, period_residual_ci
 
 import reference_allocation
+from reference_sum import folded_sum
 
 # --- verbatim copies of the per-mix code ------------------------------------------
 
@@ -284,7 +287,7 @@ def _reference_period_residual_ci(
 def _reference_energy_for_categories(mix: GridMix, categories: Iterable[str], sources: SourceRegistry) -> float:
     """Generation from sources in the given categories, in MWh."""
     wanted = set(categories)
-    return sum(
+    return folded_sum(
         mwh
         for source_id, mwh in mix.generation.items()
         if sources.get(source_id).category in wanted
@@ -307,7 +310,7 @@ def _reference_penetration(dataset, categories=("solar", "wind"), sources=None, 
     if total <= 0:
         raise EmptyMix(f"dataset for region {dataset.region!r} has no generation")
     if per_hour_mean:
-        pct = 100.0 * sum(ratios) / len(ratios)
+        pct = 100.0 * folded_sum(ratios) / len(ratios)
     else:
         pct = 100.0 * selected / total
     return (dataset.region, total, selected, pct)

@@ -31,6 +31,7 @@ from gridcarbon.fixtures import fixture_datasets, write_fixture_csvs
 from gridcarbon.ingest import load_region_csv
 
 import reference_allocation
+from reference_sum import folded_sum
 
 
 def _residual_ci(mix: GridMix, contracts: list[Contract]) -> float:
@@ -262,8 +263,9 @@ def test_residual_mixes_need_one_entry_per_step() -> None:
 
 
 def test_residual_mixes_sum_claims_in_contract_order() -> None:
-    """A source's claims add up with the built-in ``sum`` in contract order,
-    as compute_residual_mix does (``sum`` compensates from Python 3.12 on)."""
+    """A source's claims add up as a left fold from 0 in contract order, as
+    compute_residual_mix does, on every Python (the built-in ``sum``
+    compensates from Python 3.12 on)."""
     mix = GridMix(region="r", generation={"wind": 10.0, "coal": 1.0})
     contracts = [
         Contract(id=f"c{i}", buyer="b", kind="rec", source_id="wind",
@@ -271,7 +273,7 @@ def test_residual_mixes_sum_claims_in_contract_order() -> None:
         for i, e in enumerate((0.1, 0.2, 0.3))
     ]
     (removed,) = _series_bits([mix], contracts)[0][1]
-    assert removed == ("wind", sum((0.1, 0.2, 0.3)).hex())
+    assert removed == ("wind", folded_sum((0.1, 0.2, 0.3)).hex())
     assert (0.1 + 0.2) + 0.3 != (0.3 + 0.2) + 0.1
     assert [removed] == _bits(compute_residual_mix(mix, contracts))[1]
 

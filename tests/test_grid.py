@@ -20,6 +20,7 @@ from gridcarbon import (
     total_emissions,
     total_signal,
 )
+from gridcarbon.grid import _column_sums
 
 
 def test_energy_source_rejects_unknown_category() -> None:
@@ -119,6 +120,8 @@ def test_average_ci_empty_mix(sources: SourceRegistry) -> None:
         compute_average_ci(GridMix(region="r", generation={}), sources)
     with pytest.raises(EmptyMix):
         compute_average_ci(GridMix(region="r", generation={"wind": 0.0}), sources)
+    with pytest.raises(EmptyMix):  # before any source is looked up
+        compute_average_ci(GridMix(region="r", generation={"diesel": 0.0}), sources)
 
 
 def test_average_ci_unknown_source(sources: SourceRegistry) -> None:
@@ -129,6 +132,14 @@ def test_average_ci_unknown_source(sources: SourceRegistry) -> None:
 def test_total_emissions_unit_conversion(toy: GridMix, sources: SourceRegistry) -> None:
     # 500 MWh of coal at 1000 g/kWh = 5e8 grams.
     assert total_emissions(toy, sources) == 500_000_000.0
+
+
+def test_column_sums_take_any_number_of_columns() -> None:
+    """Each partial total is a tuple, not an iterator nested in the next, so
+    300 000 columns (one source's contracts, say) add without overflowing
+    the C stack."""
+    assert _column_sums([(0.5, 1.0)] * 300_000, 2) == (150_000.0, 300_000.0)
+    assert _column_sums([], 3) == (0, 0, 0)
 
 
 def test_carbon_intensity_is_a_float(toy: GridMix) -> None:

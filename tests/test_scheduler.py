@@ -1,13 +1,10 @@
 from __future__ import annotations
 
-import builtins
 import copy
 import itertools
 import math
 import pickle
 from datetime import datetime, timedelta, timezone
-from functools import reduce
-from operator import add
 from unittest import mock
 
 import pytest
@@ -35,6 +32,7 @@ from gridcarbon import scheduler
 from gridcarbon.scheduler import _Series
 
 import reference_scheduler
+from reference_sum import folded_sum, neumaier_sum, under_each_sum
 
 
 def _load(duration: int = 1, energy: float = 1000.0, window=None,
@@ -125,7 +123,7 @@ def test_contiguous_matches_brute_force(signal, duration) -> None:
     load = _load(duration)
     expected = min(
         range(len(signal) - duration + 1),
-        key=lambda s: (sum(signal[s : s + duration]), s),
+        key=lambda s: (folded_sum(signal[s : s + duration]), s),
     )
     assert best_window(signal, load) == tuple(range(expected, expected + duration))
 
@@ -142,7 +140,7 @@ def test_non_contiguous_matches_brute_force(signal, duration) -> None:
     load = _load(duration, contiguous=False)
     expected = min(
         itertools.combinations(range(len(signal)), duration),
-        key=lambda hours: (sum(signal[h] for h in hours), hours),
+        key=lambda hours: (folded_sum(signal[h] for h in hours), hours),
     )
     assert best_window(signal, load) == expected
 
@@ -233,7 +231,7 @@ def _reference_savings(signal, load, from_policy, to_policy) -> float:
     to_hours = _reference_hours(signal, load, to_policy)
     emissions = []
     for hours in (from_hours, to_hours):
-        ci_sum = sum(signal[h] for h in hours)
+        ci_sum = folded_sum(signal[h] for h in hours)
         if not math.isfinite(ci_sum):
             raise ValueError("the signal values at the placed hours overflow their sum")
         emissions.append(load.energy_per_hour_kwh * ci_sum)
@@ -371,24 +369,6 @@ def test_block_boundaries_match_reference(case) -> None:
         assert len(series._memo.blocks) <= scheduler._KEPT_DURATIONS
 
 
-def _neumaier_sum(values, start=0):
-    """The built-in sum() of Python 3.12 and later: floats added with
-    Neumaier's compensation."""
-    total, compensation, floats = start, 0.0, False
-    for value in values:
-        if not floats:
-            total = total + value
-            floats = isinstance(total, float)
-            continue
-        sum_ = total + value
-        if abs(total) >= abs(value):
-            compensation += (total - sum_) + value
-        else:
-            compensation += (value - sum_) + total
-        total = sum_
-    return total + compensation if floats and compensation and math.isfinite(compensation) else total
-
-
 def _scheduler_results():
     # 0.1 + 0.2 + 0.3 and 0.3 + 0.2 + 0.1 differ by a left fold and tie when
     # compensated, and so do ten times 0.1 and 1.0, so each result below
@@ -409,11 +389,8 @@ def test_results_do_not_depend_on_builtin_sum() -> None:
     """The scheduler adds floats as Python 3.11's sum() does, on every Python:
     with the built-in sum() compensated, as from 3.12 on, its results are
     those it gives with sum() a plain left fold."""
-    assert reduce(add, [0.1] * 10, 0) != _neumaier_sum([0.1] * 10)
-    with mock.patch.object(builtins, "sum", lambda values, start=0: reduce(add, values, start)):
-        folded = _scheduler_results()
-    with mock.patch.object(builtins, "sum", _neumaier_sum):
-        compensated = _scheduler_results()
+    assert folded_sum([0.1] * 10) != neumaier_sum([0.1] * 10)
+    folded, compensated = under_each_sum(_scheduler_results)
     assert compensated == folded
 
 
