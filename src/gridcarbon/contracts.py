@@ -16,7 +16,8 @@ invariants stay intact.
 
 A series is a :class:`RegionDataset`, whose residual columns feed the
 residual CI signal and the period aggregates. A single mix is the rule's
-one-step case, :func:`compute_residual_mix`, which alone reports each
+one-step series, :func:`compute_residual_mix`, so a per-step contract
+applies to it only with exactly one value. It alone reports each
 contract's granted MWh; its residual CI is
 ``compute_average_ci(compute_residual_mix(mix, contracts).mix)``.
 :func:`allocate_contracts` allocates each region once and sums every
@@ -77,18 +78,6 @@ class Contract:
         if any(map(partial(gt, 0.0), energies)):
             raise ValueError(f"contract {self.id!r}: energy must be >= 0{where}")
 
-    def energy_at(self, step: int | None = None) -> float:
-        """Contracted energy in MWh at a series step; a scalar applies at every step."""
-        if isinstance(self.energy_mwh, float):
-            return self.energy_mwh
-        if step is None:
-            raise ValueError(f"contract {self.id!r} has a per-step energy series; give a step")
-        if not 0 <= step < len(self.energy_mwh):
-            raise ValueError(
-                f"contract {self.id!r}: step {step} outside contracted series of length {len(self.energy_mwh)}"
-            )
-        return self.energy_mwh[step]
-
 
 @_frozen
 class ResidualMix:
@@ -129,26 +118,23 @@ def compute_residual_mix(
     mix: GridMix,
     contracts: Sequence[Contract],
     sources: SourceRegistry | None = None,
-    step: int | None = None,
 ) -> ResidualMix:
     """Remove all contracted carbon-free energy from a mix.
 
     Only contracts whose ``source_region`` matches the mix's region
-    apply. This is the one-step case of :func:`_remove_contracted`: each
-    contract's energy is ``energy_at(step)``. A contract is granted its
-    energy, or at an over-contracted source its energy times
-    removed / claimed; contracts sharing an id share one ``allocated``
-    entry.
+    apply. The mix is the one-step series of :func:`_remove_contracted`:
+    a contract's energy is its scalar, or the one value of its per-step
+    energy. A contract is granted its energy, or at an over-contracted
+    source its energy times removed / claimed; contracts sharing an id
+    share one ``allocated`` entry.
 
     Raises:
         ContractNotCarbonFree: if an applicable contract targets a
             source with a nonzero emission factor.
-        ValueError: if ``step`` does not index a contract's energy series.
+        ValueError: if a contract's per-step energy has other than one value.
     """
     sources = SourceRegistry.default() if sources is None else sources
-    removals = _remove_contracted(
-        mix.region, None, lambda s: (mix.generation.get(s, 0.0),), contracts, sources, step=step
-    )
+    removals = _remove_contracted(mix.region, 1, lambda s: (mix.generation.get(s, 0.0),), contracts, sources)
     generation = dict(mix.generation)
     removed: dict[str, float] = {}
     allocated: dict[str, float] = {}
@@ -327,21 +313,19 @@ class _Removal(NamedTuple):
 
 def _remove_contracted(
     region: str,
-    steps: int | None,
+    steps: int,
     column: Callable[[str], Sequence[float]],
     contracts: Sequence[Contract],
     sources: SourceRegistry,
     summary: LoadSummary | None = None,
-    step: int | None = None,
 ) -> dict[str, _Removal]:
     """Remove the contracts of ``region`` from its generation columns.
 
     This is the one allocation rule. ``column(source_id)`` is the source's
     generation per step, zeros for a source the series lacks. ``steps``
     is the series' length: a contract's energy is its scalar at every
-    step, or its per-step series. ``steps=None`` is the single step of
-    :func:`compute_residual_mix`: a contract's energy is
-    ``energy_at(step)``, read after its carbon-free check.
+    step, or its per-step series, one value per step. A mix is the
+    series of one step (:func:`compute_residual_mix`).
 
     For each contracted source, in order of its first contract, the
     claim of a step is its contracts' energy added in contract order by
@@ -356,7 +340,7 @@ def _remove_contracted(
             source with a nonzero emission factor.
         ValueError: if a contract's per-step energy does not have exactly
             one entry per step (the message gives the rows the load
-            dropped, if any), or ``step`` does not index it.
+            dropped, if any).
     """
     by_source: dict[str, list[tuple[Contract, tuple[float, ...]]]] = {}
     for contract in contracts:
@@ -367,9 +351,7 @@ def _remove_contracted(
                 f"contract {contract.id!r} targets {contract.source_id!r}, which is not carbon-free"
             )
         energy = contract.energy_mwh
-        if steps is None:
-            energy = (contract.energy_at(step),)
-        elif isinstance(energy, float):
+        if isinstance(energy, float):
             energy = (energy,) * steps
         elif len(energy) != steps:
             dropped = summary.rows_dropped if summary is not None else 0

@@ -58,8 +58,8 @@ class _Series(tuple):
     def _memo(self) -> _Prefix | None:
         """The prefix sums from hour 0, if the sum of ``|value|`` is below ``_MAX_SCALE``."""
         try:
-            scale = math.fsum(map(abs, self))
-        except OverflowError:  # finite values whose sum exceeds the float range
+            scale = _finite_scale(self, 0)
+        except ValueError:  # a value that is not finite; a search reports it if it reads it
             return None
         return _Prefix(self, 0, scale) if scale < _MAX_SCALE else None
 

@@ -4,6 +4,9 @@ copied verbatim but for the built-in ``sum``, which is :func:`folded_sum`,
 the sum() of Python 3.11 they were written on, so they read the same on
 every Python.
 
+``_energy_at`` is the ``Contract.energy_at`` method they read a contract's
+energy through, copied verbatim as a function of the contract.
+
 The ``_reference_*`` functions of the attribution and column tests allocate
 through these copies, so they stay independent of the kernel they check,
 and ``test_contracts`` pins ``compute_residual_mix`` to them bit for bit.
@@ -18,6 +21,19 @@ from gridcarbon.errors import ContractNotCarbonFree
 from gridcarbon.grid import GridMix, SourceRegistry
 
 from reference_sum import folded_sum
+
+
+def _energy_at(contract: Contract, step: int | None = None) -> float:
+    """Contracted energy in MWh at a series step; a scalar applies at every step."""
+    if isinstance(contract.energy_mwh, float):
+        return contract.energy_mwh
+    if step is None:
+        raise ValueError(f"contract {contract.id!r} has a per-step energy series; give a step")
+    if not 0 <= step < len(contract.energy_mwh):
+        raise ValueError(
+            f"contract {contract.id!r}: step {step} outside contracted series of length {len(contract.energy_mwh)}"
+        )
+    return contract.energy_mwh[step]
 
 
 def _allocate(
@@ -43,7 +59,7 @@ def _allocate(
             raise ContractNotCarbonFree(
                 f"contract {contract.id!r} targets {contract.source_id!r}, which is not carbon-free"
             )
-        claims.setdefault(contract.source_id, []).append((contract, contract.energy_at(step)))
+        claims.setdefault(contract.source_id, []).append((contract, _energy_at(contract, step)))
 
     allocations: dict[str, float] = {}
     removed: dict[str, float] = {}

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 from datetime import datetime, timedelta, timezone
+from functools import partial
 from math import inf, nan
 
 import pytest
@@ -84,31 +85,39 @@ def test_contract_rejects_non_finite_energy(energy) -> None:
 
 def test_contract_energy_series() -> None:
     contract = Contract(id="x", buyer="b", kind="rec", source_id="solar",
-                        source_region="r", energy_mwh=(1.0, 2.5))
-    assert contract.energy_at(0) == 1.0
-    assert contract.energy_at(1) == 2.5
-    with pytest.raises(ValueError):
-        contract.energy_at(2)
+                        source_region="r", energy_mwh=[1, 2.5])
+    assert contract.energy_mwh == (1.0, 2.5)
+    assert all(type(energy) is float for energy in contract.energy_mwh)
 
 
 def test_series_contract_needs_a_step() -> None:
-    """A single-step call raises rather than reading a series at step 0."""
+    """A mix is a one-step series: a per-step contract of three values
+    raises rather than being read at step 0, and one of one value
+    allocates as its scalar does, bit for bit."""
     mix = GridMix(region="local", generation={"solar": 100.0, "coal": 100.0})
-    series = Contract(id="s", buyer="C1", kind="rec", source_id="solar",
+    series = Contract(id="ppa", buyer="C1", kind="rec", source_id="solar",
                       source_region="local", energy_mwh=(10.0, 90.0, 50.0))
     for call in (
-        series.energy_at,
         lambda: compute_residual_mix(mix, [series]),
         lambda: allocate_contracts(mix, [series]).claim_mwh("C1"),
     ):
-        with pytest.raises(ValueError, match="per-step energy series"):
+        with pytest.raises(ValueError, match="has 3 per-step energy_mwh values for a series of 1 steps$"):
             call()
-    assert compute_residual_mix(mix, [series], step=1).removed == {"solar": 90.0}
+    one_value = Contract(id="ppa", buyer="C1", kind="rec", source_id="solar",
+                         source_region="local", energy_mwh=(90.0,))
+    assert _allocation_bits(compute_residual_mix, mix, [one_value]) == _allocation_bits(
+        compute_residual_mix, mix, [_solar_contract(90.0)]
+    )
+    assert compute_residual_mix(mix, [one_value]).removed == {"solar": 90.0}
 
 
 def test_scalar_contract_applies_at_every_step() -> None:
-    contract = _solar_contract(3.0)
-    assert contract.energy_at(0) == contract.energy_at(17) == 3.0
+    mix = GridMix(region="r", generation={"solar": 10.0, "coal": 1.0})
+    contract = Contract(id="ppa", buyer="C1", kind="physical_offsite", source_id="solar",
+                        source_region="r", energy_mwh=3.0)
+    residual = _residual_dataset(_dataset([mix] * 18), [contract], SourceRegistry.default())
+    assert residual.column("solar") == (7.0,) * 18
+    assert residual.column("coal") == (1.0,) * 18
 
 
 def test_residual_mix_removes_contracted_solar(displaced_coal_mix: GridMix) -> None:
@@ -190,13 +199,13 @@ def test_contracted_cfe_requires_mix_for_region(toy: GridMix) -> None:
 
 def test_contracts_for_fraction(displaced_coal_mix: GridMix) -> None:
     contracts = contracts_for_fraction(displaced_coal_mix, 0.5)
-    amounts = {c.source_id: c.energy_at(0) for c in contracts}
+    amounts = {c.source_id: c.energy_mwh for c in contracts}
     assert amounts == {"solar": 10.0, "wind": 250.0}
 
 
 def test_contracts_for_fraction_mapping(displaced_coal_mix: GridMix) -> None:
     contracts = contracts_for_fraction(displaced_coal_mix, {"solar": 1.0})
-    amounts = {c.source_id: c.energy_at(0) for c in contracts}
+    amounts = {c.source_id: c.energy_mwh for c in contracts}
     assert amounts == {"solar": 20.0}
 
 
@@ -333,7 +342,8 @@ def _series_bits(mixes, contracts) -> list:
     return bits
 
 
-@settings(max_examples=300)
+# At least 300 examples; a profile that asks for more (``thorough``) gets them.
+@settings(max_examples=max(300, settings.default.max_examples))
 @given(
     steps=st.lists(
         st.dictionaries(st.sampled_from(SERIES_SOURCES), generation_value, max_size=5),
@@ -425,7 +435,8 @@ step_claims = st.one_of(
 
 @st.composite
 def single_step_inputs(draw):
-    """A mix, contracts on it and the step to read them at."""
+    """A mix and contracts on it, each with a scalar energy or a per-step
+    energy of one value."""
     generation = draw(
         st.dictionaries(
             st.sampled_from(("solar", "wind", "hydro", "coal", "tidal")),
@@ -438,7 +449,7 @@ def single_step_inputs(draw):
         if draw(st.booleans()):
             energy = draw(step_claims)
         else:
-            energy = tuple(draw(st.lists(step_claims, min_size=1, max_size=4)))
+            energy = (draw(step_claims),)
         contracts.append(
             Contract(
                 id=draw(st.sampled_from([f"k{i}", "shared"])),
@@ -449,13 +460,12 @@ def single_step_inputs(draw):
                 energy_mwh=energy,
             )
         )
-    step = draw(st.one_of(st.none(), st.integers(min_value=0, max_value=3), st.sampled_from([-1, 4])))
-    return GridMix(region="r", generation=generation), contracts, step
+    return GridMix(region="r", generation=generation), contracts
 
 
-def _allocation_bits(compute, mix, contracts, step) -> tuple:
+def _allocation_bits(compute, mix, contracts) -> tuple:
     try:
-        residual = compute(mix, contracts, None, step)
+        residual = compute(mix, contracts, None)
     except (GridCarbonError, ValueError) as exc:
         return type(exc), str(exc)
     return (
@@ -466,14 +476,16 @@ def _allocation_bits(compute, mix, contracts, step) -> tuple:
     )
 
 
-@settings(max_examples=500)
+# At least 500 examples; a profile that asks for more (``thorough``) gets them.
+@settings(max_examples=max(500, settings.default.max_examples))
 @given(single_step_inputs())
 def test_residual_mix_matches_pre_kernel_allocation(inputs) -> None:
-    """compute_residual_mix, the kernel's one-step case, gives the floats of
-    the allocation it replaced, or raises the same first error."""
-    mix, contracts, step = inputs
-    assert _allocation_bits(compute_residual_mix, mix, contracts, step) == _allocation_bits(
-        reference_allocation.compute_residual_mix, mix, contracts, step
+    """compute_residual_mix, the kernel's one-step series, gives the floats
+    of the allocation it replaced, read at step 0, or raises the same first
+    error."""
+    mix, contracts = inputs
+    assert _allocation_bits(compute_residual_mix, mix, contracts) == _allocation_bits(
+        partial(reference_allocation.compute_residual_mix, step=0), mix, contracts
     )
 
 
