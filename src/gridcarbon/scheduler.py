@@ -38,8 +38,9 @@ _KEPT_DURATIONS = 8
 
 class _Series(tuple):
     """A CI series of finite values >= 0 that keeps, from its first search,
-    its prefix sums, scale and block extremes; its copies and pickles are
-    plain tuples.
+    its prefix sums, scale and block extremes, and from its first
+    non-contiguous search over all its hours, its hour order; its copies
+    and pickles are plain tuples.
 
     The prefix sums take about the series' own size (280 KB for a year of
     hours). The block extremes take about 9 KB per load duration for a
@@ -47,8 +48,10 @@ class _Series(tuple):
     ``_KEPT_DURATIONS`` = 8 durations, and a new one drops the one kept
     longest. A contiguous search over the kept prefix costs O(T/B + B) for
     T hours, plus O(d) for each further start within rounding error of the
-    extreme (usually none). A non-contiguous search costs what it does on
-    any sequence.
+    extreme (usually none). The hour order (its hours sorted by value)
+    takes 8 bytes an hour, about 70 KB for a year; a non-contiguous search
+    over all the hours of a series that keeps it costs O(d log d) for d
+    hours, and one over a shorter span costs what it does on any sequence.
     """
 
     def __reduce__(self):
@@ -62,6 +65,14 @@ class _Series(tuple):
         except ValueError:  # a value that is not finite; a search reports it if it reads it
             return None
         return _Prefix(self, 0, scale) if scale < _MAX_SCALE else None
+
+    @cached_property
+    def _order(self) -> Sequence[int]:
+        """The hours sorted by value, the earlier first among equal values; read
+        only when ``_memo`` is not None, so that every value is finite."""
+        from array import array  # here, not at the top: CLI start-up never needs it
+
+        return array("q", sorted(range(len(self)), key=self.__getitem__))
 
 
 class _Prefix:
@@ -202,6 +213,23 @@ def _extreme_windows(signal: Signal, load: FlexibleLoad, *worst: bool) -> list[t
     lo, hi = _start_bounds(signal, load)
     duration = load.duration_hours
     memo = signal._memo if isinstance(signal, _Series) else None
+    if not load.contiguous and memo is not None and lo == 0 and hi + duration == len(signal):
+        # The whole series: its d least values are the first d hours of its
+        # kept order. Its d greatest are the hours above the d-th greatest
+        # value and, of the hours tied at it, the earliest.
+        from bisect import bisect_left, bisect_right
+
+        order, value = signal._order, signal.__getitem__
+        placements = []
+        for w in worst:
+            if w:
+                kth = value(order[-duration])
+                left, right = bisect_left(order, kth, key=value), bisect_right(order, kth, key=value)
+                hours = order[right:] + order[left : left + duration - (len(order) - right)]
+            else:
+                hours = order[:duration]
+            placements.append(tuple(sorted(hours)))
+        return placements
     span = signal[lo : hi + duration] if memo is None or not load.contiguous else None
     scale = _finite_scale(span, lo) if memo is None else memo.scale
     if not load.contiguous:
@@ -240,9 +268,10 @@ def best_window(signal: Signal, load: FlexibleLoad) -> tuple[int, ...]:
     and, per duration, the least and greatest window sum of each block of
     ``_BLOCK`` starts (sizes and bound in ``_Series``); a contiguous search
     of it then costs O(T/B + B) in its T hours. A non-contiguous load keeps
-    the hours at or below its d-th cheapest value, which takes O(T log d)
-    on any sequence. Both pick the same hours as summing every window and
-    keeping the first.
+    the hours at or below its d-th cheapest value, which takes O(T log d);
+    over the whole of such a series, which keeps its hours sorted by value
+    from the first such search, it takes O(d log d). Both pick the same
+    hours as summing every window and keeping the first.
 
     Raises:
         WindowTooShort: if the window cannot fit the load.

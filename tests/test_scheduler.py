@@ -321,6 +321,47 @@ def test_series_memo_matches_tuple_and_reference(case, start) -> None:
 
 
 @st.composite
+def _order_cases(draw):
+    """A signal of values that tie often (0.0 beside -0.0, negatives), a
+    duration from 1 to its length, the duration of a contiguous search, and
+    maybe a NaN or inf at some hour."""
+    values = draw(st.lists(st.sampled_from([0.0, -0.0, 0.5, 1.0, -1.0, -2.5]), min_size=1, max_size=60))
+    duration = draw(st.integers(min_value=1, max_value=len(values)))
+    between = draw(st.integers(min_value=1, max_value=len(values)))
+    bad = draw(st.none() | st.tuples(st.integers(min_value=0, max_value=len(values) - 1),
+                                     st.sampled_from([math.nan, math.inf, -math.inf])))
+    if bad is not None:
+        values[bad[0]] = bad[1]
+    return values, duration, between
+
+
+@settings(max_examples=max(300, settings.default.max_examples), deadline=None)
+@given(case=_order_cases())
+def test_series_order_matches_reference(case) -> None:
+    """Non-contiguous best_window, worst_window and shift_savings over the
+    whole of a _Series, which keeps its hour order from the first such search,
+    searched twice with a contiguous search between: the same hours or
+    saving as on a plain tuple and from the reference, or the same exception
+    class and message."""
+    values, duration, between = case
+    series, plain = _Series(values), tuple(values)
+    load = _load(duration, contiguous=False)
+    for _ in range(2):
+        for search in (best_window, worst_window):
+            expected = _outcome(_reference_hours, values, load, search.__name__)
+            assert _outcome(search, series, load) == _outcome(search, plain, load) == expected
+        for pair in itertools.product(("best_window", "worst_window"), repeat=2):
+            expected = _outcome(_reference_savings, values, load, *pair)
+            actual = _outcome(shift_savings, series, load, *pair)
+            assert actual == _outcome(shift_savings, plain, load, *pair) == expected, pair
+        contiguous = _load(between)
+        expected = _outcome(_reference_hours, values, contiguous, "best_window")
+        assert _outcome(best_window, series, contiguous) == expected
+    # Only a series of finite values keeps (and reads) an order.
+    assert ("_order" in series.__dict__) == all(map(math.isfinite, values))
+
+
+@st.composite
 def _block_cases(draw):
     """A block size, a signal of up to five blocks (or shorter than one), and
     a list of (duration, start window) searches: more durations than a series
@@ -408,10 +449,12 @@ def test_list_signal_changed_between_searches() -> None:
 
 def test_searched_series_copies_are_plain_tuples() -> None:
     """A searched series copies and pickles as the tuple of its values,
-    without its prefix sums, and reads as that tuple."""
+    without its prefix sums or hour order, and reads as that tuple."""
     series = total_signal(duck_curve_fixture())
     assert repr(series) == repr(tuple(series))
+    best_window(series, _load(3, contiguous=False))
     best_window(series, _load(3))
+    assert "_order" in series.__dict__ and "_memo" in series.__dict__
     for copied in (pickle.loads(pickle.dumps(series)), copy.deepcopy(series), copy.copy(series)):
         assert type(copied) is tuple and copied == series
     assert hash(series) == hash(tuple(series)) and isinstance(series, tuple)
@@ -431,9 +474,23 @@ NON_CONTIGUOUS_TIES = {
 }
 
 
-@pytest.mark.parametrize("name", NON_CONTIGUOUS_TIES)
-def test_non_contiguous_ties(name) -> None:
-    signal, duration, window, best, worst = NON_CONTIGUOUS_TIES[name]
+def _searched_series(values) -> _Series:
+    """A _Series searched once, so that it keeps its prefix sums."""
+    series = _Series(values)
+    best_window(series, _load(1))
+    return series
+
+
+# On a plain list, and on a searched series, where a search of its whole span
+# reads its kept hour order.
+@pytest.mark.parametrize(
+    "name, kind",
+    [(name, kind) for kind in (list, _searched_series) for name in NON_CONTIGUOUS_TIES],
+    ids=[name + suffix for suffix in ("", " (searched series)") for name in NON_CONTIGUOUS_TIES],
+)
+def test_non_contiguous_ties(name, kind) -> None:
+    values, duration, window, best, worst = NON_CONTIGUOUS_TIES[name]
+    signal = kind(values)
     load = _load(duration, window=window, contiguous=False)
     assert best_window(signal, load) == best
     assert worst_window(signal, load) == worst
