@@ -391,7 +391,7 @@ def cmd_schedule(args) -> Records:
         window=window,
         contiguous=not args.non_contiguous,
     )
-    policy = int(args.policy) if args.policy.lstrip("-").isdecimal() else args.policy
+    policy = int(args.policy) if args.policy.removeprefix("-").isdecimal() else args.policy
     result = evaluate_schedule(_policy_hours(reported, load, policy), load, reported, actual)
     return Records(
         {

@@ -50,8 +50,8 @@ class _Series(tuple):
     T hours, plus O(d) for each further start within rounding error of the
     extreme (usually none). The hour order (its hours sorted by value)
     takes 8 bytes an hour, about 70 KB for a year; a non-contiguous search
-    over all the hours of a series that keeps it costs O(d log d) for d
-    hours, and one over a shorter span costs what it does on any sequence.
+    of d hours over all the hours of a series that keeps it costs
+    O(d log d), where one over a span of s hours sorts them, O(s log s).
     """
 
     def __reduce__(self):
@@ -208,18 +208,23 @@ def _finite_scale(span: Signal, first_hour: int) -> float:
 def _extreme_windows(signal: Signal, load: FlexibleLoad, *worst: bool) -> list[tuple[int, ...]]:
     """The placement minimizing (``False``) or maximizing (``True``) the
     load's total CI for each flag, from one bounds check and one pass."""
-    import heapq  # here, not at the top: CLI start-up never needs it
-
     lo, hi = _start_bounds(signal, load)
     duration = load.duration_hours
     memo = signal._memo if isinstance(signal, _Series) else None
-    if not load.contiguous and memo is not None and lo == 0 and hi + duration == len(signal):
-        # The whole series: its d least values are the first d hours of its
-        # kept order. Its d greatest are the hours above the d-th greatest
+    span = signal[lo : hi + duration] if memo is None else None
+    scale = _finite_scale(span, lo) if memo is None else memo.scale
+    if not load.contiguous:
+        # The span's hours in value order, the earlier first among equal
+        # values (kept for the whole of a series): its d least values are the
+        # first d hours. Its d greatest are the hours above the d-th greatest
         # value and, of the hours tied at it, the earliest.
         from bisect import bisect_left, bisect_right
 
-        order, value = signal._order, signal.__getitem__
+        value = signal.__getitem__
+        if memo is not None and lo == 0 and hi + duration == len(signal):
+            order = signal._order
+        else:
+            order = sorted(range(lo, hi + duration), key=value)
         placements = []
         for w in worst:
             if w:
@@ -229,21 +234,6 @@ def _extreme_windows(signal: Signal, load: FlexibleLoad, *worst: bool) -> list[t
             else:
                 hours = order[:duration]
             placements.append(tuple(sorted(hours)))
-        return placements
-    span = signal[lo : hi + duration] if memo is None or not load.contiguous else None
-    scale = _finite_scale(span, lo) if memo is None else memo.scale
-    if not load.contiguous:
-        # Keep every hour at or beyond the d-th extreme value, in hour
-        # order; of the surplus hours tied at that value, drop the latest.
-        placements = []
-        for w in worst:
-            kth = (heapq.nlargest if w else heapq.nsmallest)(duration, span)[-1]
-            hours = list(compress(range(lo, hi + duration), map(ge if w else le, span, repeat(kth))))
-            surplus = len(hours) - duration
-            if surplus:
-                ties = [h for h in hours if signal[h] == kth]
-                hours = sorted(set(hours).difference(ties[-surplus:]))
-            placements.append(tuple(hours))
         return placements
     if scale < _MAX_SCALE:
         prefix = _Prefix(span, lo, scale) if memo is None else memo
@@ -267,11 +257,14 @@ def best_window(signal: Signal, load: FlexibleLoad) -> tuple[int, ...]:
     :func:`residual_signal` keeps, from its first search, its prefix sums
     and, per duration, the least and greatest window sum of each block of
     ``_BLOCK`` starts (sizes and bound in ``_Series``); a contiguous search
-    of it then costs O(T/B + B) in its T hours. A non-contiguous load keeps
-    the hours at or below its d-th cheapest value, which takes O(T log d);
-    over the whole of such a series, which keeps its hours sorted by value
-    from the first such search, it takes O(d log d). Both pick the same
-    hours as summing every window and keeping the first.
+    of it then costs O(T/B + B) in its T hours. A non-contiguous load reads
+    the hours of its span sorted by value, the earlier first among equal
+    values, which costs O(s log s) for a span of s hours; over the whole of
+    such a series, which keeps that order from the first such search, it
+    costs O(d log d); both read the order by the rule that
+    ``tests/reference_scheduler.py`` applies. Contiguous and non-contiguous
+    searches pick the same hours as summing every window and keeping the
+    first.
 
     Raises:
         WindowTooShort: if the window cannot fit the load.

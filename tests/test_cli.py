@@ -543,11 +543,12 @@ def test_schedule_bare_signal_sorted_by_timestamp(capsys, tmp_path: Path) -> Non
     assert _records(out)[0]["reported_ci_avg_g_per_kwh"] == 50.0
 
 
-def test_schedule_unknown_policy(capsys, tmp_path: Path) -> None:
+@pytest.mark.parametrize("policy", ["cheapest", "--3", "-", "+3"])
+def test_schedule_unknown_policy(capsys, tmp_path: Path, policy: str) -> None:
     signal = tmp_path / "signal.csv"
     signal.write_text(SIGNAL_CSV, encoding="utf-8")
     err = _single_error_line(
-        capsys, "schedule", "--signal", str(signal), "--duration", "1", "--policy", "cheapest"
+        capsys, "schedule", "--signal", str(signal), "--duration", "1", f"--policy={policy}"
     )
     assert "policy must be 'best_window', 'worst_window' or a start index" in err
 

@@ -318,6 +318,8 @@ def test_series_memo_matches_tuple_and_reference(case, start) -> None:
             expected = _outcome(_reference_savings, values, load, *pair)
             actual = _outcome(shift_savings, series, load, *pair)
             assert actual == _outcome(shift_savings, plain, load, *pair) == expected, pair
+    whole = window is None or window == (0, len(values) - duration)
+    assert ("_order" in series.__dict__) == (whole and series._memo is not None)
 
 
 @st.composite
