@@ -27,7 +27,7 @@ from .contracts import _residual_dataset, contracts_for_fraction
 from .errors import GridCarbonError, ParseError, ScenarioInvalid
 from .fixtures import fixture_datasets, write_fixture_csvs
 from .grid import SourceRegistry
-from .ingest import BASES, FILL_POLICIES, TIMESTAMP_FORMAT, load_region_csv, load_signal_csv
+from .ingest import BASES, FILL_POLICIES, _timestamp_labels, load_region_csv, load_signal_csv
 from .scenarios import (
     builtin_scenario_names,
     load_builtin_scenario,
@@ -197,19 +197,6 @@ def _parse_contracts_arg(spec: str, dataset, sources: SourceRegistry):
         )
         for i, body in enumerate(data)
     )
-
-
-def _timestamp_labels(dataset) -> list[str]:
-    """Each step's timestamp as TIMESTAMP_FORMAT writes it: the CSV's own
-    text when ingest kept it, else formatted. From year 1000 on,
-    isoformat's first 19 characters are those fields, and cheaper (below
-    it, strftime does not pad the year on every platform)."""
-    if dataset._timestamp_text is not None:
-        return dataset._timestamp_text.split("\n")
-    return [
-        t.isoformat()[:19] + "Z" if t.year >= 1000 else t.strftime(TIMESTAMP_FORMAT)
-        for t in dataset.timestamps
-    ]
 
 
 def _columns(items, **attributes: str) -> dict:

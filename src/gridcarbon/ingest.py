@@ -86,9 +86,9 @@ class RegionDataset:
     columns: tuple[tuple[float, ...], ...]
     published_ci: tuple[float, ...] | None
     summary: LoadSummary | None
-    # The timestamps as TIMESTAMP_FORMAT writes them, one per line, when
-    # load_region_csv read exactly that text; not a field, so equality and
-    # repr ignore it.
+    # The timestamps as _stamp writes them, one per line, when
+    # load_region_csv read exactly that text; not a field, so equality
+    # and repr ignore it.
     _timestamp_text = None
 
     def __init__(
@@ -207,7 +207,7 @@ def check_overflow(dataset: RegionDataset, total: float, sums: Iterable[float]) 
         return
     for step, value in enumerate(sums):
         if value == math.inf:
-            when = dataset.timestamps[step].strftime(TIMESTAMP_FORMAT)
+            when = _stamp(dataset.timestamps[step])
             raise ValueError(f"region {dataset.region!r}: total generation or its emissions overflow at {when}")
 
 
@@ -218,6 +218,20 @@ def check_overflow(dataset: RegionDataset, total: float, sums: Iterable[float]) 
 # accepted set and the errors stay those of TIMESTAMP_FORMAT.
 _CANONICAL_SHAPE = "0000-00-00T00:00:00Z"
 _ZERO_DIGITS = str.maketrans("123456789", "000000000")
+
+
+def _stamp(t: datetime) -> str:
+    """``t`` as TIMESTAMP_FORMAT reads it, the year zero-padded to four
+    digits on every platform: the one timestamp writer."""
+    return t.isoformat()[:19] + "Z"
+
+
+def _timestamp_labels(dataset: RegionDataset) -> list[str]:
+    """Each step's timestamp as :func:`_stamp` writes it: the CSV's own text
+    when :func:`load_region_csv` kept it, else written."""
+    if dataset._timestamp_text is not None:
+        return dataset._timestamp_text.split("\n")
+    return list(map(_stamp, dataset.timestamps))
 
 
 def _timestamp(raw: str) -> datetime:
@@ -437,12 +451,11 @@ def _read_csv(path: Path, fill_policy: str, bare_signal: bool = False) -> tuple 
     Returns the kept rows as columns in timestamp order: the timestamps,
     one generation column per source column in header order, the
     published CI when its column is present, the load summary, and the
-    timestamps' text, one per line, when it is what TIMESTAMP_FORMAT
-    writes: every kept row clean, canonical and in order, from year 1000
-    on (``None`` otherwise). With ``bare_signal`` the header must hold
-    only ``timestamp`` and ``ci_g_per_kwh`` (``None`` is returned
-    otherwise) and no source column is needed; without it one source
-    column is.
+    timestamps' text, one per line, when it is what :func:`_stamp` writes:
+    every kept row clean, canonical and in order (``None`` otherwise).
+    With ``bare_signal`` the header must hold only ``timestamp`` and
+    ``ci_g_per_kwh`` (``None`` is returned otherwise) and no source column
+    is needed; without it one source column is.
 
     The text is read once (``bare_signal`` reads the header line first).
     When :func:`_split_lines` can split it, its rows are the lines split at
@@ -533,7 +546,7 @@ def _read_csv(path: Path, fill_policy: str, bare_signal: bool = False) -> tuple 
         for first, second in zip(timestamps, timestamps[1:]):
             if first == second:
                 raise ParseError(
-                    f"duplicate timestamp {first.strftime(TIMESTAMP_FORMAT)}",
+                    f"duplicate timestamp {_stamp(first)}",
                     column=TIMESTAMP_COLUMN,
                 )
     summary = LoadSummary(
@@ -544,8 +557,6 @@ def _read_csv(path: Path, fill_policy: str, bare_signal: bool = False) -> tuple 
         ignored_columns=ignored,
     )
     published = columns[-1] if has_published else None
-    if text is not None and timestamps[0].year < 1000:  # TIMESTAMP_FORMAT's year may not be padded
-        text = None
     return tuple(timestamps), source_columns, tuple(columns[: len(source_columns)]), published, summary, text
 
 
@@ -578,10 +589,10 @@ def load_region_csv(
         columns=columns,
         published_ci=published_ci,
         summary=summary,
+        _timestamp_text=text,
     )
     if strict and not dataset.is_uniform:
         raise GapError(f"{path}: timestamps are not evenly spaced")
-    object.__setattr__(dataset, "_timestamp_text", text)
     return dataset
 
 
@@ -618,4 +629,4 @@ def write_region_csv(dataset: RegionDataset, path: str | Path) -> None:
         writer = csv.writer(handle)
         writer.writerow(header)
         for timestamp, row in zip(dataset.timestamps, _rows(columns, len(dataset))):
-            writer.writerow([timestamp.strftime(TIMESTAMP_FORMAT), *map(repr, row)])
+            writer.writerow([_stamp(timestamp), *map(repr, row)])

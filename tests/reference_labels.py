@@ -1,5 +1,8 @@
 """The CLI's timestamp labels as they stood before ingest kept the CSV's
-timestamp text: ``_timestamp_labels``, copied verbatim.
+timestamp text: ``_timestamp_labels``, copied verbatim from year 1000 on.
+Below it the copy wrote ``strftime``'s year, which is not zero-padded on
+every platform; this one writes every field zero-padded, without
+``isoformat``.
 
 ``test_cli``'s label differential pins ``cli._timestamp_labels`` to this
 copy, on loaded CSVs and on datasets built in code.
@@ -7,14 +10,14 @@ copy, on loaded CSVs and on datasets built in code.
 
 from __future__ import annotations
 
-from gridcarbon.ingest import TIMESTAMP_FORMAT
-
 
 def _timestamp_labels(dataset) -> list[str]:
-    """Each step's timestamp as TIMESTAMP_FORMAT writes it. From year 1000
-    on, isoformat's first 19 characters are those fields, and cheaper (below
-    it, strftime does not pad the year on every platform)."""
+    """Each step's timestamp as TIMESTAMP_FORMAT reads it. From year 1000
+    on, isoformat's first 19 characters are those fields, and cheaper; below
+    it, the fields are written zero-padded."""
     return [
-        t.isoformat()[:19] + "Z" if t.year >= 1000 else t.strftime(TIMESTAMP_FORMAT)
+        t.isoformat()[:19] + "Z"
+        if t.year >= 1000
+        else f"{t.year:04d}-{t.month:02d}-{t.day:02d}T{t.hour:02d}:{t.minute:02d}:{t.second:02d}Z"
         for t in dataset.timestamps
     ]

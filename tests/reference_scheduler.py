@@ -23,6 +23,8 @@ Signal = Sequence[float]
 def _start_bounds(signal: Signal, load: FlexibleLoad) -> tuple[int, int]:
     n = len(signal)
     duration = load.duration_hours
+    if load.window is None and duration > n:
+        raise WindowTooShort(f"duration {duration} exceeds signal length {n}")
     lo, hi = load.window if load.window is not None else (0, n - duration)
     if lo < 0 or hi < lo:
         raise WindowTooShort(f"invalid start window ({lo}, {hi})")

@@ -201,13 +201,20 @@ def test_market_based_fully_contracted_region() -> None:
 
 def test_build_report_names_a_consumer_whose_emissions_overflow() -> None:
     """Location emissions (500 g/kWh) fit a float, market emissions at the
-    residual CI (1000 g/kWh, the wind is contracted) do not."""
+    residual CI (1000 g/kWh, the wind is contracted) do not; and the other
+    way round, for a buyer whose claim covers its demand."""
     mix = GridMix(region="r", generation={"wind": 500.0, "coal": 500.0})
     contract = Contract(id="all", buyer="B", kind="financial", source_id="wind",
                         source_region="r", energy_mwh=500.0)
     consumers = [_home("B", region="r"), _home("H1", demand=2e305, region="r")]
     with pytest.raises(ValueError, match=re.escape("consumers[1].demand_kwh: emissions of consumer 'H1'")):
         build_report(mix, [contract], consumers)
+    mix = GridMix(region="r", generation={"wind": 1e303, "coal": 1e303})
+    contract = Contract(id="all", buyer="B", kind="financial", source_id="wind",
+                        source_region="r", energy_mwh=1e303)
+    message = "^" + re.escape("consumers[0].demand_kwh: emissions of consumer 'B' overflow") + "$"
+    with pytest.raises(ValueError, match=message):
+        build_report(mix, [contract], [_home("B", demand=1e306, region="r")])
 
 
 def test_market_based_names_a_consumer_whose_emissions_overflow() -> None:
@@ -652,6 +659,7 @@ def _outcome(func, *args):
         return type(exc), str(exc)
 
 
+@pytest.mark.differential
 @given(_attribution_inputs())
 def test_build_report_matches_quadratic_reference(inputs) -> None:
     mixes, contracts, consumers, grid_demand, adjusted = inputs

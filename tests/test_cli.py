@@ -716,6 +716,7 @@ def _emitted(emit, records, fmt: str) -> str:
     return buffer.getvalue()
 
 
+@pytest.mark.differential
 @settings(deadline=None)
 @given(blocks=_output_blocks(), fmt=st.sampled_from(["json-records", "csv"]))
 @example(blocks=[{"region": "r"}, {"ci": [1.0, math.nan], "ci_res": (math.inf, 2.0)}], fmt="csv")
@@ -1204,6 +1205,8 @@ MIX_COLUMNS = st.sampled_from(
     [("wind", "coal"), ("solar", "wind", "gas"), ("wind",), ("wind", "coal", "ci_g_per_kwh")]
 )
 FRACTIONS = st.sampled_from(["0.5", "0", "0.8", "1", "1.5", "-0.25", "nan"])
+# --categories: valid, empty, repeated, unknown or not carbon-free.
+CATEGORIES = st.sampled_from(["solar,wind", "wind", "", "wind,wind", "sunshine", "coal"])
 
 
 @st.composite
@@ -1256,20 +1259,23 @@ def scenario_documents(draw) -> str:
 
 @st.composite
 def cli_calls(draw) -> tuple[dict[str, str], list[str]]:
-    """Files to write and the argv of one ``schedule``, ``residual``, ``ci``,
-    ``scenario --file`` or ``attribute --file`` invocation over them; the
-    CSV commands sometimes take a ``--cef`` table. Every YAML input is
-    sometimes any document ``yaml_documents`` draws."""
+    """Files to write and the argv of one invocation of any subcommand over
+    them, where "." is the directory that holds them and "exported" a new
+    one in it; the CSV commands sometimes take a ``--cef`` table. Every
+    YAML input is sometimes any document ``yaml_documents`` draws."""
     files = {
         "mix.csv": draw(csv_texts(draw(MIX_COLUMNS))),
         "bare.csv": draw(csv_texts(("ci_g_per_kwh",))),
         "actual.csv": draw(csv_texts(("ci_g_per_kwh",))),
     }
     command = draw(st.sampled_from(["schedule", "residual", "ci", "schedule", "residual", "ci",
-                                    "scenario", "attribute"]))
+                                    "scenario", "attribute", "penetration", "inflation", "fixtures"]))
     if command in ("scenario", "attribute"):
         files["scenario.yaml"] = draw(st.one_of(scenario_documents(), yaml_documents()))
         return files, [command, "--file", "scenario.yaml"]
+    if command == "fixtures":
+        action = draw(st.sampled_from(["list", "export"]))
+        return files, ["fixtures", action, "--dir", draw(st.sampled_from(["exported", ".", "mix.csv"]))]
     cef = []
     if draw(st.integers(0, 3)) == 0:
         cef_table = st.builds("{{coal: {}, gas: {}}}\n".format, YAML_NUMBER, YAML_NUMBER)
@@ -1277,6 +1283,17 @@ def cli_calls(draw) -> tuple[dict[str, str], list[str]]:
         cef = ["--cef", "cef.yaml"]
     if command == "residual":
         return files, ["residual", "--mix", "mix.csv", "--fraction", draw(FRACTIONS), *cef]
+    if command == "inflation":
+        basis = draw(st.sampled_from(["cef", "published"]))
+        return files, ["inflation", "--mix", "mix.csv", "--fraction", draw(FRACTIONS),
+                       "--categories", draw(CATEGORIES), "--basis", basis, *cef]
+    if command == "penetration":
+        if draw(st.booleans()):  # the directory then holds one CSV
+            files = {name: text for name, text in files.items() if name == "mix.csv" or name.endswith(".yaml")}
+        data = draw(st.lists(st.sampled_from(["mix.csv", "."]), min_size=1, max_size=3))
+        policy = draw(st.sampled_from(["drop-row", "zero-fill"]))
+        argv = ["penetration", "--data", *data, "--categories", draw(CATEGORIES), "--fill-policy", policy]
+        return files, [*argv, *(["--per-hour-mean"] if draw(st.booleans()) else []), *cef]
     if command == "ci":
         fraction = FRACTIONS.map("solar-wind:{}".format)
         contracts = draw(
@@ -1322,7 +1339,7 @@ def test_cli_error_contract(call) -> None:
     with tempfile.TemporaryDirectory() as tmp:
         for name, text in files.items():
             Path(tmp, name).write_text(text, encoding="utf-8")
-        argv = [str(Path(tmp, arg)) if arg in files else arg for arg in argv]
+        argv = [str(Path(tmp, arg)) if arg in files or arg in (".", "exported") else arg for arg in argv]
         for fmt in ("json-records", "csv"):
             runs[fmt] = _run_captured([*argv, "--format", fmt])
     (code, out, stderr), (csv_code, csv_out, csv_stderr) = runs["json-records"], runs["csv"]
@@ -1596,11 +1613,11 @@ def label_csvs(draw) -> tuple[str, str, bool]:
         bool(clean)
         and all(canonical for _, canonical in clean)
         and kept == sorted(kept)
-        and kept[0].year >= 1000
     )
     return "\n".join(lines) + "\n", policy, keeps_text
 
 
+@pytest.mark.differential
 @settings(deadline=None)
 @given(table=label_csvs())
 @example(table=("timestamp,wind,coal\n2022-06-01T00:00:00Z,5,7\n2022-06-01T01:00:00Z,,7\n", "zero-fill", False))

@@ -730,6 +730,7 @@ def _reference_outcome(path: Path, policy: str, bare: bool):
         return ParseError, str(ParseError(f"unreadable row: {exc}", row=read + 1))
 
 
+@pytest.mark.differential
 @settings(deadline=None)
 @given(text=mutated_csv_files(), policy=st.sampled_from(["drop-row", "zero-fill"]), bare=st.booleans())
 def test_read_csv_differential_on_text_only_csv_reader_reads(tmp_path_factory, text, policy, bare) -> None:

@@ -342,6 +342,7 @@ def _series_bits(mixes, contracts) -> list:
     return bits
 
 
+@pytest.mark.differential
 # At least 300 examples; a profile that asks for more (``thorough``) gets them.
 @settings(max_examples=max(300, settings.default.max_examples))
 @given(
@@ -476,6 +477,7 @@ def _allocation_bits(compute, mix, contracts) -> tuple:
     )
 
 
+@pytest.mark.differential
 # At least 500 examples; a profile that asks for more (``thorough``) gets them.
 @settings(max_examples=max(500, settings.default.max_examples))
 @given(single_step_inputs())

@@ -405,11 +405,12 @@ def test_round_trip_value_identity(tmp_path: Path) -> None:
         ),
         min_size=1,
         max_size=24,
-    )
+    ),
+    year=st.integers(min_value=1, max_value=9999),
 )
-def test_round_trip_exact_floats(values) -> None:
-    """repr-formatted floats survive write -> load bit-for-bit."""
-    start = datetime(2022, 6, 1, tzinfo=timezone.utc)
+def test_round_trip_exact_floats(values, year) -> None:
+    """repr-formatted floats and timestamps of any year survive write -> load bit-for-bit."""
+    start = datetime(year, 6, 1, tzinfo=timezone.utc)
     steps = tuple(
         GridMix(
             region="r",

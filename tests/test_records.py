@@ -29,6 +29,8 @@ from gridcarbon.ingest import LoadSummary, RegionDataset, load_region_csv
 from gridcarbon.scenarios import Scenario
 from gridcarbon.stats import PenetrationStat
 
+pytestmark = pytest.mark.differential
+
 RECORDS = sorted(
     {
         value

@@ -106,11 +106,14 @@ def test_non_contiguous_window_spans_placements() -> None:
         ([1.0, 2.0], _load(1, window=(-1, 0))),
         ([1.0, 2.0], _load(1, window=(1, 0))),
         ([], _load(1)),
+        ([1.0, 2.0, 3.0], _load(10**20)),       # no window: the duration is named
     ],
 )
 def test_window_too_short(signal, load) -> None:
-    with pytest.raises(WindowTooShort):
+    with pytest.raises(WindowTooShort) as raised:
         best_window(signal, load)
+    if load.window is None:
+        assert str(raised.value) == f"duration {load.duration_hours} exceeds signal length {len(signal)}"
 
 
 @given(
@@ -128,6 +131,7 @@ def test_contiguous_matches_brute_force(signal, duration) -> None:
     assert best_window(signal, load) == tuple(range(expected, expected + duration))
 
 
+@pytest.mark.differential
 @given(
     # Integer-valued signals keep sums exact, so tie-breaks are well defined.
     signal=st.lists(st.integers(min_value=0, max_value=100).map(float),
@@ -188,6 +192,7 @@ def _search_cases(draw):
     return signal, duration, window
 
 
+@pytest.mark.differential
 # At least 300 examples; a profile that asks for more (``thorough``) gets them.
 @settings(max_examples=max(300, settings.default.max_examples), deadline=None)
 @given(case=_search_cases())
@@ -249,6 +254,7 @@ def _outcome(compute, *args):
         return type(exc), str(exc)
 
 
+@pytest.mark.differential
 @settings(deadline=None)
 @given(
     case=_search_cases(),
@@ -299,6 +305,7 @@ def _series_cases(draw):
     return signal, duration, window
 
 
+@pytest.mark.differential
 @settings(max_examples=max(300, settings.default.max_examples), deadline=None)
 @given(case=_series_cases(), start=st.integers(min_value=-1, max_value=520))
 def test_series_memo_matches_tuple_and_reference(case, start) -> None:
@@ -337,6 +344,7 @@ def _order_cases(draw):
     return values, duration, between
 
 
+@pytest.mark.differential
 @settings(max_examples=max(300, settings.default.max_examples), deadline=None)
 @given(case=_order_cases())
 def test_series_order_matches_reference(case) -> None:
@@ -393,6 +401,7 @@ def _block_cases(draw):
     return block, signal, searches
 
 
+@pytest.mark.differential
 @settings(deadline=None)
 @given(case=_block_cases())
 def test_block_boundaries_match_reference(case) -> None:

@@ -163,6 +163,7 @@ def block_documents(draw) -> tuple[str, bool]:
     return text, clean
 
 
+@pytest.mark.differential
 @settings(deadline=None)
 @given(document=block_documents())
 def test_scanner_differential(document: tuple[str, bool]) -> None:
