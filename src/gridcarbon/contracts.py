@@ -29,10 +29,9 @@ a fraction of generation, one per source for a whole series.
 from __future__ import annotations
 
 from collections.abc import Callable, Mapping, Sequence
-from functools import partial
 from itertools import repeat
-from math import isfinite
-from operator import gt, mul, sub
+from math import inf, isfinite
+from operator import le, mul, sub
 from typing import NamedTuple
 
 from ._record import _Fresh, _frozen
@@ -73,9 +72,10 @@ class Contract:
         else:
             object.__setattr__(self, "energy_mwh", tuple(map(float, self.energy_mwh)))
             energies, where = self.energy_mwh, " at every step"
-        if not all(map(isfinite, energies)):
+        # min() and sum() pass numbers >= 0 at C speed (a NaN or inf makes the sum NaN or inf).
+        if not (min(energies, default=0.0) >= 0 and sum(energies) < inf) and not all(map(isfinite, energies)):
             raise ValueError(f"contract {self.id!r}: energy must be finite{where}")
-        if any(map(partial(gt, 0.0), energies)):
+        if min(energies, default=0.0) < 0:
             raise ValueError(f"contract {self.id!r}: energy must be >= 0{where}")
 
 
@@ -262,6 +262,8 @@ def contracts_for_fraction(
     Raises:
         ValueError: if a category is unknown or a fraction is outside
             [0, 1] (both checked even for an empty dataset).
+        ContractNotCarbonFree: if a source that would get a contract is
+            not carbon-free.
         TypeError: if ``mixes`` is neither a mix nor a dataset.
     """
     sources = SourceRegistry.default() if sources is None else sources
@@ -282,11 +284,16 @@ def contracts_for_fraction(
         raise TypeError(f"contracts_for_fraction takes a GridMix or a RegionDataset, not {type(mixes).__name__}")
     contracts = []
     for source_id, column in sorted(zip(source_ids, columns)):
-        f = per_category.get(sources.get(source_id).category, 0.0)
+        source = sources.get(source_id)
+        f = per_category.get(source.category, 0.0)
         if f == 0:  # generation is finite, so no step gets energy
             continue
         energy = tuple(map(mul, column, repeat(f)))
         if max(energy, default=0.0) > 0:
+            if not source.carbon_free:
+                raise ContractNotCarbonFree(
+                    f"contract fraction for {source.category!r}: source {source_id!r} is not carbon-free"
+                )
             contracts.append(
                 Contract(
                     id=f"__contracted__:{source_id}",
@@ -366,7 +373,7 @@ def _remove_contracted(
     for source_id, claims in by_source.items():
         generation = column(source_id)
         claimed = _column_sums([energy for _, energy in claims], len(generation))
-        removed = tuple(map(min, claimed, generation))
+        removed = claimed if all(map(le, claimed, generation)) else tuple(map(min, claimed, generation))
         # max(g - removed, 0.0) is g - removed bit for bit, as removed <= g.
         residual = tuple(map(sub, generation, removed))
         removals[source_id] = _Removal(claims, claimed, removed, residual)

@@ -43,12 +43,15 @@ def _sum(values: Iterable[float]) -> float:
 
 def _column_sums(columns: Iterable[Iterable[float]], steps: int) -> tuple[float, ...]:
     """Per step, :func:`_sum` of the step's value in each column, in column
-    order (the int ``0`` when there are no columns). Each partial total is
-    kept as a tuple, so any number of columns adds without nesting iterators."""
-    totals: tuple[float, ...] = (0,) * steps
-    for column in columns:
-        totals = tuple(map(add, totals, column))
-    return totals
+    order (the int ``0`` when there are no columns). The columns add in one
+    pass of nested ``map``s; the partial totals are kept as a tuple every 16
+    columns, so any number of columns adds without deep nesting."""
+    totals: Iterable[float] = repeat(0, steps)
+    for i, column in enumerate(columns, 1):
+        totals = map(add, totals, column)
+        if i % 16 == 0:
+            totals = tuple(totals)
+    return tuple(totals)
 
 
 @_frozen
@@ -184,6 +187,9 @@ def compute_average_ci(mix: GridMix, sources: SourceRegistry | None = None) -> f
 # all of the series' length. Each adds the per-mix expression's terms in
 # column order with _column_sums, the one summation rule above, so a series
 # computed on columns gives the same floats as the same mixes one by one.
+# Emission sums leave out the terms of a zero CEF, exactly: such a term is
+# ±0.0 (cells are finite and >= 0), and adding it to a partial sum that is
+# the int 0, +0.0 or positive changes neither its value nor its sign.
 
 _Row = tuple[float, ...]
 
@@ -199,8 +205,9 @@ def _cefs(source_ids: Iterable[str], sources: SourceRegistry) -> _Row:
 
 
 def _weighted(columns: Sequence[_Row], cefs: _Row, steps: int, scale: float | None = None) -> _Row:
-    """Per step, the :func:`_column_sums` of mwh * cef, or of mwh * cef * scale."""
-    terms = [map(mul, column, repeat(cef)) for column, cef in zip(columns, cefs)]
+    """Per step, the :func:`_column_sums` of mwh * cef, or of mwh * cef * scale,
+    over the columns whose cef is not 0 (the int ``0`` when none is)."""
+    terms = [map(mul, column, repeat(cef)) for column, cef in zip(columns, cefs) if cef]
     if scale is not None:
         terms = [map(mul, column, repeat(scale)) for column in terms]
     return _column_sums(terms, steps)

@@ -15,9 +15,10 @@ datasets whose remaining timestamps are not evenly spaced.
 A file is read once, as UTF-8 (a file that is not is a ParseError), and
 its text is tokenized one of two ways. When it holds no quote, no NUL, no
 CR outside a CRLF line break and no line longer than
-``csv.field_size_limit()``, its lines are split at their commas, which for
-such a text gives exactly the rows ``csv.reader`` reads; any other text
-goes through ``csv.reader``. The rows then get the same checks either way,
+``csv.field_size_limit()``, its lines are split at their commas (all in
+one split when each has the header's cell count), which for such a text
+gives exactly the rows ``csv.reader`` reads; any other text goes through
+``csv.reader``. The rows then get the same checks either way,
 a column at a time where they pass and one by one where they do not, so the
 path changes no value, summary, warning or error.
 """
@@ -32,7 +33,7 @@ import warnings
 from collections.abc import Iterable, Iterator, Sequence
 from datetime import datetime, timezone
 from functools import cached_property
-from itertools import compress, repeat
+from itertools import chain, compress, repeat
 from operator import lt
 from pathlib import Path
 
@@ -265,30 +266,27 @@ def _parse_cell(raw: str, row: int, column: str) -> float:
     return value
 
 
-# A data row as read: its number, and its cells or the reader's error on it.
-_RawRow = tuple[int, "Sequence[str] | csv.Error"]
+# A data row as read: its number, and its timestamp and parsed cells or its ParseError.
+_RawRow = tuple[int, "Sequence[str] | ParseError"]
 
 
 def _parse_row(
-    row: int, cells: Sequence[str] | csv.Error, header: Sequence[str], names: Sequence[str], zero_fill: bool
+    row: int, cells: Sequence[str] | ParseError, names: Sequence[str], zero_fill: bool
 ) -> tuple[datetime, tuple[float, ...] | None, int]:
-    """Every check of one data row: that the reader could read it, its cell
-    count, its timestamp, and its cells under ``names`` (a header's source
-    columns, then the published CI) under the blank-cell policy. Returns
-    the timestamp, the values (``None`` when a blank cell drops the row)
-    and the cells filled."""
-    if isinstance(cells, csv.Error):
-        raise ParseError(f"unreadable row: {cells}", row=row)
-    if len(cells) != len(header):
-        raise ParseError(f"expected {len(header)} cells, got {len(cells)}", row=row)
-    raw_timestamp = cells[header.index(TIMESTAMP_COLUMN)].strip()
+    """Every check of one data row: its timestamp cell, and its cells under
+    ``names`` (a header's source columns, then the published CI) under the
+    blank-cell policy. Returns the timestamp, the values (``None`` when a
+    blank cell drops the row) and the cells filled."""
+    if isinstance(cells, ParseError):
+        raise cells
+    raw_timestamp = cells[0].strip()
     if not raw_timestamp:
         raise ParseError("missing timestamp", row=row, column=TIMESTAMP_COLUMN)
     timestamp = _parse_timestamp(raw_timestamp, row)
     values = []
     filled = 0
-    for name in names:
-        cell = cells[header.index(name)].strip()
+    for name, cell in zip(names, cells[1:]):
+        cell = cell.strip()
         if cell:
             values.append(_parse_cell(cell, row, name))
         elif zero_fill:
@@ -340,85 +338,80 @@ def _file_lines(text: str) -> Iterator[str]:
     return map(re.Match.group, _FILE_LINE.finditer(text))
 
 
-def _split_rows(lines: list[str]) -> list[list[str]]:
-    """The lines after the header, each split at its commas. The split
-    runs in place, a block at a time, so that each block of lines is freed
-    as its rows are made."""
-    del lines[0]
-    for start in range(0, len(lines), 1024):
-        lines[start : start + 1024] = map(str.split, lines[start : start + 1024], repeat(","))
-    return lines
-
-
-def _reader_rows(rows: Iterable[list[str]]) -> tuple[list[list[str]], csv.Error | None]:
-    """The rows ``csv.reader`` reads before it stops, and its error if it
-    stopped on one."""
-    read = []
-    try:
-        for cells in rows:
-            read.append(cells)
-    except csv.Error as exc:
-        return read, exc
-    return read, None
-
-
 def _blank(cells: Sequence[str]) -> bool:
     """True for a row with no cell or only blank cells; it is not read."""
     return not (cells and (cells[0].strip() or any(map(str.strip, cells))))
 
 
 def _sort_rows(
-    body: list[Sequence[str]], width: int, indexes: Sequence[int]
-) -> tuple[Sequence[int], list[tuple[str, ...]], list[bool] | None, list[str], list[_RawRow], int]:
-    """Sort the data rows, a column at a time, into clean ones (``width``
-    cells, and a timestamp and parsed cells that are not empty; ``indexes``
-    locates the timestamp and then each parsed cell) and other ones.
+    body: list[str] | list[list[str]], width: int, indexes: Sequence[int]
+) -> tuple[Sequence[int], list[str], list[list[str]], list[_RawRow], int]:
+    """Sort the data rows, ``body`` (lines to split at commas, or the rows
+    ``csv.reader`` read), into clean ones (``width`` cells, and a timestamp
+    and parsed cells that are not empty; ``indexes`` locates the timestamp
+    and then each parsed cell) and other ones.
 
-    Returns the clean rows' numbers; ``width`` columns that hold the clean
-    rows and, where ``keep`` is False when it is not ``None``, other ones
-    (so that no cell is copied to drop them); ``keep``; the clean rows'
-    stripped timestamps; the other rows in file order, blank ones left out;
-    and the number of rows that are not blank. ``body`` is emptied once the
-    columns exist, to free the row lists."""
+    The rows with ``width`` cells are one flat list of cells, and a needed
+    column is a stride slice of it: an unused column is never built. Lines
+    are split once, joined with a "\n" cell between each two (no line holds
+    one); unless that cell is every ``width + 1``-th, they are split again
+    one by one.
+
+    Returns the clean rows' numbers, stripped timestamps and parsed columns;
+    the other rows in file order, blank ones left out; and the number of
+    rows that are not blank. ``body`` is emptied as the cells are made."""
     numbers: Sequence[int] = range(2, len(body) + 2)
+    cells: list[str] = []
+    stride = width + 1
+    if body and isinstance(body[0], str):
+        text = ",\n,".join(body)
+        body.clear()
+        cells = text.split(",")
+        if len(cells) != len(numbers) * stride - 1 or cells[width::stride].count("\n") != len(numbers) - 1:
+            body[:] = map(str.split, text.split(",\n,"), repeat(","))
+        del text
     other: list[_RawRow] = []
-    full = list(map(width.__eq__, map(len, body)))
-    if not all(full):
-        other = [(row, cells) for row, cells in zip(numbers, body) if len(cells) != width]
+    if body:
+        full = [len(row_cells) == width for row_cells in body]
+        other = [
+            (row, ParseError(f"expected {width} cells, got {len(row_cells)}", row=row))
+            for row, row_cells in zip(numbers, body)
+            if len(row_cells) != width and not _blank(row_cells)
+        ]
         numbers = list(compress(numbers, full))
-        body[:] = compress(body, full)
-    columns = list(zip(*body)) or [()] * width  # the one transposition
-    body.clear()
-    stamps = list(map(str.strip, columns[indexes[0]]))
+        cells = list(chain.from_iterable(compress(body, full)))
+        stride = width
+        body.clear()
+    stamps = list(map(str.strip, cells[indexes[0] :: stride]))
+    columns = [cells[i::stride] for i in indexes[1:]]
     # The rows with an empty timestamp or parsed cell, found a column at a time.
     drop = set()
-    for column in (stamps, *(columns[i] for i in indexes[1:])):
+    for column in (stamps, *columns):
         i = -1
         with contextlib.suppress(ValueError):  # index() raises past the last empty cell
             while True:
                 i = column.index("", i + 1)
                 drop.add(i)
-    keep = None
     if drop:
         drop = sorted(drop)
-        other += ((numbers[i], tuple(column[i] for column in columns)) for i in drop)
-        other.sort()
-        keep = [True] * len(numbers)
         for i in drop:
-            keep[i] = False
-        numbers = list(compress(numbers, keep))
-        stamps = list(compress(stamps, keep))
-    other = [(row, cells) for row, cells in other if not _blank(cells)]
-    return numbers, columns, keep, stamps, other, len(numbers) + len(other)
+            if not _blank(cells[i * stride : i * stride + width]):
+                other.append((numbers[i], [column[i] for column in (stamps, *columns)]))
+        other.sort()
+        numbers, stamps, *columns = (_without(items, drop) for items in (numbers, stamps, *columns))
+    return numbers, stamps, columns, other, len(numbers) + len(other)
 
 
-def _kept(items: Iterable, keep: list[bool] | None) -> Iterable:
-    """``items`` without those where ``keep``, when not ``None``, is False."""
-    return items if keep is None else compress(items, keep)
+def _without(items: Sequence, drop: list[int]) -> list:
+    """``items`` without those at the sorted indexes ``drop``, copied a run at a time."""
+    kept = list(items[: drop[0]])
+    for i, end in zip(drop, [*drop[1:], len(items)]):
+        kept += items[i + 1 : end]
+    return kept
 
 
 def _parse_columns(
-    stamps: list[str], raw_columns: Iterable[Iterable[str]]
+    stamps: list[str], raw_columns: list[list[str]]
 ) -> tuple[list[datetime], list[tuple[float, ...]], str | None] | None:
     """Parse clean rows a column at a time: their timestamps from their
     stripped text, one value column per raw cell column and, when every
@@ -433,7 +426,9 @@ def _parse_columns(
         columns = [tuple(map(float, column)) for column in raw_columns]
     except ValueError:
         return None
-    if not all(min(column) >= 0.0 and sum(column) < math.inf for column in columns):
+    # Only a cell with a "-" can be < 0; most columns have none, and skip min().
+    negative = ("-" in "".join(cells) and min(column) < 0.0 for cells, column in zip(raw_columns, columns))
+    if any(negative) or not all(sum(column) < math.inf for column in columns):
         return None
     return timestamps, columns, text if canonical else None
 
@@ -459,7 +454,8 @@ def _read_csv(path: Path, fill_policy: str, bare_signal: bool = False) -> tuple 
 
     The text is read once (``bare_signal`` reads the header line first).
     When :func:`_split_lines` can split it, its rows are the lines split at
-    commas; otherwise ``csv.reader`` reads them. Both give the same rows.
+    commas (see :func:`_sort_rows`); otherwise ``csv.reader`` reads them.
+    Both give the same rows.
     """
     if bare_signal:  # the header line alone, so that a mix CSV is read no further
         try:
@@ -506,28 +502,31 @@ def _read_csv(path: Path, fill_policy: str, bare_signal: bool = False) -> tuple 
     indexes = [header.index(TIMESTAMP_COLUMN), *map(header.index, names)]
     zero_fill = fill_policy == "zero-fill"
 
-    if lines is None:
-        body, error = _reader_rows(rows)
-    else:
-        body, error = _split_rows(lines), None
+    body, error = ([] if lines is None else lines[1:]), None
+    if lines is None:  # the rows csv.reader reads before it stops, and its error if it stops on one
+        try:
+            for cells in rows:
+                body.append(cells)
+        except csv.Error as exc:
+            error = exc
     error_row = len(body) + 2  # the row after the last one read
     del rows, lines
-    numbers, raw_columns, keep, stamps, other, rows_read = _sort_rows(body, len(header), indexes)
+    numbers, stamps, raw_columns, other, rows_read = _sort_rows(body, len(header), indexes)
     if error is not None:  # the reader stopped here: this row is the last one checked
-        other.append((error_row, error))
+        other.append((error_row, ParseError(f"unreadable row: {error}", row=error_row)))
     # When there are clean rows and every one passes the checks, they parse
     # a column at a time and only the other rows go one by one through
     # _parse_row. Otherwise every row does, in file order, so the first bad
     # row raises its error.
-    parsed = _parse_columns(stamps, [_kept(raw_columns[i], keep) for i in indexes[1:]]) if stamps else None
+    parsed = _parse_columns(stamps, raw_columns) if stamps else None
     if parsed is None:
-        other = sorted([*zip(numbers, _kept(zip(*raw_columns), keep)), *other])
+        other = sorted([*zip(numbers, zip(stamps, *raw_columns)), *other])
     del raw_columns, stamps  # the raw cells, no longer needed
     timestamps, columns, text = parsed or ([], [()] * len(names), None)
     rows = []
     rows_dropped = cells_filled = 0
     for row, cells in other:
-        timestamp, values, filled = _parse_row(row, cells, header, names, zero_fill)
+        timestamp, values, filled = _parse_row(row, cells, names, zero_fill)
         if values is None:
             rows_dropped += 1
             continue

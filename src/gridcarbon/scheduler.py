@@ -15,7 +15,7 @@ import sys
 from collections.abc import Mapping, Sequence
 from functools import cached_property
 from itertools import accumulate, compress, repeat
-from operator import ge, le, sub
+from operator import ge, le, sub, truediv
 
 from ._record import _frozen
 from .contracts import _fully_contracted, _residual_dataset, contracts_for_fraction
@@ -421,11 +421,13 @@ def shift_savings(
 
 
 def _ci_steps(dataset: RegionDataset, sources: SourceRegistry) -> tuple[float | None, ...]:
-    """:func:`~gridcarbon.grid.compute_average_ci` of each step, ``None`` for a step
-    without energy; a ValueError names the first step whose sums overflow."""
+    """:func:`~gridcarbon.grid.compute_average_ci` of each step (one ``map`` when every step
+    has energy), ``None`` for a step without; a ValueError names the first step whose sums overflow."""
     totals = _column_sums(dataset.columns, len(dataset))
     weighted = _weighted(dataset.columns, _cefs(dataset.source_ids, sources), len(dataset))
     check_overflow(dataset, _sum(totals) + _sum(weighted), map(max, totals, weighted))
+    if all(totals):
+        return tuple(map(truediv, weighted, totals))
     return tuple(w / total if total > 0 else None for w, total in zip(weighted, totals))
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Mapping, Sequence
 from itertools import accumulate, compress
-from operator import mul
+from operator import mul, truediv
 
 from ._record import _frozen
 from .contracts import _fully_contracted, _residual_dataset, contracts_for_fraction
@@ -76,7 +76,9 @@ def penetration(
     if total <= 0:
         raise EmptyMix(f"dataset for region {dataset.region!r} has no generation")
     if per_hour_mean:
-        ratios = [part / whole for part, whole in zip(selected_totals, totals) if whole > 0]
+        ratios = list(map(truediv, selected_totals, totals)) if all(totals) else [
+            part / whole for part, whole in zip(selected_totals, totals) if whole > 0
+        ]
         pct = 100.0 * _sum(ratios) / len(ratios)
     else:
         pct = 100.0 * selected / total

@@ -635,6 +635,21 @@ def test_validation_error_exits_1(capsys, toy_csv: Path) -> None:
     assert "error:" in captured.err
 
 
+@pytest.mark.parametrize("command", ["residual", "inflation"])
+def test_categories_not_carbon_free_names_the_category(capsys, toy_csv: Path, command) -> None:
+    """A contract fraction on a source with emissions names the category and
+    the source, not the id of the contract made for it."""
+    err = _single_error_line(capsys, command, "--mix", str(toy_csv), "--fraction", "0.5", "--categories", "coal")
+    assert err == "error: contract fraction for 'coal': source 'coal' is not carbon-free\n"
+
+
+@pytest.mark.parametrize("command", ["residual", "inflation"])
+def test_categories_not_carbon_free_without_its_energy_is_no_error(capsys, toy_csv: Path, command) -> None:
+    """A source with no energy at any step gets no contract, so no error."""
+    code, out = _run(capsys, command, "--mix", str(toy_csv), "--fraction", "0.5", "--categories", "gas,wind")
+    assert code == 0 and out
+
+
 def test_missing_file_exits_2(capsys, tmp_path: Path) -> None:
     code = main(["ci", "--mix", str(tmp_path / "nope.csv")])
     captured = capsys.readouterr()

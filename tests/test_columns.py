@@ -25,6 +25,7 @@ from hypothesis import strategies as st
 
 from gridcarbon import (
     Contract,
+    ContractNotCarbonFree,
     EmptyMix,
     EmptyResidual,
     GridCarbonError,
@@ -207,6 +208,20 @@ def _reference_contracts_for_fraction(
     return tuple(contracts)
 
 
+
+def _reference_fraction_contracts(mixes, fraction, categories, sources) -> tuple[Contract, ...]:
+    """The contracts of :func:`_reference_contracts_for_fraction`, or the
+    error that ``contracts_for_fraction`` raises for the first of them whose
+    source is not carbon-free: it names the fraction's category."""
+    contracts = _reference_contracts_for_fraction(mixes, fraction, categories, sources)
+    for contract in contracts:
+        source = sources.get(contract.source_id)
+        if not source.carbon_free:
+            raise ContractNotCarbonFree(
+                f"contract fraction for {source.category!r}: source {source.id!r} is not carbon-free"
+            )
+    return contracts
+
 def _reference_residual_mixes(
     mixes: Iterable[GridMix],
     contracts: Sequence[Contract],
@@ -231,7 +246,7 @@ def _reference_total_signal(dataset, sources=None, basis="cef"):
 
 def _reference_residual_signal(dataset, contract_fraction, categories=("solar", "wind"), sources=None):
     sources = sources or SourceRegistry.default()
-    contracts = _reference_contracts_for_fraction(dataset.mixes, contract_fraction, categories, sources)
+    contracts = _reference_fraction_contracts(dataset.mixes, contract_fraction, categories, sources)
     residuals = _reference_residual_mixes(dataset.mixes, contracts, sources, require_residual=True)
     return tuple(float(compute_average_ci(residual.mix, sources)) for residual in residuals)
 
@@ -273,7 +288,7 @@ def _reference_period_residual_ci(
 ):
     sources = sources or SourceRegistry.default()
     check_basis(dataset, basis)
-    contracts = _reference_contracts_for_fraction(dataset.mixes, contract_fraction, categories, sources)
+    contracts = _reference_fraction_contracts(dataset.mixes, contract_fraction, categories, sources)
     residuals = _reference_residual_mixes(dataset.mixes, contracts, sources, require_residual=True)
     if basis == "cef":
         return _reference_period(dataset, _reference_energy_weighted_ci((r.mix for r in residuals), sources))
@@ -467,6 +482,58 @@ def yaml_contracts(draw, steps: int) -> list[Contract]:
             )
         )
     return contracts
+
+
+# Cells whose product with a zero CEF is +0.0 or -0.0, tiny ones and ones
+# near the float limit; registries with one or both fossil CEFs at 0, or all.
+ZERO_CEF_CELLS = st.sampled_from([0.0, -0.0, 5e-324, 1e-300, 0.1, 3.0, 1e300, 1.5e300])
+ZERO_CEF_OVERRIDES = st.sampled_from(
+    [{"coal": 0.0}, {"gas": 0.0}, {"coal": 0.0, "gas": 0.0}, dict.fromkeys(SOURCE_CATEGORIES, 0.0)]
+)
+
+
+@st.composite
+def zero_cef_datasets(draw) -> tuple[RegionDataset, tuple[GridMix, ...]]:
+    """A CSV-shaped dataset of ``ZERO_CEF_CELLS`` and the mixes it was built from."""
+    names = draw(st.lists(st.sampled_from(SOURCES), unique=True, min_size=1, max_size=5))
+    mixes = tuple(
+        GridMix(region="r", generation={name: draw(ZERO_CEF_CELLS) for name in names}, timestamp=START + timedelta(hours=h))
+        for h in range(draw(st.integers(min_value=1, max_value=6)))
+    )
+    # A published CI near the float limit would overflow its emissions.
+    published = tuple(draw(st.sampled_from([0.0, -0.0, 0.1, 450.0])) for _ in mixes) if draw(st.booleans()) else None
+    return RegionDataset(region="r", mixes=mixes, published_ci=published), mixes
+
+
+def _leaves(value) -> list:
+    return [leaf for item in value for leaf in _leaves(item)] if isinstance(value, tuple) else [value]
+
+
+@pytest.mark.differential
+@settings(deadline=None)
+@given(drawn=zero_cef_datasets(), overrides=ZERO_CEF_OVERRIDES, fraction=fractions, cats=categories, basis=bases)
+def test_zero_cef_terms_left_out_exactly(drawn, overrides, fraction, cats, basis) -> None:
+    """The column code leaves out the emission terms of a zero CEF; the per-mix
+    code adds them. Every quantity is the same float, bit for bit, or raises
+    the same error."""
+    dataset, mixes = drawn
+    view = _Frozen(dataset, mixes)
+    sources = SourceRegistry.default(overrides)
+    pairs = [
+        (total_signal, _reference_total_signal, (sources, basis)),
+        (residual_signal, _reference_residual_signal, (fraction, cats, sources)),
+        (energy_weighted_ci, lambda d, s: _reference_energy_weighted_ci(d.mixes, s), (sources,)),
+        (period_ci, _reference_period_ci, (sources, basis)),
+        (period_residual_ci, _reference_period_residual_ci, (fraction, cats, sources, basis)),
+        (_penetration, _reference_penetration, (cats, sources, False)),
+        (_penetration, _reference_penetration, (cats, sources, True)),
+    ]
+    for compute, reference, args in pairs:
+        new = _outcome(compute, dataset, *args)
+        assert new == _outcome(reference, view, *args), compute
+        if not (isinstance(new, tuple) and isinstance(new[0], type)):  # a result, not an error
+            # Floats, as hex; energy_weighted_ci is None without energy.
+            assert all(isinstance(leaf, str) or leaf is None for leaf in _leaves(new)), compute
 
 
 @pytest.mark.parametrize("uniform", [True, False])
@@ -747,6 +814,61 @@ def test_read_csv_differential_on_text_only_csv_reader_reads(tmp_path_factory, t
             old = _reference_outcome(path, policy, bare)
     finally:
         csv.field_size_limit(limit)
+    assert new == old
+
+
+# --- lines the one-split tokenizer must not misalign ----------------------------------
+
+
+def _stamp_at(hour: int) -> str:
+    return f"2022-06-01T{hour:02d}:00:00Z"
+
+
+# Data lines for a header of two or three columns (``w`` cells); each case
+# breaks the cell count of a line, or spaces or breaks lines unusually.
+MISALIGNED_LINES = {
+    # The extra cell of row 3 is a valid timestamp and row 4 lacks its own:
+    # split as one run of cells, rows 3 to 5 would line up again.
+    "extra-timestamp-cell-then-missing-timestamp": lambda w: [
+        ",".join([_stamp_at(0), *["1"] * (w - 1)]),
+        ",".join([_stamp_at(1), *["2"] * (w - 1), _stamp_at(2)]),
+        ",".join(["3"] * (w - 1)),
+        ",".join([_stamp_at(3), *["4"] * (w - 1)]),
+    ],
+    "two-rows-on-one-line-then-blank": lambda w: [
+        ",".join([_stamp_at(0), *["1"] * (w - 1), _stamp_at(1), *["2"] * (w - 1)]),
+        "",
+        ",".join([_stamp_at(2), *["3"] * (w - 1)]),
+    ],
+    "only-commas": lambda w: [
+        ",".join([_stamp_at(0), *["1"] * (w - 1)]),
+        "," * (w - 1),
+        "," * w,
+        ",".join([_stamp_at(1), *["2"] * (w - 1)]),
+    ],
+    "padded-timestamps": lambda w: [
+        ",".join([f" {_stamp_at(h)}  ", *[f" {h}.5"] * (w - 1)]) for h in (2, 0, 1)
+    ],
+    "crlf": lambda w: [",".join([_stamp_at(h), *(["", "7"] if h == 1 else [str(h)]) * (w - 1)][:w]) for h in range(3)],
+}
+
+
+@pytest.mark.parametrize("header", ["timestamp,wind,ci_g_per_kwh", "timestamp,ci_g_per_kwh"])
+@pytest.mark.parametrize("case", list(MISALIGNED_LINES))
+@pytest.mark.parametrize("policy", ["drop-row", "zero-fill"])
+@pytest.mark.parametrize("bare", [False, True])
+def test_read_csv_misaligned_lines_match_row_by_row_reader(tmp_path: Path, header, case, policy, bare) -> None:
+    """Lines of another cell count never shift the cells of later lines:
+    the rows, summary and first error are those of the row-by-row reader."""
+    lines = [header, *MISALIGNED_LINES[case](len(header.split(",")))]
+    text = ("\r\n" if case == "crlf" else "\n").join(lines) + "\n"
+    assert _split_lines(text) is not None  # the tokenizer under test reads it
+    path = tmp_path / "r.csv"
+    path.write_bytes(text.encode("utf-8"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        new = _outcome(lambda: _table(_read_csv(path, policy, bare)))
+        old = _outcome(lambda: _table(_reference_read_csv(path, policy, bare)))
     assert new == old
 
 
