@@ -29,9 +29,10 @@ a fraction of generation, one per source for a whole series.
 from __future__ import annotations
 
 from collections.abc import Callable, Mapping, Sequence
+from functools import partial
 from itertools import repeat
-from math import inf, isfinite
-from operator import le, mul, sub
+from math import isfinite
+from operator import gt, le, mul, sub
 from typing import NamedTuple
 
 from ._record import _Fresh, _frozen
@@ -72,10 +73,9 @@ class Contract:
         else:
             object.__setattr__(self, "energy_mwh", tuple(map(float, self.energy_mwh)))
             energies, where = self.energy_mwh, " at every step"
-        # min() and sum() pass numbers >= 0 at C speed (a NaN or inf makes the sum NaN or inf).
-        if not (min(energies, default=0.0) >= 0 and sum(energies) < inf) and not all(map(isfinite, energies)):
+        if not all(map(isfinite, energies)):
             raise ValueError(f"contract {self.id!r}: energy must be finite{where}")
-        if min(energies, default=0.0) < 0:
+        if any(map(partial(gt, 0.0), energies)):
             raise ValueError(f"contract {self.id!r}: energy must be >= 0{where}")
 
 

@@ -353,9 +353,9 @@ def _sort_rows(
 
     The rows with ``width`` cells are one flat list of cells, and a needed
     column is a stride slice of it: an unused column is never built. Lines
-    are split once, joined with a "\n" cell between each two (no line holds
-    one); unless that cell is every ``width + 1``-th, they are split again
-    one by one.
+    are split once, joined with a cell of one line break between each two
+    (no line holds one); unless that cell is every ``width + 1``-th, they
+    are split again one by one.
 
     Returns the clean rows' numbers, stripped timestamps and parsed columns;
     the other rows in file order, blank ones left out; and the number of
