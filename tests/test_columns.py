@@ -208,7 +208,6 @@ def _reference_contracts_for_fraction(
     return tuple(contracts)
 
 
-
 def _reference_fraction_contracts(mixes, fraction, categories, sources) -> tuple[Contract, ...]:
     """The contracts of :func:`_reference_contracts_for_fraction`, or the
     error that ``contracts_for_fraction`` raises for the first of them whose
@@ -221,6 +220,7 @@ def _reference_fraction_contracts(mixes, fraction, categories, sources) -> tuple
                 f"contract fraction for {source.category!r}: source {source.id!r} is not carbon-free"
             )
     return contracts
+
 
 def _reference_residual_mixes(
     mixes: Iterable[GridMix],
@@ -497,7 +497,7 @@ def zero_cef_datasets(draw) -> tuple[RegionDataset, tuple[GridMix, ...]]:
     """A CSV-shaped dataset of ``ZERO_CEF_CELLS`` and the mixes it was built from."""
     names = draw(st.lists(st.sampled_from(SOURCES), unique=True, min_size=1, max_size=5))
     mixes = tuple(
-        GridMix(region="r", generation={name: draw(ZERO_CEF_CELLS) for name in names}, timestamp=START + timedelta(hours=h))
+        GridMix(region="r", generation={n: draw(ZERO_CEF_CELLS) for n in names}, timestamp=START + timedelta(hours=h))
         for h in range(draw(st.integers(min_value=1, max_value=6)))
     )
     # A published CI near the float limit would overflow its emissions.
@@ -828,7 +828,7 @@ def _stamp_at(hour: int) -> str:
 # breaks the cell count of a line, or spaces or breaks lines unusually.
 MISALIGNED_LINES = {
     # The extra cell of row 3 is a valid timestamp and row 4 lacks its own:
-    # split as one run of cells, rows 3 to 5 would line up again.
+    # as one run of cells, the rows would still fill whole rows of cells.
     "extra-timestamp-cell-then-missing-timestamp": lambda w: [
         ",".join([_stamp_at(0), *["1"] * (w - 1)]),
         ",".join([_stamp_at(1), *["2"] * (w - 1), _stamp_at(2)]),
