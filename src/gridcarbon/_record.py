@@ -39,6 +39,14 @@ class _Methods:
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}")
 
+    @classmethod
+    def _checked(cls, **fields):
+        """A record of fields that pass its constructor's checks, built without them."""
+        record = object.__new__(cls)
+        for name, value in fields.items():
+            object.__setattr__(record, name, value)
+        return record
+
 
 def _frozen(cls):
     names = cls.__match_args__ = tuple(cls.__annotations__)
@@ -52,6 +60,6 @@ def _frozen(cls):
         exec(f"def __init__(self, {', '.join(params)}):\n" + "\n".join(body), namespace)
         cls.__init__ = namespace["__init__"]
         cls.__init__.__annotations__ = {**cls.__annotations__, "return": None}
-    for method in ("__repr__", "__eq__", "__hash__", "__setattr__", "__delattr__"):
+    for method in ("__repr__", "__eq__", "__hash__", "__setattr__", "__delattr__", "_checked"):
         setattr(cls, method, vars(_Methods)[method])
     return cls

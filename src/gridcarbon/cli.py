@@ -221,7 +221,7 @@ def cmd_ci(args) -> Records:
     }
     if contracts is not None:
         residual = _residual_dataset(dataset, contracts, sources)
-        steps["residual_ci_g_per_kwh"] = ["" if ci is None else ci for ci in _ci_steps(residual, sources)]
+        steps["residual_ci_g_per_kwh"] = ["" if ci is None else ci for ci in _ci_steps(residual, sources, dataset)]
         ci_res = energy_weighted_ci(residual, sources)
         aggregate["residual_ci_g_per_kwh"] = "" if ci_res is None else ci_res
     return Records(steps, aggregate)
@@ -265,6 +265,8 @@ def _report_records(report) -> Records:
 
 
 def _scenario_from_args(args):
+    if args.name is not None and args.file is not None:
+        raise GridCarbonError("give either a scenario name or --file, not both")
     if args.file:
         return load_scenario(args.file)
     if not args.name:
@@ -274,6 +276,8 @@ def _scenario_from_args(args):
 
 def cmd_scenario(args) -> Records:
     if args.list:
+        if args.name is not None or args.file is not None:
+            raise GridCarbonError("--list takes no scenario name or --file")
         return Records({"record": "scenario", "name": builtin_scenario_names()})
     scenario = _scenario_from_args(args)
     return _report_records(run_scenario(scenario))
@@ -358,17 +362,18 @@ def cmd_schedule(args) -> Records:
     if args.basis == "published" and args.residual_fraction is not None:
         raise GridCarbonError("--residual-fraction prices on emission factors; use --basis cef")
     sources = _registry(args)
-    reported, dataset = _load_signal(args.signal, sources, args.basis)
-    if args.actual:
-        actual, _ = _load_signal(args.actual, sources, args.basis)
-    elif args.residual_fraction is not None:
+    loaded = [_load_signal(path, sources, args.basis) for path in (args.signal, args.actual) if path]
+    if args.cef and (args.basis == "published" or all(mix is None for _, mix in loaded)):
+        raise GridCarbonError("--cef prices a mix CSV on --basis cef, and no signal here is one")
+    (reported, dataset), *given = loaded
+    if args.residual_fraction is not None:
         if dataset is None:
             raise GridCarbonError(
                 f"{args.signal}: --residual-fraction needs a mix CSV with source columns"
             )
         actual = residual_signal(dataset, args.residual_fraction, sources=sources)
     else:
-        actual = reported
+        actual = given[0][0] if given else reported
     window = None
     if args.window:
         window = _option("--window", args.window, _start_window, "LO:HI, two integer start indices")

@@ -294,8 +294,10 @@ def contracts_for_fraction(
                 raise ContractNotCarbonFree(
                     f"contract fraction for {source.category!r}: source {source_id!r} is not carbon-free"
                 )
+            # generation (checked) times f in [0, 1]: floats, finite and >= 0,
+            # as Contract's checks would find them
             contracts.append(
-                Contract(
+                Contract._checked(
                     id=f"__contracted__:{source_id}",
                     buyer="__contracted__",
                     kind="financial",

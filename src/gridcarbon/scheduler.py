@@ -420,14 +420,36 @@ def shift_savings(
     return 100.0 * (from_emissions - to_emissions) / from_emissions
 
 
-def _ci_steps(dataset: RegionDataset, sources: SourceRegistry) -> tuple[float | None, ...]:
-    """:func:`~gridcarbon.grid.compute_average_ci` of each step (one ``map`` when every step
-    has energy), ``None`` for a step without; a ValueError names the first step whose sums overflow."""
+def _weighted_steps(
+    dataset: RegionDataset, cefs: tuple[float, ...], uncontracted: RegionDataset | None
+) -> tuple[float, ...]:
+    """The per-step ``grid._weighted`` sums of ``dataset`` for ``cefs``, kept on it:
+    the one rule of their reuse. A residual dataset reads those of ``uncontracted``
+    when ``cefs`` is 0 at every column the two do not share (a contracted one):
+    ``_weighted`` leaves such columns out and reads the same tuples in both."""
+    if uncontracted is not None and not any(
+        cef for cef, a, b in zip(cefs, dataset.columns, uncontracted.columns) if a is not b
+    ):
+        dataset = uncontracted
+    kept = dataset._weighted_sums
+    weighted = kept.get(cefs)
+    if weighted is None:
+        weighted = kept[cefs] = _weighted(dataset.columns, cefs, len(dataset))
+    return weighted
+
+
+def _ci_steps(
+    dataset: RegionDataset, sources: SourceRegistry, uncontracted: RegionDataset | None = None
+) -> tuple[float | None, ...]:
+    """:func:`~gridcarbon.grid.compute_average_ci` of each step: a ``_Series`` (one
+    ``map``) when every step has energy, else a tuple with ``None`` at each step
+    without; a ValueError names the first step whose sums overflow. ``dataset``
+    shares its Σ MWh·CEF with ``uncontracted``, if it is its residual."""
     totals = _column_sums(dataset.columns, len(dataset))
-    weighted = _weighted(dataset.columns, _cefs(dataset.source_ids, sources), len(dataset))
-    check_overflow(dataset, _sum(totals) + _sum(weighted), map(max, totals, weighted))
+    weighted = _weighted_steps(dataset, _cefs(dataset.source_ids, sources), uncontracted)
+    check_overflow(dataset, max(max(totals, default=0), max(weighted, default=0)), map(max, totals, weighted))
     if all(totals):
-        return tuple(map(truediv, weighted, totals))
+        return _Series(map(truediv, weighted, totals))
     return tuple(w / total if total > 0 else None for w, total in zip(weighted, totals))
 
 
@@ -441,13 +463,13 @@ def _signal(
             there when ``dataset`` is the residual of ``uncontracted``
             and that step had generation.
     """
-    signal = _ci_steps(dataset, sources)
-    if None in signal:
-        step = signal.index(None)
-        if uncontracted is not None and _sum(c[step] for c in uncontracted.columns) > 0:
-            raise _fully_contracted(dataset.region, step)
-        raise EmptyMix(f"carbon intensity undefined for empty mix in region {dataset.region!r}")
-    return _Series(signal)
+    signal = _ci_steps(dataset, sources, uncontracted)
+    if isinstance(signal, _Series):
+        return signal
+    step = signal.index(None)
+    if uncontracted is not None and _sum(c[step] for c in uncontracted.columns) > 0:
+        raise _fully_contracted(dataset.region, step)
+    raise EmptyMix(f"carbon intensity undefined for empty mix in region {dataset.region!r}")
 
 
 def total_signal(

@@ -145,6 +145,27 @@ def test_scenario_list(capsys) -> None:
     assert len(names) == 6
 
 
+BUNDLED_SCENARIO = Path(cli.__file__).parent / "data" / "scenarios" / "commercial-case-2.yaml"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["scenario", "commercial-case-1", "--file"], "give either a scenario name or --file, not both"),
+        (["attribute", "commercial-case-1", "--file"], "give either a scenario name or --file, not both"),
+        (["scenario", "--list", "commercial-case-1"], "--list takes no scenario name or --file"),
+        (["scenario", "--list", "--file"], "--list takes no scenario name or --file"),
+    ],
+    ids=["scenario-name-and-file", "attribute-name-and-file", "list-and-name", "list-and-file"],
+)
+def test_scenario_arguments_are_not_ignored(capsys, argv: list[str], message: str) -> None:
+    """A scenario name, ``--file`` or ``--list`` that the run would drop is
+    an error, though the file is a valid scenario."""
+    if argv[-1] == "--file":
+        argv = [*argv, str(BUNDLED_SCENARIO)]
+    assert _single_error_line(capsys, *argv) == f"error: {message}\n"
+
+
 def test_scenario_builtin_records(capsys) -> None:
     code, out = _run(capsys, "scenario", "residential-case-2")
     assert code == 0
@@ -402,6 +423,34 @@ def test_schedule_residual_fraction_needs_mix_csv(capsys, tmp_path: Path) -> Non
         capsys, "schedule", "--signal", str(signal), "--residual-fraction", "0.5", "--duration", "1"
     )
     assert "--residual-fraction needs a mix CSV" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--signal", "bare.csv"],
+        ["--signal", "bare.csv", "--actual", "bare.csv"],
+        ["--signal", "mix.csv", "--basis", "published"],
+        ["--signal", "mix.csv", "--actual", "mix.csv", "--basis", "published"],
+    ],
+    ids=["bare", "bare-and-actual", "published", "published-and-actual"],
+)
+def test_schedule_cef_without_a_signal_priced_on_it(capsys, monkeypatch, tmp_path: Path, fixture_dir: Path,
+                                                    argv: list[str]) -> None:
+    """``--cef`` is an error when no signal is priced on emission factors (only
+    bare CSVs, or ``--basis published``); ``$GRIDCARBON_CEF_TABLE`` stays a
+    default such a run does not read."""
+    bare, table = tmp_path / "bare.csv", tmp_path / "cef.yaml"
+    bare.write_text(SIGNAL_CSV.replace("2022-06-01", "2022-01-01"), encoding="utf-8")
+    table.write_text("gas: 900\n", encoding="utf-8")
+    paths = {"bare.csv": str(bare), "mix.csv": str(fixture_dir / "duck-curve.csv")}
+    argv = ["schedule", *(paths.get(arg, arg) for arg in argv), "--duration", "1"]
+    err = _single_error_line(capsys, *argv, "--cef", str(table))
+    assert err == "error: --cef prices a mix CSV on --basis cef, and no signal here is one\n"
+    monkeypatch.setenv(CEF_TABLE_ENV, str(table))
+    with_env = _run(capsys, *argv)
+    monkeypatch.delenv(CEF_TABLE_ENV)
+    assert with_env == _run(capsys, *argv) and with_env[0] == 0
 
 
 def test_schedule_residual_fraction_uses_cef_table(capsys, tmp_path: Path, fixture_dir: Path) -> None:

@@ -347,7 +347,7 @@ def _reference_ci_residual_column(dataset, contracts, sources):
 
 def _ci_residual_column(dataset, contracts, sources):
     residual = _residual_dataset(dataset, contracts, sources)
-    column = ["" if ci is None else ci for ci in _ci_steps(residual, sources)]
+    column = ["" if ci is None else ci for ci in _ci_steps(residual, sources, dataset)]
     ci_res = energy_weighted_ci(residual, sources)
     return column, "" if ci_res is None else ci_res
 

@@ -232,6 +232,36 @@ def test_contracts_for_fraction_series() -> None:
         contracts_for_fraction(mixes, 0.5)
 
 
+EDGE_CELLS = (0.0, -0.0, 5e-324, 1e300)
+
+
+@pytest.mark.parametrize("series", [True, False], ids=["dataset", "mix"])
+@pytest.mark.parametrize("fraction", [0.0, 5e-324, 0.5, 1.0])
+def test_contracts_for_fraction_are_what_the_checked_constructor_builds(series: bool, fraction: float) -> None:
+    """``contracts_for_fraction`` skips ``Contract``'s checks; its contracts
+    equal, energy by energy and by ``float.hex``, the ones the checked
+    constructor builds from the same fields, and every energy is a float."""
+    columns = {
+        "solar": EDGE_CELLS,
+        "wind": EDGE_CELLS[::-1],
+        "hydro": EDGE_CELLS[1:] + EDGE_CELLS[:1],
+        "coal": EDGE_CELLS[2:] + EDGE_CELLS[:2],
+    }
+    mixes = [GridMix(region="r", generation={s: c[i] for s, c in columns.items()}) for i in range(len(EDGE_CELLS))]
+    built = 0
+    for given_input in [_dataset(mixes)] if series else mixes:
+        contracts = contracts_for_fraction(given_input, fraction, ("solar", "wind", "hydro"))
+        built += len(contracts)
+        for contract in contracts:
+            checked = Contract(**{name: getattr(contract, name) for name in Contract.__match_args__})
+            assert contract == checked
+            energies = contract.energy_mwh if series else (contract.energy_mwh,)
+            expected = checked.energy_mwh if series else (checked.energy_mwh,)
+            assert [type(e) for e in energies] == [float] * len(energies)
+            assert list(map(float.hex, energies)) == list(map(float.hex, expected))
+    assert (built > 0) == (fraction > 0)
+
+
 def test_contracts_for_fraction_zero_fraction_source_must_be_registered() -> None:
     """A source whose fraction is 0 gets no contract, but an unregistered
     one is still an error."""

@@ -14,14 +14,18 @@ from hypothesis import strategies as st
 from gridcarbon import (
     EmptyResidual,
     FlexibleLoad,
+    GridCarbonError,
     GridMix,
     RegionDataset,
     SignalMismatch,
+    SourceRegistry,
     WindowTooShort,
     ZeroBaseline,
     best_window,
+    contracts_for_fraction,
     duck_curve_fixture,
     evaluate_schedule,
+    load_region_csv,
     residual_signal,
     shift_savings,
     total_signal,
@@ -29,7 +33,8 @@ from gridcarbon import (
 )
 
 from gridcarbon import scheduler
-from gridcarbon.scheduler import _Series
+from gridcarbon.contracts import _residual_dataset
+from gridcarbon.scheduler import _ci_steps, _Series
 
 import reference_scheduler
 from reference_sum import folded_sum, neumaier_sum, under_each_sum
@@ -740,3 +745,105 @@ def test_duck_curve_savings_contrast() -> None:
     actual = shift_savings(residual_signal(dataset, 1.0), load)
     assert seeming == pytest.approx(39.5, abs=1e-9)
     assert actual == pytest.approx(3.0, abs=1e-9)
+
+
+# --- the Σ MWh·CEF a dataset keeps for its total and residual signals --------
+
+
+def test_signal_of_steps_whose_sum_overflows() -> None:
+    """Only a step whose own sums overflow is an error, not a series whose
+    per-step totals add up past the float limit."""
+    start = datetime(2022, 6, 1, tzinfo=timezone.utc)
+    huge = RegionDataset(region="r", timestamps=(start, start + timedelta(hours=1)),
+                         source_ids=("wind",), columns=((1e308, 1e308),))
+    assert total_signal(huge) == (0.0, 0.0)
+
+
+def test_total_and_residual_signal_compute_the_weighted_sums_once(monkeypatch) -> None:
+    """A dataset's total and residual signals, in either order and each with
+    a registry of its own, compute Σ MWh·CEF once for one CEF table; a
+    table with other CEFs computes it again."""
+    calls = []
+    weighted = scheduler._weighted
+    monkeypatch.setattr(scheduler, "_weighted", lambda *args: calls.append(args) or weighted(*args))
+    signals = {
+        "total": lambda dataset: total_signal(dataset, SourceRegistry.default()),
+        "residual": lambda dataset: residual_signal(dataset, 1.0, sources=SourceRegistry.default()),
+    }
+    for order in [("total", "residual"), ("residual", "total")]:
+        calls.clear()
+        dataset = duck_curve_fixture()
+        shared = [signals[name](dataset) for name in (*order, *order)]
+        assert len(calls) == 1
+        total_signal(dataset, SourceRegistry.default({"gas": 1.0}))
+        assert len(calls) == 2
+        assert shared[:2] == [signals[name](duck_curve_fixture()) for name in order]
+
+
+_KEPT_SOURCES = ("solar", "wind", "coal", "gas")
+# Built again for every call, as a caller may: the kept sums are keyed by the
+# CEFs themselves, not by a registry object.
+_REGISTRIES = {
+    "default": SourceRegistry.default,
+    "dirty solar": lambda: SourceRegistry.default({"solar": 5.0}),  # solar not carbon-free
+}
+
+
+@st.composite
+def _kept_sum_cases(draw):
+    """Generation columns of cells at the edges of the float range, and a
+    sequence of signal calls on one dataset."""
+    steps = draw(st.integers(min_value=1, max_value=5))
+    cells = st.sampled_from([0.0, -0.0, 5e-324, 0.1, 1e300])
+    columns = [draw(st.lists(cells, min_size=steps, max_size=steps)) for _ in _KEPT_SOURCES]
+    call = st.tuples(
+        st.sampled_from(["total", "residual", "ci"]),
+        st.sampled_from(sorted(_REGISTRIES)),  # the signal's registry
+        st.sampled_from(sorted(_REGISTRIES)),  # the contracts' registry, for "ci"
+        st.sampled_from([0.5, 1.0]),
+        st.sampled_from([("solar", "wind"), ("wind",), ("solar",)]),
+    )
+    return columns, draw(st.lists(call, min_size=1, max_size=8))
+
+
+def _kept_sum_call(dataset, call, fresh: bool):
+    """One call on ``dataset``: its total or residual signal, or the residual
+    CI steps of ``ci --contracts`` (contracts under the second registry,
+    priced under the first). A fresh dataset's residual CI steps take
+    nothing from it, so they are computed from the residual's own columns."""
+    kind, registry, contracts_registry, fraction, categories = call
+    sources = _REGISTRIES[registry]()
+    try:
+        if kind == "total":
+            result = total_signal(dataset, sources)
+        elif kind == "residual":
+            result = residual_signal(dataset, fraction, categories, sources)
+        else:
+            contracts_sources = _REGISTRIES[contracts_registry]()
+            contracts = contracts_for_fraction(dataset, fraction, categories, contracts_sources)
+            residual = _residual_dataset(dataset, contracts, contracts_sources)
+            result = _ci_steps(residual, sources, None if fresh else dataset)
+    except GridCarbonError as exc:
+        return type(exc), str(exc)
+    return [None if ci is None else float.hex(ci) for ci in result]
+
+
+@pytest.mark.differential
+@settings(deadline=None)
+@given(case=_kept_sum_cases())
+def test_kept_sums_do_not_depend_on_call_order(tmp_path_factory, case) -> None:
+    """Whatever calls came before on the same dataset, and under whichever
+    registry, each total signal, residual signal and ``ci --contracts``
+    residual column is, bit for bit, the same call's result on a freshly
+    loaded dataset."""
+    columns, calls = case
+    path = tmp_path_factory.mktemp("kept") / "r.csv"
+    start = datetime(2022, 6, 1, tzinfo=timezone.utc)
+    rows = [
+        ",".join([(start + timedelta(hours=h)).strftime("%Y-%m-%dT%H:%M:%SZ"), *map(repr, row)])
+        for h, row in enumerate(zip(*columns))
+    ]
+    path.write_text("\n".join([",".join(["timestamp", *_KEPT_SOURCES]), *rows]) + "\n", encoding="utf-8")
+    dataset = load_region_csv(path)
+    for call in calls:
+        assert _kept_sum_call(dataset, call, False) == _kept_sum_call(load_region_csv(path), call, True), call
