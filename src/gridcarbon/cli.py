@@ -133,6 +133,10 @@ def _emit(records: Records, fmt: str, out: str) -> None:
 
 
 def _registry(args) -> SourceRegistry:
+    """The sources priced on the --cef table when one is given, else on
+    $GRIDCARBON_CEF_TABLE when it is set and not empty, else the defaults."""
+    if args.cef == "":
+        raise GridCarbonError("--cef: expected a YAML table path, got ''")
     path = args.cef or os.environ.get(CEF_TABLE_ENV)
     if not path:
         return SourceRegistry.default()
@@ -400,11 +404,13 @@ def cmd_schedule(args) -> Records:
 
 def cmd_fixtures(args) -> Records:
     if args.action == "list":
+        if args.dir is not None:
+            raise GridCarbonError("fixtures list takes no --dir")
         return Records(
             {"record": "scenario", "name": builtin_scenario_names()},
             {"record": "dataset", "name": sorted(fixture_datasets())},
         )
-    paths = write_fixture_csvs(args.dir)
+    paths = write_fixture_csvs("fixtures" if args.dir is None else args.dir)
     return Records({"record": "exported", "path": [str(path) for path in paths]})
 
 
@@ -511,7 +517,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fixtures", help="list or export the bundled fixtures")
     p.add_argument("action", choices=("list", "export"))
-    p.add_argument("--dir", default="fixtures", help="export directory")
+    p.add_argument("--dir", help="export directory (default: fixtures)")
     _add_common(p)
     p.set_defaults(handler=cmd_fixtures)
 

@@ -18,9 +18,11 @@ CR outside a CRLF line break and no line longer than
 ``csv.field_size_limit()``, its lines are split at their commas (all in
 one split when each has the header's cell count), which for such a text
 gives exactly the rows ``csv.reader`` reads; any other text goes through
-``csv.reader``. The rows then get the same checks either way,
-a column at a time where they pass and one by one where they do not, so the
-path changes no value, summary, warning or error.
+``csv.reader``. Then one of two ways is chosen for the whole file. A
+clean table goes the column way, checked and parsed a column at a time;
+any other file goes the row way, read again by ``csv.reader`` and checked
+a row at a time in file order. Both keep the same rows, values, summary,
+warnings and errors.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ import warnings
 from collections.abc import Iterable, Iterator, Sequence
 from datetime import datetime, timezone
 from functools import cached_property
-from itertools import chain, compress, repeat
+from itertools import chain, repeat
 from operator import lt
 from pathlib import Path
 
@@ -266,37 +268,6 @@ def _parse_cell(raw: str, row: int, column: str) -> float:
     return value
 
 
-# A data row as read: its number, and its timestamp and parsed cells or its ParseError.
-_RawRow = tuple[int, "Sequence[str] | ParseError"]
-
-
-def _parse_row(
-    row: int, cells: Sequence[str] | ParseError, names: Sequence[str], zero_fill: bool
-) -> tuple[datetime, tuple[float, ...] | None, int]:
-    """Every check of one data row: its timestamp cell, and its cells under
-    ``names`` (a header's source columns, then the published CI) under the
-    blank-cell policy. Returns the timestamp, the values (``None`` when a
-    blank cell drops the row) and the cells filled."""
-    if isinstance(cells, ParseError):
-        raise cells
-    raw_timestamp = cells[0].strip()
-    if not raw_timestamp:
-        raise ParseError("missing timestamp", row=row, column=TIMESTAMP_COLUMN)
-    timestamp = _parse_timestamp(raw_timestamp, row)
-    values = []
-    filled = 0
-    for name, cell in zip(names, cells[1:]):
-        cell = cell.strip()
-        if cell:
-            values.append(_parse_cell(cell, row, name))
-        elif zero_fill:
-            values.append(0.0)
-            filled += 1
-        else:
-            return timestamp, None, 0
-    return timestamp, tuple(values), filled
-
-
 def _read_text(path: Path) -> str:
     """The file's text, with its line breaks as they are (not translated)."""
     try:
@@ -343,69 +314,120 @@ def _blank(cells: Sequence[str]) -> bool:
     return not (cells and (cells[0].strip() or any(map(str.strip, cells))))
 
 
-def _sort_rows(
-    body: list[str] | list[list[str]], width: int, indexes: Sequence[int]
-) -> tuple[Sequence[int], list[str], list[list[str]], list[_RawRow], int]:
-    """Sort the data rows, ``body`` (lines to split at commas, or the rows
-    ``csv.reader`` read), into clean ones (``width`` cells, and a timestamp
-    and parsed cells that are not empty; ``indexes`` locates the timestamp
-    and then each parsed cell) and other ones.
+def _empty(cells: list[str]) -> Iterator[int]:
+    """The indexes of the empty cells in ``cells``, in order."""
+    i = -1
+    with contextlib.suppress(ValueError):  # index() raises past the last empty cell
+        while True:
+            i = cells.index("", i + 1)
+            yield i
+
+
+# The kept rows' timestamps, value columns and timestamp text; the rows read and dropped; the cells filled.
+_Table = tuple[list[datetime], list[tuple[float, ...]], str | None, int, int, int]
+
+
+def _column_table(
+    body: list[str] | list[list[str]], width: int, indexes: Sequence[int], zero_fill: bool
+) -> _Table | None:
+    """The column way: the data rows, ``body`` (lines to split at commas, or
+    the rows ``csv.reader`` read), checked and parsed a column at a time;
+    ``indexes`` locates the timestamp and then each parsed cell. Returns
+    ``None``, for the row way, when a row that is not blank has other than
+    ``width`` cells or no timestamp, or a timestamp or cell fails a check.
+    Blank rows are left out.
 
     The rows with ``width`` cells are one flat list of cells, and a needed
     column is a stride slice of it: an unused column is never built. Lines
     are split once, joined with a cell of one line break between each two
     (no line holds one); unless that cell is every ``width + 1``-th, they
-    are split again one by one.
+    are split again one by one. ``body`` is emptied as the cells are made.
 
-    Returns the clean rows' numbers, stripped timestamps and parsed columns;
-    the other rows in file order, blank ones left out; and the number of
-    rows that are not blank. ``body`` is emptied as the cells are made."""
-    numbers: Sequence[int] = range(2, len(body) + 2)
+    An empty parsed cell reads as "0": a filled cell under zero-fill, and
+    under drop-row a mark on its row, which is dropped once it passes the
+    checks, so that no error hides before its blank cell."""
     cells: list[str] = []
     stride = width + 1
     if body and isinstance(body[0], str):
+        rows = len(body)
         text = ",\n,".join(body)
         body.clear()
         cells = text.split(",")
-        if len(cells) != len(numbers) * stride - 1 or cells[width::stride].count("\n") != len(numbers) - 1:
+        if len(cells) != rows * stride - 1 or cells[width::stride].count("\n") != rows - 1:
             body[:] = map(str.split, text.split(",\n,"), repeat(","))
         del text
-    other: list[_RawRow] = []
     if body:
-        full = [len(row_cells) == width for row_cells in body]
-        other = [
-            (row, ParseError(f"expected {width} cells, got {len(row_cells)}", row=row))
-            for row, row_cells in zip(numbers, body)
-            if len(row_cells) != width and not _blank(row_cells)
-        ]
-        numbers = list(compress(numbers, full))
-        cells = list(chain.from_iterable(compress(body, full)))
+        if any(len(row_cells) != width and not _blank(row_cells) for row_cells in body):
+            return None
+        cells = list(chain.from_iterable(row_cells for row_cells in body if len(row_cells) == width))
         stride = width
         body.clear()
     stamps = list(map(str.strip, cells[indexes[0] :: stride]))
     columns = [cells[i::stride] for i in indexes[1:]]
-    # The rows with an empty timestamp or parsed cell, found a column at a time.
-    drop = set()
-    for column in (stamps, *columns):
-        i = -1
-        with contextlib.suppress(ValueError):  # index() raises past the last empty cell
-            while True:
-                i = column.index("", i + 1)
-                drop.add(i)
-    if drop:
-        drop = sorted(drop)
-        for i in drop:
-            if not _blank(cells[i * stride : i * stride + width]):
-                other.append((numbers[i], [column[i] for column in (stamps, *columns)]))
-        other.sort()
-        numbers, stamps, *columns = (_without(items, drop) for items in (numbers, stamps, *columns))
-    return numbers, stamps, columns, other, len(numbers) + len(other)
+    blank = list(_empty(stamps))  # the rows without a timestamp, which must be blank
+    if not all(_blank(cells[i * stride : i * stride + width]) for i in blank):
+        return None
+    del cells
+    stamps, *columns = (_without(items, blank) for items in (stamps, *columns))
+    empty = [(column, i) for column in columns for i in _empty(column)]
+    for column, i in empty:
+        column[i] = "0"
+    drop = [] if zero_fill else sorted({i for _, i in empty})
+    rows_read = len(stamps)
+    if drop and _parse_columns([stamps[i] for i in drop], [[column[i] for i in drop] for column in columns]) is None:
+        return None
+    stamps, *columns = (_without(items, drop) for items in (stamps, *columns))
+    parsed = _parse_columns(stamps, columns)
+    return parsed and (*parsed, rows_read, len(drop), len(empty) if zero_fill else 0)
+
+
+def _row_table(path: Path, width: int, indexes: Sequence[int], names: Sequence[str], zero_fill: bool) -> _Table:
+    """The row way: every row check, in file order, on the rows after the
+    header that ``csv.reader`` reads from ``path``; blank rows are skipped.
+    The first bad row raises its ParseError, and a row the reader cannot
+    read is "unreadable row". A blank cell under ``names`` (at ``indexes``
+    after the timestamp's) is 0.0 under zero-fill, and otherwise drops its
+    row unchecked past it. No timestamp text is kept."""
+    timestamps, rows = [], []
+    rows_read = rows_dropped = cells_filled = 0
+    row = 1
+    with path.open("r", encoding="utf-8", newline="") as handle:
+        reader = csv.reader(handle)
+        try:
+            next(reader)  # the header
+            for row, cells in enumerate(reader, start=2):
+                if _blank(cells):
+                    continue
+                rows_read += 1
+                if len(cells) != width:
+                    raise ParseError(f"expected {width} cells, got {len(cells)}", row=row)
+                raw_timestamp = cells[indexes[0]].strip()
+                if not raw_timestamp:
+                    raise ParseError("missing timestamp", row=row, column=TIMESTAMP_COLUMN)
+                timestamp = _parse_timestamp(raw_timestamp, row)
+                values = []
+                for name, i in zip(names, indexes[1:]):
+                    cell = cells[i].strip()
+                    if cell:
+                        values.append(_parse_cell(cell, row, name))
+                    elif zero_fill:
+                        values.append(0.0)
+                        cells_filled += 1
+                    else:
+                        rows_dropped += 1
+                        break
+                else:
+                    timestamps.append(timestamp)
+                    rows.append(values)
+        except csv.Error as exc:
+            raise ParseError(f"unreadable row: {exc}", row=row + 1) from None
+    return timestamps, list(zip(*rows)) or [()] * len(names), None, rows_read, rows_dropped, cells_filled
 
 
 def _without(items: Sequence, drop: list[int]) -> list:
     """``items`` without those at the sorted indexes ``drop``, copied a run at a time."""
-    kept = list(items[: drop[0]])
-    for i, end in zip(drop, [*drop[1:], len(items)]):
+    kept = []
+    for i, end in zip([-1, *drop], [*drop, len(items)]):
         kept += items[i + 1 : end]
     return kept
 
@@ -430,7 +452,7 @@ def _parse_columns(
     negative = ("-" in "".join(cells) and min(column) < 0.0 for cells, column in zip(raw_columns, columns))
     if any(negative) or not all(sum(column) < math.inf for column in columns):
         return None
-    return timestamps, columns, text if canonical else None
+    return timestamps, columns, text if canonical and text else None
 
 
 def _is_signal_header(header: Sequence[str]) -> bool:
@@ -447,15 +469,18 @@ def _read_csv(path: Path, fill_policy: str, bare_signal: bool = False) -> tuple 
     one generation column per source column in header order, the
     published CI when its column is present, the load summary, and the
     timestamps' text, one per line, when it is what :func:`_stamp` writes:
-    every kept row clean, canonical and in order (``None`` otherwise).
+    the file read the column way, every kept timestamp canonical and in
+    order (``None`` otherwise).
     With ``bare_signal`` the header must hold only ``timestamp`` and
     ``ci_g_per_kwh`` (``None`` is returned otherwise) and no source column
     is needed; without it one source column is.
 
     The text is read once (``bare_signal`` reads the header line first).
     When :func:`_split_lines` can split it, its rows are the lines split at
-    commas (see :func:`_sort_rows`); otherwise ``csv.reader`` reads them.
-    Both give the same rows.
+    commas; otherwise ``csv.reader`` reads them. Both give the same rows,
+    which :func:`_column_table` takes a column at a time. A file it does
+    not take, or whose rows ``csv.reader`` stops on, goes to
+    :func:`_row_table`, which reads it again and makes every row check.
     """
     if bare_signal:  # the header line alone, so that a mix CSV is read no further
         try:
@@ -502,41 +527,15 @@ def _read_csv(path: Path, fill_policy: str, bare_signal: bool = False) -> tuple 
     indexes = [header.index(TIMESTAMP_COLUMN), *map(header.index, names)]
     zero_fill = fill_policy == "zero-fill"
 
-    body, error = ([] if lines is None else lines[1:]), None
-    if lines is None:  # the rows csv.reader reads before it stops, and its error if it stops on one
-        try:
-            for cells in rows:
-                body.append(cells)
-        except csv.Error as exc:
-            error = exc
-    error_row = len(body) + 2  # the row after the last one read
+    body = None if lines is None else lines[1:]
+    if lines is None:  # the rows csv.reader reads; when it stops on one, the row way reports it
+        with contextlib.suppress(csv.Error):
+            body = list(rows)
     del rows, lines
-    numbers, stamps, raw_columns, other, rows_read = _sort_rows(body, len(header), indexes)
-    if error is not None:  # the reader stopped here: this row is the last one checked
-        other.append((error_row, ParseError(f"unreadable row: {error}", row=error_row)))
-    # When there are clean rows and every one passes the checks, they parse
-    # a column at a time and only the other rows go one by one through
-    # _parse_row. Otherwise every row does, in file order, so the first bad
-    # row raises its error.
-    parsed = _parse_columns(stamps, raw_columns) if stamps else None
-    if parsed is None:
-        other = sorted([*zip(numbers, zip(stamps, *raw_columns)), *other])
-    del raw_columns, stamps  # the raw cells, no longer needed
-    timestamps, columns, text = parsed or ([], [()] * len(names), None)
-    rows = []
-    rows_dropped = cells_filled = 0
-    for row, cells in other:
-        timestamp, values, filled = _parse_row(row, cells, names, zero_fill)
-        if values is None:
-            rows_dropped += 1
-            continue
-        cells_filled += filled
-        timestamps.append(timestamp)
-        rows.append(values)
-    if rows:
-        columns = [column + extra for column, extra in zip(columns, zip(*rows))]
-        text = None
-
+    table = None if body is None else _column_table(body, len(header), indexes, zero_fill)
+    timestamps, columns, text, rows_read, rows_dropped, cells_filled = table or _row_table(
+        path, len(header), indexes, names, zero_fill
+    )
     if not all(map(lt, timestamps, timestamps[1:])):
         text = None
         order = sorted(range(len(timestamps)), key=timestamps.__getitem__)

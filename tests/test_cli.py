@@ -270,6 +270,18 @@ def test_fixtures_export_and_list(capsys, fixture_dir: Path) -> None:
     assert {r["record"] for r in records} == {"scenario", "dataset"}
 
 
+def test_fixtures_export_defaults_to_fixtures(capsys, tmp_path: Path, monkeypatch) -> None:
+    monkeypatch.chdir(tmp_path)
+    code, _ = _run(capsys, "fixtures", "export")
+    assert code == 0
+    assert len(list((tmp_path / "fixtures").glob("*.csv"))) == 5
+
+
+def test_fixtures_list_takes_no_dir(capsys, tmp_path: Path) -> None:
+    """``list`` writes nothing, so a ``--dir`` it would ignore is an error."""
+    assert _single_error_line(capsys, "fixtures", "list", "--dir", str(tmp_path)) == "error: fixtures list takes no --dir\n"
+
+
 def test_penetration_fleet_files(capsys, fixture_dir: Path) -> None:
     capsys.readouterr()
     code, out = _run(
@@ -661,6 +673,40 @@ def test_cef_table_rejects_non_finite(capsys, tmp_path: Path, toy_csv: Path, val
         capsys, "ci", "--mix", str(toy_csv), "--cef", str(table), "--contracts", "all-solar-wind"
     )
     assert err == f"error: CEF table {table}: solar: must not be NaN or infinite, got {shown}\n"
+
+
+# Each subcommand that takes --cef, on a run that succeeds without it.
+CEF_RUNS = {
+    "ci": ["ci", "--mix", "{mix}"],
+    "residual": ["residual", "--mix", "{mix}", "--fraction", "0.5"],
+    "inflation": ["inflation", "--mix", "{mix}", "--fraction", "1"],
+    "penetration": ["penetration", "--data", "{dir}"],
+    "schedule": ["schedule", "--signal", "{mix}", "--duration", "1"],
+}
+
+
+@pytest.mark.parametrize("env", [False, True], ids=["no-env", "env"])
+@pytest.mark.parametrize("command", list(CEF_RUNS))
+def test_empty_cef_is_an_error(capsys, tmp_path: Path, fixture_dir: Path, monkeypatch, command, env) -> None:
+    """An empty --cef is not taken for no --cef, which would price the run
+    on the defaults or on $GRIDCARBON_CEF_TABLE without a word."""
+    if env:
+        table = tmp_path / "cef.yaml"
+        table.write_text("coal: 800\n", encoding="utf-8")
+        monkeypatch.setenv(CEF_TABLE_ENV, str(table))
+    else:
+        monkeypatch.delenv(CEF_TABLE_ENV, raising=False)
+    argv = [arg.format(mix=fixture_dir / "duck-curve.csv", dir=fixture_dir) for arg in CEF_RUNS[command]]
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert _single_error_line(capsys, *argv, "--cef", "") == "error: --cef: expected a YAML table path, got ''\n"
+
+
+def test_empty_cef_env_var_is_unset(capsys, toy_csv: Path, monkeypatch) -> None:
+    monkeypatch.setenv(CEF_TABLE_ENV, "")
+    code, out = _run(capsys, "ci", "--mix", str(toy_csv))
+    assert code == 0
+    assert _records(out)[0]["ci_g_per_kwh"] == 500.0
 
 
 @pytest.mark.parametrize(
@@ -1656,9 +1702,9 @@ def _stamp_texts(draw, moment: datetime) -> tuple[str, bool]:
 @st.composite
 def label_csvs(draw) -> tuple[str, str, bool]:
     """A CSV of distinct timestamps from years 0001-9999, in order or
-    shuffled, some rows with a blank cell (dropped, or kept through the
-    row checks by zero-fill); its fill policy; and whether ingest should
-    keep its timestamp text."""
+    shuffled, some rows with a blank cell (dropped, or kept with 0.0 by
+    zero-fill); its fill policy; and whether ingest should keep its
+    timestamp text."""
     moments = sorted(draw(st.lists(_MOMENTS, min_size=1, max_size=6, unique=True)))
     if draw(st.booleans()):
         moments = draw(st.permutations(moments))
@@ -1668,10 +1714,8 @@ def label_csvs(draw) -> tuple[str, str, bool]:
         text, canonical = draw(_stamp_texts(moment))
         blank = draw(st.integers(0, 5)) == 0
         lines.append(f"{text},{'' if blank else '5'},7")
-        if not blank:
+        if not blank or policy == "zero-fill":
             clean.append((moment, canonical))
-        elif policy == "zero-fill":
-            clean.append((None, False))  # a kept row through the row checks
     kept = [moment for moment, _ in clean]
     keeps_text = (
         bool(clean)
@@ -1684,7 +1728,7 @@ def label_csvs(draw) -> tuple[str, str, bool]:
 @pytest.mark.differential
 @settings(deadline=None)
 @given(table=label_csvs())
-@example(table=("timestamp,wind,coal\n2022-06-01T00:00:00Z,5,7\n2022-06-01T01:00:00Z,,7\n", "zero-fill", False))
+@example(table=("timestamp,wind,coal\n2022-06-01T00:00:00Z,5,7\n2022-06-01T01:00:00Z,,7\n", "zero-fill", True))
 def test_label_differential(tmp_path_factory, table) -> None:
     """Labels from ingest's kept text equal the formatted ones, and ingest
     keeps the text exactly when the rows allow it."""

@@ -652,6 +652,7 @@ def _parsed(parse, raw):
     return value
 
 
+@pytest.mark.differential
 @settings(max_examples=1000)
 @given(raw=timestamp_strings())
 def test_timestamp_fast_path_matches_strptime(raw) -> None:
@@ -722,6 +723,7 @@ def _table(read):
     )
 
 
+@pytest.mark.differential
 @settings(max_examples=500, deadline=None)
 @given(text=csv_files(), policy=st.sampled_from(["drop-row", "zero-fill"]), bare=st.booleans())
 def test_read_csv_matches_row_by_row_reader(tmp_path_factory, text, policy, bare) -> None:
@@ -853,6 +855,7 @@ MISALIGNED_LINES = {
 }
 
 
+@pytest.mark.differential
 @pytest.mark.parametrize("header", ["timestamp,wind,ci_g_per_kwh", "timestamp,ci_g_per_kwh"])
 @pytest.mark.parametrize("case", list(MISALIGNED_LINES))
 @pytest.mark.parametrize("policy", ["drop-row", "zero-fill"])

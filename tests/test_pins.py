@@ -176,7 +176,7 @@ def datasets(fleet):
 
 PINS = {
     "load drop-row": "e1651ee4b87d6e350d867ef016878c0881ecb6b85093dd296c903daa0b7e4c82",
-    "load zero-fill": "f5d3232a15516e69cd5f8ea6cca058c657cf0eb99e6fa19ef98d50a90043e6fc",
+    "load zero-fill": "99f014641cb6bcf24ddf6df4d7c605b1386400254f1e3487396a1a38b72a3c44",
     "total_signal cef": "97108ecc8918d3f7c3fb311edb0634681055d288682a4bd5b304f919ae189115",
     "total_signal published": "f84f277ab516f1826249767af21c3b02c4c5e67a04591c12cf2374d06ee7db1a",
     "residual_signal": "59cda48c44fff283b1275e55b6c13c82bf513a0c43ddb6ce9546793a9841308a",
