@@ -11,14 +11,12 @@ Exit codes: 0 success, 1 validation/domain error, 2 I/O error.
 from __future__ import annotations
 
 import argparse
-import csv
 import gc
-import io
 import json
 import math
 import os
 import sys
-from itertools import repeat
+from itertools import chain
 from json.encoder import encode_basestring_ascii
 from operator import attrgetter, itemgetter
 from pathlib import Path
@@ -74,17 +72,44 @@ class Records:
         return sum(map(_size, self.blocks))
 
 
-def _encode(values, kind: type | None, as_json: bool):
-    """A sequence of values, all of type ``kind`` unless it is ``None``, as
-    the format writes them: floats at 6 significant digits."""
-    if kind is None:
-        return (next(iter(_encode((value,), type(value), as_json))) for value in values)
+def _texts(values, kind: type | None, as_json: bool, lone: bool) -> tuple[str, list]:
+    """``values``, all of type ``kind`` unless it is ``None``, as the format
+    writes them, a column at a time: the template field one of them fills
+    and the texts that fill it. Floats are at 6 significant digits: the
+    ``%.6g`` text in CSV, in JSON the shortest repr of that value. CSV
+    quotes as ``csv.writer`` does; ``lone`` marks a row of one field, where
+    it quotes an empty one."""
+    if kind is None:  # mixed types, one value at a time
+        return "%s", [field % texts[0] for field, texts in (_texts((v,), type(v), as_json, lone) for v in values)]
     if issubclass(kind, float):
-        text = map(format, values, repeat(".6g"))
-        return map(float.__repr__, map(float, text)) if as_json else text
-    if kind is str:
-        return map(encode_basestring_ascii, values) if as_json else values
-    return map(json.dumps, values) if as_json else values
+        lines = ("%.6g\n" * len(values)) % tuple(values)
+        texts = lines.split()
+        if not as_json:
+            return "%s", texts
+        if "e" in lines:  # repr writes 1e+06 as 1000000.0, 4.94066e-324 as 5e-324
+            return "%s", list(map(float.__repr__, map(float, texts)))
+        return "%s", [text if "." in text else text + ".0" for text in texts]
+    if as_json:
+        if not issubclass(kind, str):  # bool, int or None: no text holds ", "
+            return "%s", json.dumps(list(values))[1:-1].split(", ")
+        joined = "".join(values)
+        if len(encode_basestring_ascii(joined)) == len(joined) + 2:  # nothing to escape
+            return '"%s"', values
+        return "%s", list(map(encode_basestring_ascii, values))
+    texts = values if issubclass(kind, str) else ["" if value is None else str(value) for value in values]
+    joined = "".join(texts)
+    if any(char in joined for char in ',"\r\n') or lone and not all(texts):
+        texts = [_csv_field(text, lone) for text in texts]
+    return "%s", texts
+
+
+def _csv_field(text: str, lone: bool) -> str:
+    """``text`` as ``csv.writer`` writes a field: quoted, its quotes doubled,
+    when it holds a delimiter, a quote or a line break, or when it is the
+    empty field of a ``lone`` one-field row."""
+    if any(char in text for char in ',"\r\n') or lone and not text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
 
 
 def _first_nonfinite(values, kind: type | None) -> int | None:
@@ -95,37 +120,46 @@ def _first_nonfinite(values, kind: type | None) -> int | None:
 
 
 def _emit(records: Records, fmt: str, out: str) -> None:
-    """Write the records as JSON lines or CSV a column at a time, with one
-    ``str.format`` template per JSON block. CSV's header is the union of
-    the keys in record order, with "" where a record lacks one. The first
-    non-finite float in record order is an error naming its key."""
+    """Write the records as JSON lines or CSV a column at a time: each
+    column becomes its texts, and a block's records are one ``%`` format of
+    its record template repeated, with its constants in the template. CSV's
+    header is the union of the keys in record order, with "" where a
+    record lacks one. The first non-finite float in record order is an
+    error naming its key."""
     as_json = fmt == "json-records"
     blocks = [(size, block) for block in records.blocks if (size := _size(block))]
     header = list(dict.fromkeys(key for _, block in blocks for key in block))
-    buffer = io.StringIO()
-    writer = csv.writer(buffer)
-    if not as_json:
-        writer.writerow(header)
+    lone = not as_json and len(header) == 1
+    parts = [] if as_json else [",".join(_csv_field(key, lone) for key in header) + "\r\n"]
     for size, block in blocks:
-        columns, bad = {}, []
+        items, bad = [], []
         for key, value in block.items():
             values = value if isinstance(value, (list, tuple)) else (value,)
             kinds = set(map(type, values))
             kind = kinds.pop() if len(kinds) == 1 else None
             if (i := _first_nonfinite(values, kind)) is not None:
                 bad.append((i, key, values[i]))
-            encoded = _encode(values, kind, as_json)
-            columns[key] = encoded if values is value else repeat(next(iter(encoded)), size)
+            items.append((key, values is value, values, kind))
         if bad:
             _, key, value = min(bad, key=itemgetter(0))
             raise GridCarbonError(f"{key} is {value}, which the output cannot represent")
+        fields, columns = {}, {}
+        for key, is_column, values, kind in items:
+            field, texts = _texts(values, kind, as_json, lone)
+            if is_column:
+                fields[key], columns[key] = field, texts
+            else:
+                fields[key] = (field % texts[0]).replace("%", "%%")
+        keys = fields if as_json else header
         if as_json:
-            keys = (encode_basestring_ascii(key).replace("{", "{{").replace("}", "}}") for key in columns)
-            template = "{{" + ", ".join(f"{key}: {{}}" for key in keys) + "}}\n"
-            buffer.write("".join(map(template.format, *columns.values())))
+            template = "{" + ", ".join(
+                f"{encode_basestring_ascii(key).replace('%', '%%')}: {fields[key]}" for key in keys
+            ) + "}\n"
         else:
-            writer.writerows(zip(*(columns.get(key, repeat("", size)) for key in header)))
-    text = buffer.getvalue()
+            template = ",".join(fields.get(key, '""' if lone else "") for key in keys) + "\r\n"
+        rows = zip(*(columns[key] for key in keys if key in columns))
+        parts.append((template * size) % tuple(chain.from_iterable(rows)))
+    text = "".join(parts)
     if out == "-":
         sys.stdout.write(text)
     else:
@@ -318,10 +352,12 @@ def _data_paths(raw_paths: list[str]) -> list[Path]:
 
 
 def cmd_penetration(args) -> Records:
-    sources = _registry(args)
+    if args.cef is not None:  # a share of generation reads each source's category, never its CEF
+        _registry(args)  # an empty --cef gets the error every command gives it
+        raise GridCarbonError("--cef: penetration prices nothing on emission factors")
     categories = args.categories.split(",")
     datasets = (_load_dataset(args, path) for path in _data_paths(args.data))
-    fleet = penetration_fleet(datasets, categories, sources, args.per_hour_mean)
+    fleet = penetration_fleet(datasets, categories, per_hour_mean=args.per_hour_mean)
     stats = _columns(
         fleet.stats, region="region", total_generation_mwh="total_generation_mwh",
         solar_wind_mwh="solar_wind_mwh", solar_wind_pct="solar_wind_pct",
@@ -335,6 +371,8 @@ def cmd_penetration(args) -> Records:
 
 def cmd_inflation(args) -> Records:
     sources = _registry(args)
+    if args.cef and args.basis == "published":
+        raise GridCarbonError("--cef prices a mix on --basis cef, not on --basis published")
     dataset = _load_dataset(args)
     categories = args.categories.split(",")
     ci_loc = period_ci(dataset, sources, args.basis)
@@ -366,9 +404,12 @@ def cmd_schedule(args) -> Records:
     if args.basis == "published" and args.residual_fraction is not None:
         raise GridCarbonError("--residual-fraction prices on emission factors; use --basis cef")
     sources = _registry(args)
-    loaded = [_load_signal(path, sources, args.basis) for path in (args.signal, args.actual) if path]
-    if args.cef and (args.basis == "published" or all(mix is None for _, mix in loaded)):
+    loaded = [_load_signal(path, sources, args.basis or "cef") for path in (args.signal, args.actual) if path]
+    bare = all(mix is None for _, mix in loaded)
+    if args.cef and (args.basis == "published" or bare):
         raise GridCarbonError("--cef prices a mix CSV on --basis cef, and no signal here is one")
+    if args.basis and bare:
+        raise GridCarbonError("--basis prices a mix CSV, and no signal here is one")
     (reported, dataset), *given = loaded
     if args.residual_fraction is not None:
         if dataset is None:
@@ -511,7 +552,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="best_window",
         help="best_window | worst_window | fixed start index",
     )
-    p.add_argument("--basis", choices=BASES, default="cef")
+    p.add_argument("--basis", choices=BASES, default=None, help="for a mix CSV (default: cef)")
     _add_common(p)
     p.set_defaults(handler=cmd_schedule)
 

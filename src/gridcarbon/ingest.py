@@ -343,9 +343,10 @@ def _column_table(
     (no line holds one); unless that cell is every ``width + 1``-th, they
     are split again one by one. ``body`` is emptied as the cells are made.
 
-    An empty parsed cell reads as "0": a filled cell under zero-fill, and
-    under drop-row a mark on its row, which is dropped once it passes the
-    checks, so that no error hides before its blank cell."""
+    An empty parsed cell, or one of only whitespace, reads as "0": a filled
+    cell under zero-fill, and under drop-row a mark on its row, which is
+    dropped once it passes the checks, so that no error hides before its
+    blank cell."""
     cells: list[str] = []
     stride = width + 1
     if body and isinstance(body[0], str):
@@ -370,15 +371,27 @@ def _column_table(
     del cells
     stamps, *columns = (_without(items, blank) for items in (stamps, *columns))
     empty = [(column, i) for column in columns for i in _empty(column)]
+    table = _filled_table(stamps, columns, empty, zero_fill)
+    if table is None:  # a cell of only whitespace is blank too; few files hold one, so look only now
+        spaces = [(column, i) for column in columns for i, cell in enumerate(column) if cell.isspace()]
+        table = _filled_table(stamps, columns, empty + spaces, zero_fill) if spaces else None
+    return table
+
+
+def _filled_table(
+    stamps: list[str], columns: list[list[str]], empty: list[tuple[list[str], int]], zero_fill: bool
+) -> _Table | None:
+    """The column way's table with the ``empty`` cells, each a (column,
+    index) pair, read as blank; ``None`` when a cell or timestamp fails a
+    check."""
     for column, i in empty:
         column[i] = "0"
     drop = [] if zero_fill else sorted({i for _, i in empty})
-    rows_read = len(stamps)
     if drop and _parse_columns([stamps[i] for i in drop], [[column[i] for i in drop] for column in columns]) is None:
         return None
-    stamps, *columns = (_without(items, drop) for items in (stamps, *columns))
-    parsed = _parse_columns(stamps, columns)
-    return parsed and (*parsed, rows_read, len(drop), len(empty) if zero_fill else 0)
+    kept, *kept_columns = (_without(items, drop) for items in (stamps, *columns))
+    parsed = _parse_columns(kept, kept_columns)
+    return parsed and (*parsed, len(stamps), len(drop), len(empty) if zero_fill else 0)
 
 
 def _row_table(path: Path, width: int, indexes: Sequence[int], names: Sequence[str], zero_fill: bool) -> _Table:

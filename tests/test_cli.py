@@ -465,6 +465,48 @@ def test_schedule_cef_without_a_signal_priced_on_it(capsys, monkeypatch, tmp_pat
     assert with_env == _run(capsys, *argv) and with_env[0] == 0
 
 
+@pytest.mark.parametrize("basis", ["cef", "published"])
+@pytest.mark.parametrize("actual", [[], ["--actual", "bare.csv"]], ids=["signal", "signal-and-actual"])
+def test_schedule_basis_without_a_mix_is_an_error(capsys, tmp_path: Path, basis, actual) -> None:
+    """``--basis`` prices a mix CSV: given with bare signals only, it is an
+    error, not the bare run's result."""
+    bare = tmp_path / "bare.csv"
+    bare.write_text(SIGNAL_CSV, encoding="utf-8")
+    argv = ["schedule", "--signal", str(bare), *(str(bare) if a == "bare.csv" else a for a in actual), "--duration", "1"]
+    err = _single_error_line(capsys, *argv, "--basis", basis)
+    assert err == "error: --basis prices a mix CSV, and no signal here is one\n"
+    assert _run(capsys, *argv)[0] == 0
+
+
+def test_inflation_published_basis_rejects_cef(capsys, monkeypatch, tmp_path: Path, fixture_dir: Path) -> None:
+    """``--basis published`` prices nothing on emission factors, so a
+    ``--cef`` table is an error; $GRIDCARBON_CEF_TABLE stays a default such
+    a run does not read."""
+    table = tmp_path / "cef.yaml"
+    table.write_text("coal: 2000\n", encoding="utf-8")
+    argv = ["inflation", "--mix", str(fixture_dir / "duck-curve.csv"), "--fraction", "1", "--basis", "published"]
+    err = _single_error_line(capsys, *argv, "--cef", str(table))
+    assert err == "error: --cef prices a mix on --basis cef, not on --basis published\n"
+    monkeypatch.setenv(CEF_TABLE_ENV, str(table))
+    with_env = _run(capsys, *argv)
+    monkeypatch.delenv(CEF_TABLE_ENV)
+    assert with_env == _run(capsys, *argv) and with_env[0] == 0
+
+
+def test_penetration_reads_no_cef_table(capsys, monkeypatch, tmp_path: Path, fixture_dir: Path) -> None:
+    """A share of generation reads no emission factor: ``--cef`` is an
+    error and $GRIDCARBON_CEF_TABLE is never read, even when unreadable."""
+    table = tmp_path / "cef.yaml"
+    table.write_text("coal: 2000\n", encoding="utf-8")
+    argv = ["penetration", "--data", str(fixture_dir)]
+    err = _single_error_line(capsys, *argv, "--cef", str(table))
+    assert err == "error: --cef: penetration prices nothing on emission factors\n"
+    monkeypatch.setenv(CEF_TABLE_ENV, str(tmp_path / "missing.yaml"))
+    with_env = _run(capsys, *argv)
+    monkeypatch.delenv(CEF_TABLE_ENV)
+    assert with_env == _run(capsys, *argv) and with_env[0] == 0
+
+
 def test_schedule_residual_fraction_uses_cef_table(capsys, tmp_path: Path, fixture_dir: Path) -> None:
     table = tmp_path / "cef.yaml"
     table.write_text("gas: 900\n", encoding="utf-8")
@@ -778,26 +820,36 @@ def test_main_restores_the_collector(capsys, monkeypatch, enabled, argv, code) -
 
 # --- record emission --------------------------------------------------------------------------
 
-_KEYS = st.sampled_from(["timestamp", "region", "ci_g_per_kwh", 'q"k', "b\\s", "a,b", "{x}", "é"])
-_EDGE_FLOATS = st.sampled_from([0.0, -0.0, 5e-324, 1e16, 9.9999995e-5, 123456.5, 1e-7, 1.7976931348623157e308])
+_KEYS = st.sampled_from(["timestamp", "region", "ci_g_per_kwh", 'q"k', "b\\s", "a,b", "{x}", "é", "%s", "5%", "%%"])
+# Integral texts at 6 digits (123456, -0, 444), and texts with an exponent
+# that repr writes otherwise (1e+06, 5e-324) or alike (1e-05).
+_EDGE_FLOATS = st.sampled_from(
+    [0.0, -0.0, 5e-324, 1e16, 9.9999995e-5, 123456.5, 1e-7, 1.7976931348623157e308,
+     123456.0, 444.0, 999999.5, 1e6, 1e-05]
+)
 _NONFINITE = st.sampled_from([math.nan, math.inf, -math.inf])
-_STRINGS = st.text(st.sampled_from('ab"\\,\n\r\t é€😀{}'), max_size=5) | st.text(max_size=5)
+_STRINGS = st.text(st.sampled_from('ab"\\,\n\r\t é€😀{}%'), max_size=5) | st.text(max_size=5)
 _OTHERS = st.integers() | st.booleans() | st.none() | st.just("")
 
 
 @st.composite
 def _output_blocks(draw) -> list[dict]:
     """Blocks as the commands return them: every key maps to a constant or
-    to a column of one length, of floats, of strings or of mixed values."""
+    to a column of one length, of floats (some with "" holes), of strings,
+    of bools, of ints or of mixed values."""
     floats = st.floats(allow_nan=False, allow_infinity=False) | _EDGE_FLOATS
     if draw(st.booleans()):
         floats |= _NONFINITE
-    kinds = [floats, _STRINGS, floats | _STRINGS | _OTHERS]
+    # Floats with "" holes, as the residual column of ``ci --contracts``.
+    kinds = [floats, _STRINGS, floats | _STRINGS | _OTHERS, floats | st.just(""), st.booleans(), st.integers()]
+    keys = st.lists(_KEYS, min_size=1, max_size=5, unique=True)
+    if draw(st.integers(0, 3)) == 0:  # one key in every block: CSV rows of one field
+        keys = st.just([draw(_KEYS)])
     blocks = []
     for _ in range(draw(st.integers(1, 4))):
         size = draw(st.integers(0, 4))
         block = {}
-        for key in draw(st.lists(_KEYS, min_size=1, max_size=5, unique=True)):
+        for key in draw(keys):
             values = draw(st.sampled_from(kinds))
             if draw(st.booleans()):
                 block[key] = draw(values)
@@ -830,6 +882,9 @@ def _emitted(emit, records, fmt: str) -> str:
 @settings(deadline=None)
 @given(blocks=_output_blocks(), fmt=st.sampled_from(["json-records", "csv"]))
 @example(blocks=[{"region": "r"}, {"ci": [1.0, math.nan], "ci_res": (math.inf, 2.0)}], fmt="csv")
+@example(blocks=[{"k": ["", "a", ""]}, {"k": ""}], fmt="csv")
+@example(blocks=[{"5%": "%s", "%%": [123456.0, -0.0, 999999.5, 5e-324, ""], "b": (True, False, True, True, False)}],
+         fmt="json-records")
 def test_emit_differential(blocks: list[dict], fmt: str) -> None:
     """The columnar encoder writes what the per-record one wrote, byte for
     byte, and names the same key for the first non-finite value."""
@@ -1702,7 +1757,7 @@ def _stamp_texts(draw, moment: datetime) -> tuple[str, bool]:
 @st.composite
 def label_csvs(draw) -> tuple[str, str, bool]:
     """A CSV of distinct timestamps from years 0001-9999, in order or
-    shuffled, some rows with a blank cell (dropped, or kept with 0.0 by
+    shuffled, some rows with a blank or whitespace cell (dropped, or kept with 0.0 by
     zero-fill); its fill policy; and whether ingest should keep its
     timestamp text."""
     moments = sorted(draw(st.lists(_MOMENTS, min_size=1, max_size=6, unique=True)))
@@ -1713,7 +1768,8 @@ def label_csvs(draw) -> tuple[str, str, bool]:
     for moment in moments:
         text, canonical = draw(_stamp_texts(moment))
         blank = draw(st.integers(0, 5)) == 0
-        lines.append(f"{text},{'' if blank else '5'},7")
+        cell = draw(st.sampled_from(["", " ", " \t"])) if blank else "5"
+        lines.append(f"{text},{cell},7")
         if not blank or policy == "zero-fill":
             clean.append((moment, canonical))
     kept = [moment for moment, _ in clean]
